@@ -9,15 +9,18 @@ Degree-2 cohomology is computed on the normalized subcomplex (cochains that
 vanish whenever an argument is the identity): any 2-cocycle differs from a
 normalized one by the coboundary of a constant, so no classes are lost, and
 the boundary matrices shrink from |G|^n·|X| to (|G|−1)^n·|X| rows.  The
-integer boundary matrices do not depend on the level, so their Smith normal
-forms are computed once per (group, module shape) and reused for every level —
-including the squared levels used by the ℂ^×-triviality test.
+integer boundary matrices do not depend on the level, and one machine serves
+every level L through ``at_level(L)``.  A machine reduces d₁ when it is built
+and d₂ lazily, at most once, on its first ``at_level``: coboundary tests need
+d₁ alone.  Machines are cached per module, level included, so the level-L²
+module of the ℂ^×-triviality test gets a machine of its own, which reduces
+d₁ again but never d₂.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import chain, product
 from math import gcd
 
 import numpy as np
@@ -332,15 +335,27 @@ class _H2Machine:
         self.m1 = (m - 1) * X
         self.m2 = (m - 1) ** 2 * X
         self.D1 = _normalized_boundary(module, 1)
-        D2 = _normalized_boundary(module, 2)
         self.snf1 = smith_normal_form(self.D1, want_u=True, want_v=True)
-        self.snf2 = smith_normal_form(D2, want_u=False, want_v=True, want_vinv=True)
         self._levels: dict[int, _H2Level] = {}
+
+    @cached_property
+    def snf2(self):
+        """SNF of d₂ with V and V⁻¹, reduced on first use."""
+        D2 = _normalized_boundary(self.module, 2)
+        return smith_normal_form(D2, want_u=False, want_v=True, want_vinv=True)
 
     def at_level(self, L: int) -> "_H2Level":
         if L not in self._levels:
             self._levels[L] = _H2Level(self, L)
         return self._levels[L]
+
+
+def _check_int64_transform(mat: list[list[int]], what: str):
+    """Raise :class:`TooLarge` unless every entry of an SNF transform is below
+    2^20, the bound that keeps the int64 products of ``_H2Level`` exact."""
+    top = max(map(abs, chain.from_iterable(mat)), default=0)
+    if top >= 2**20:
+        raise TooLarge(f"{what} has an entry of {top.bit_length()} bits; the int64 path allows 20")
 
 
 class _H2Level:
@@ -351,14 +366,15 @@ class _H2Level:
         self.machine = machine
         self.L = L
         m2 = machine.m2
-        diag2 = machine.snf2.diag
+        snf2 = machine.snf2
+        _check_int64_transform(snf2.Vinv, "V⁻¹ of d₂")
+        diag2 = snf2.diag
         d = [diag2[j] if j < len(diag2) else 0 for j in range(m2)]
         self.g = [gcd(dj, L) for dj in d]
         self.step = [L // gj for gj in self.g]
-        Vinv = np.array(machine.snf2.Vinv, dtype=np.int64)
-        assert int(np.abs(Vinv).max(initial=0)) < 2**20, "transform too large for int64 path"
+        Vinv = np.array(snf2.Vinv, dtype=np.int64)
         self._vinv2 = Vinv
-        self._v2 = np.array(machine.snf2.V, dtype=np.int64)
+        self._v2 = np.array(snf2.V, dtype=np.int64)
         # image lattice in kernel coordinates: columns M_K⁻¹·d₁ and M_K⁻¹·L·e_j
         Y = Vinv @ machine.D1
         W = np.zeros((m2, machine.m1 + m2), dtype=object)
@@ -377,6 +393,8 @@ class _H2Level:
         assert all(s > 0 for s in self.snfW.diag), "quotient must be finite"
         self.factor_cols = [i for i, s in enumerate(self.snfW.diag) if s > 1]
         self.factors = tuple(self.snfW.diag[i] for i in self.factor_cols)
+        _check_int64_transform(self.snfW.U, "U of the image lattice")
+        _check_int64_transform(self.snfW.Uinv, "U⁻¹ of the image lattice")
         # generator of the i-th cyclic factor: kernel vector M_K·(U_W⁻¹ e_i)
         Uinv = np.array(self.snfW.Uinv, dtype=np.int64)
         step_arr = np.array(self.step, dtype=np.int64)
@@ -384,8 +402,6 @@ class _H2Level:
             ((self._v2 % L) @ ((step_arr * Uinv[:, i]) % L)) % L for i in self.factor_cols
         ]
         self._uw = np.array(self.snfW.U, dtype=np.int64)
-        assert int(np.abs(self._uw).max(initial=0)) < 2**20, "transform too large for int64 path"
-        assert int(np.abs(Uinv).max(initial=0)) < 2**20, "transform too large for int64 path"
 
     def coords(self, flat: np.ndarray) -> tuple[int, ...]:
         """Class coordinates of a normalized cocycle (flat mod-L vector)."""

@@ -6,7 +6,13 @@ transforms can be tracked alongside (columns/rows updated by the inverse
 elementary operations), which is what the cohomology solvers need to move
 between cocycle coordinates and class coordinates exactly.
 
-All arithmetic is plain Python integers, so nothing overflows.
+All arithmetic is plain Python integers, so nothing overflows.  The matrices
+the cohomology code reduces are sparse (a bar-complex boundary row has at
+most four nonzeros), so each elementary operation touches only the nonzero
+entries of its source row or column, and the divisor-chain scan is skipped
+for a pivot of ±1, which divides everything.  Neither shortcut changes which
+operations run or in what order, so the diagonal and the transforms are the
+same as those of the plain dense elimination.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import TooLarge
 
 
 @dataclass
@@ -29,8 +37,8 @@ class SNFResult:
     _mod_cache: dict | None = None
 
     def _mod(self, which: str, L: int) -> np.ndarray:
-        """Transform reduced mod L as int64; safe because every later product
-        stays below L²·cols < 2^63 for the levels this package uses."""
+        """Transform reduced mod L as int64; exact because ``solve_mod``
+        refuses levels with L²·max(rows, cols) ≥ 2^62."""
         if self._mod_cache is None:
             self._mod_cache = {}
         key = (which, L)
@@ -48,6 +56,32 @@ def _eye(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _nonzero(row: list[int]) -> list[int]:
+    return [k for k, v in enumerate(row) if v]
+
+
+def _sub(dst: list[int], src: list[int], q: int, nz: list[int]):
+    # dst ← dst − q·src, where nz holds the nonzero positions of src
+    for k in nz:
+        dst[k] -= q * src[k]
+
+
+def _pivot(S: list[list[int]], t: int, m: int, n: int):
+    """Row-major first entry of least absolute value in the block S[t:, t:]."""
+    best, piv = 0, None
+    for i in range(t, m):
+        row = S[i]
+        if not any(row[t:]):
+            continue
+        for j in range(t, n):
+            v = row[j]
+            if v and (piv is None or abs(v) < best):
+                best, piv = abs(v), (i, j)
+                if best == 1:
+                    return piv
+    return piv
+
+
 def smith_normal_form(
     A,
     want_u: bool = True,
@@ -55,116 +89,107 @@ def smith_normal_form(
     want_uinv: bool = False,
     want_vinv: bool = False,
 ) -> SNFResult:
-    S = [[int(v) for v in row] for row in A]
+    if isinstance(A, np.ndarray):     # one row at a time keeps the peak low
+        S = [list(map(int, row.tolist())) for row in A]
+    else:
+        S = [list(map(int, row)) for row in A]
     m = len(S)
     n = len(S[0]) if m else 0
     U = _eye(m) if want_u else None
-    Uinv = _eye(m) if want_uinv else None
-    V = _eye(n) if want_v else None
     Vinv = _eye(n) if want_vinv else None
+    # column operations on V and U⁻¹ are row operations on their transposes
+    VT = _eye(n) if want_v else None
+    UinvT = _eye(m) if want_uinv else None
 
-    def row_sub(i: int, j: int, q: int):
-        # S_i ← S_i − q·S_j
-        Si, Sj = S[i], S[j]
-        for k in range(n):
-            Si[k] -= q * Sj[k]
+    def row_sub(i: int, j: int, q: int, nz_s=None, nz_u=None):
+        # S_i ← S_i − q·S_j; nz_* are the nonzero positions of row j, if known
+        _sub(S[i], S[j], q, _nonzero(S[j]) if nz_s is None else nz_s)
         if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                Ui[k] -= q * Uj[k]
-        if Uinv is not None:
-            for r in Uinv:        # col_j ← col_j + q·col_i
-                r[j] += q * r[i]
+            _sub(U[i], U[j], q, _nonzero(U[j]) if nz_u is None else nz_u)
+        if UinvT is not None:    # U⁻¹: col_j ← col_j + q·col_i
+            _sub(UinvT[j], UinvT[i], -q, _nonzero(UinvT[i]))
 
     def swap_rows(i: int, j: int):
         S[i], S[j] = S[j], S[i]
         if U is not None:
             U[i], U[j] = U[j], U[i]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i], r[j] = r[j], r[i]
+        if UinvT is not None:
+            UinvT[i], UinvT[j] = UinvT[j], UinvT[i]
 
     def negate_row(i: int):
         S[i] = [-v for v in S[i]]
         if U is not None:
             U[i] = [-v for v in U[i]]
-        if Uinv is not None:
-            for r in Uinv:
-                r[i] = -r[i]
+        if UinvT is not None:
+            UinvT[i] = [-v for v in UinvT[i]]
 
-    def col_sub(j: int, i: int, q: int):
-        # col_j ← col_j − q·col_i
-        for r in S:
-            r[j] -= q * r[i]
-        if V is not None:
-            for r in V:
-                r[j] -= q * r[i]
-        if Vinv is not None:
-            Vi, Vj = Vinv[i], Vinv[j]
-            for k in range(n):    # row_i ← row_i + q·row_j
-                Vi[k] += q * Vj[k]
+    def col_sub(j: int, i: int, q: int, rows: list[int], nz_v):
+        # col_j ← col_j − q·col_i; rows holds the nonzero rows of col_i
+        for r in rows:
+            Sr = S[r]
+            Sr[j] -= q * Sr[i]
+        if VT is not None:
+            _sub(VT[j], VT[i], q, nz_v)
+        if Vinv is not None:     # V⁻¹: row_i ← row_i + q·row_j
+            _sub(Vinv[i], Vinv[j], -q, _nonzero(Vinv[j]))
 
     def swap_cols(i: int, j: int):
+        if i == j:
+            return
         for r in S:
             r[i], r[j] = r[j], r[i]
-        if V is not None:
-            for r in V:
-                r[i], r[j] = r[j], r[i]
+        if VT is not None:
+            VT[i], VT[j] = VT[j], VT[i]
         if Vinv is not None:
             Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     t = 0
     R = min(m, n)
     while t < R:
-        best = None
-        piv = None
-        for i in range(t, m):
-            row = S[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best, piv = abs(v), (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
+        piv = _pivot(S, t, m, n)
         if piv is None:
             break
         swap_rows(t, piv[0])
         swap_cols(t, piv[1])
         while True:
             again = False
+            nz_s = _nonzero(S[t])
+            nz_u = _nonzero(U[t]) if U is not None else None
             for i in range(m):
                 if i != t and S[i][t]:
                     q = S[i][t] // S[t][t]
                     if q:
-                        row_sub(i, t, q)
+                        row_sub(i, t, q, nz_s, nz_u)
                     if S[i][t]:
                         swap_rows(i, t)
                         again = True
+                        nz_s = _nonzero(S[t])
+                        nz_u = _nonzero(U[t]) if U is not None else None
             if again:
                 continue
+            # the sweep above left S[t][t] alone in column t
+            rows = [t]
+            nz_v = _nonzero(VT[t]) if VT is not None else None
             for j in range(n):
                 if j != t and S[t][j]:
                     q = S[t][j] // S[t][t]
                     if q:
-                        col_sub(j, t, q)
+                        col_sub(j, t, q, rows, nz_v)
                     if S[t][j]:
                         swap_cols(j, t)
                         again = True
+                        rows = [r for r in range(m) if S[r][t]]
+                        nz_v = _nonzero(VT[t]) if VT is not None else None
             if again:
                 continue
-            # pivot must divide the remaining block for the divisor chain
+            # pivot must divide the remaining block for the divisor chain;
+            # ±1 divides everything
             p = S[t][t]
-            viol = None
-            for i in range(t + 1, m):
-                row = S[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            if p == 1 or p == -1:
+                break
+            viol = next(
+                (i for i in range(t + 1, m) if any(v % p for v in S[i][t + 1:])), None
+            )
             if viol is None:
                 break
             row_sub(t, viol, -1)
@@ -173,6 +198,8 @@ def smith_normal_form(
         t += 1
 
     diag = [S[i][i] for i in range(R)]
+    V = [list(col) for col in zip(*VT)] if VT is not None else None
+    Uinv = [list(col) for col in zip(*UinvT)] if UinvT is not None else None
     return SNFResult(m, n, diag, U, V, Uinv, Vinv)
 
 
@@ -182,7 +209,8 @@ def solve_mod(snf: SNFResult, b, L: int):
     from math import gcd
 
     m, n = snf.rows, snf.cols
-    assert L * L * max(m, n, 1) < 2**62, "level too large for the int64 fast path"
+    if L * L * max(m, n, 1) >= 2**62:
+        raise TooLarge(f"level {L} with a {m}×{n} matrix exceeds the int64 bound L²·max(m, n) < 2^62")
     if n == 0:
         return [] if not (np.asarray(b, dtype=np.int64) % L).any() else None
     if m == 0:

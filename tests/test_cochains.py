@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
+from twochar import cochains
 from twochar.cochains import (
     Cochain,
     GModule,
@@ -27,7 +28,7 @@ from twochar.cochains import (
     schur_classes,
 )
 from twochar.errors import NotACocycle
-from twochar.groups import all_subgroups, generated_subgroup
+from twochar.groups import all_subgroups, from_permutation_generators, generated_subgroup
 
 GROUPS = [cyclic(3), cyclic(4), klein_four(), symmetric_3(), dihedral_4(), quaternion_8()]
 
@@ -220,3 +221,33 @@ def test_cochain_json_roundtrip(s3):
     assert back.degree == c.degree
     assert back.level == c.level
     assert (back.values == c.values).all()
+
+
+def _count_reductions(monkeypatch):
+    """Record the shape of every matrix ``cochains`` hands to the SNF, with
+    the machine cache emptied so that nothing is reused."""
+    shapes = []
+    real = cochains.smith_normal_form
+
+    def counting(A, *args, **kwargs):
+        shapes.append((len(A), len(A[0]) if len(A) else 0))
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(cochains, "smith_normal_form", counting)
+    cochains._machine_for.cache_clear()
+    return shapes
+
+
+def test_schur_classes_reduces_d2_once(monkeypatch):
+    A4 = from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
+    shapes = _count_reductions(monkeypatch)
+    assert schur_classes(A4).invariant_factors == (2,)
+    assert shapes.count((11**3, 11**2)) == 1
+
+
+def test_is_coboundary_never_reduces_d2(monkeypatch, d4):
+    module = GModule.trivial(d4, 8)
+    c = differential(random_cochain(module, 1, random.Random(3)))
+    shapes = _count_reductions(monkeypatch)
+    assert is_coboundary(c) is not None
+    assert shapes == [(7**2, 7)]

@@ -1,11 +1,23 @@
 """Smith normal form: unimodular transforms, divisibility, sympy cross-check."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from conftest import symmetric_3
+from twochar.cochains import GModule, _H2Machine, _normalized_boundary
+from twochar.errors import TooLarge
+from twochar.groups import from_permutation_generators, generated_subgroup
 from twochar.snf import smith_normal_form, solve_mod
 
 
@@ -48,6 +60,9 @@ def test_known_matrices():
     assert res.diag == [1, 1]
     res = _check_decomposition([[0, 0], [0, 0]])
     assert res.diag == [0, 0]
+    # 2 does not divide 3: the divisor-chain fix-up turns diag(2, 3) into (1, 6)
+    res = _check_decomposition([[2, 0], [0, 3], [0, 0]])
+    assert res.diag == [1, 6]
 
 
 @settings(max_examples=80, deadline=None)
@@ -91,3 +106,117 @@ def test_solve_mod_detects_inconsistency():
     res = smith_normal_form(A)
     assert solve_mod(res, [1, 0], 4) is None
     assert solve_mod(res, [2, 2], 4) is not None
+
+
+# ---------------------------------------------------------------------------
+# Transform pins: the kernel must make the same elementary operations
+
+
+def _coset_action(G, H):
+    """Left action of G on the cosets xH, the coset of H first."""
+    where, reps = {}, []
+    for g in G.elements:
+        if g not in where:
+            for h in H.elements:
+                where[G.mul(g, h)] = len(reps)
+            reps.append(g)
+    return [[where[G.mul(g, x)] for x in reps] for g in G.elements]
+
+
+def _digest(*parts):
+    doc = json.dumps(parts, separators=(",", ":"))
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _transform_digests():
+    """sha256 over (diag, U, V, Uinv, Vinv) for each SNF that ``_H2Machine``
+    and ``_H2Level`` take: d₁ with U and V, d₂ with V and V⁻¹, and the
+    image lattice W with U and U⁻¹ at level |G|."""
+    S3 = symmetric_3()
+    modules = {
+        "A4": GModule.trivial(from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)]), 12),
+        "D6": GModule.trivial(
+            from_permutation_generators(6, [(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)]), 12
+        ),
+        "S3/Z2": GModule.permutation(S3, _coset_action(S3, generated_subgroup(S3, [1])), 6),
+    }
+    out = {}
+    for name, module in modules.items():
+        d1 = smith_normal_form(_normalized_boundary(module, 1), want_u=True, want_v=True)
+        d2 = smith_normal_form(
+            _normalized_boundary(module, 2), want_u=False, want_v=True, want_vinv=True
+        )
+        W = _H2Machine(module).at_level(module.level).snfW
+        for label, res in (("d1", d1), ("d2", d2), ("W", W)):
+            out[f"{name} {label}"] = _digest(res.diag, res.U, res.V, res.Uinv, res.Vinv)
+    return out
+
+
+TRANSFORM_DIGESTS = {
+    "A4 d1": "64d82008d19aa9e22fb65ae3525ec2b13b24362406b7fcbc89df8adde0c7ece1",
+    "A4 d2": "ff7f4db5faf56983fdc2dd23941c868c15c3c35f5d4c19e279a637cb0856348a",
+    "A4 W": "eadaaeada439512ba7602c25389b9730f2be488d661b4ada16b15109517f32b3",
+    "D6 d1": "f7f8fe56100c3fc3a3ff72aab9570a25f425eac28df9a98abd0feea68ad2750d",
+    "D6 d2": "48fd209687efe6df6173e1fd518ab2dabe559b9bb97e6b40cfc81163a0114e83",
+    "D6 W": "d56f36bd73f867aba11d98527095ffa610dcfcb323f98981443ec0c6c65df2cb",
+    "S3/Z2 d1": "0bba1d2bcf904631351426ee451da0bb7a7040a8b8e58c0dd094c15755690fc4",
+    "S3/Z2 d2": "36b52d884dee979d6ab2f1712f2768a41bab17313d1e02fec13e6208136deca6",
+    "S3/Z2 W": "e6690aa70d23f4dbd7b13268c7da08b257f58b1a40a4586409befa6679c26001",
+}
+
+
+def test_transforms_match_pinned_digests():
+    assert _transform_digests() == TRANSFORM_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Boundary-like sparse matrices: 0/±1 entries, at most four per row; rows
+# scaled by 2 or 3 give pivots > 1 and exercise the divisor-chain fix-up
+
+
+@st.composite
+def _boundary_like(draw):
+    m, n = draw(st.integers(1, 20)), draw(st.integers(1, 10))
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True)):
+            row[j] = draw(st.sampled_from((1, -1)))
+        scale = draw(st.sampled_from((1, 1, 1, 2, 3)))
+        rows.append([scale * v for v in row])
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(A=_boundary_like())
+def test_boundary_like_matches_sympy_oracle(A):
+    res = _check_decomposition(A)
+    assert [d for d in res.diag if d] == [d for d in _sympy_divisors(A) if d]
+
+
+# ---------------------------------------------------------------------------
+# int64 bound of solve_mod
+
+
+def test_solve_mod_rejects_levels_past_int64():
+    res = smith_normal_form([[1, 0], [0, 1]])
+    with pytest.raises(TooLarge):
+        solve_mod(res, [0, 0], 2**31)        # 2^62 · 2 ≥ 2^62
+    assert solve_mod(res, [1, 1], 2**30 - 1) == [1, 1]
+
+
+def test_solve_mod_bound_survives_optimize_flag():
+    code = (
+        "from twochar.errors import TooLarge\n"
+        "from twochar.snf import smith_normal_form, solve_mod\n"
+        "try:\n"
+        "    solve_mod(smith_normal_form([[1]]), [0], 2**31)\n"
+        "except TooLarge:\n"
+        "    print('TooLarge')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "TooLarge"

@@ -16,8 +16,9 @@ Gaussian elimination over the cyclotomic field.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
-from .cochains import abelian_structure, conjugate_pullback
+from .cochains import conjugate_pullback
 from .cyclo import CycloRat, RootOfUnity, root_to_cyclo
 from .errors import AlphaNotHomomorphism, GroupMismatch
 from .groups import FiniteGroup, Subgroup, full_subgroup, subgroup_class_representatives
@@ -166,30 +167,23 @@ def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloRat:
 
 @lru_cache(maxsize=None)
 def _character_table(P: Subgroup):
-    """All characters of the linear-class group of P, as value tuples indexed
-    by class, in mixed-radix character order."""
+    """All characters of the linear-class group ⊕ ℤ/f of P, as value tuples
+    indexed by class.  The character with digits (e_k) sends the class with
+    coordinates (c_k) to exp(2πi·Σ e_k·c_k/f_k); the characters are sorted
+    by their exponents at level lcm(f), so the order does not depend on the
+    coordinates chosen for the classes."""
     sc = linear_classes(P)
-    n = len(sc)
-    factors, coords = abelian_structure(n, sc.add)
-    chars = []
-    count = 1
-    for f in factors:
-        count *= f
-    for ci in range(count):
-        digits = []
-        rem = ci
-        for f in reversed(factors):
-            digits.append(rem % f)
-            rem //= f
-        digits.reverse()
-        vals = []
-        for x in range(n):
-            root = RootOfUnity(1, 0)
-            for d, c, f in zip(digits, coords[x], factors):
-                root = root * RootOfUnity(f, (d * c) % f)
-            vals.append(CycloRat.from_cyclo(root_to_cyclo(root)))
-        chars.append(tuple(vals))
-    return tuple(chars)
+    factors = sc.invariant_factors
+    N = factors[-1] if factors else 1      # lcm of a divisor chain
+
+    def exponent(digits, coords) -> int:
+        return sum(e * c * (N // f) for e, c, f in zip(digits, coords, factors)) % N
+
+    rows = sorted(
+        tuple(exponent(digits, coords) for coords in sc.coordinates)
+        for digits in product(*(range(f) for f in factors))
+    )
+    return tuple(tuple(CycloRat.from_cyclo(root_to_cyclo(RootOfUnity(N, t))) for t in row) for row in rows)
 
 
 def mark_matrix(G: FiniteGroup):

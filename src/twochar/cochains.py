@@ -9,12 +9,16 @@ Degree-2 cohomology is computed on the normalized subcomplex (cochains that
 vanish whenever an argument is the identity): any 2-cocycle differs from a
 normalized one by the coboundary of a constant, so no classes are lost, and
 the boundary matrices shrink from |G|^n·|X| to (|G|−1)^n·|X| rows.  The
-integer boundary matrices do not depend on the level, and one machine serves
-every level L through ``at_level(L)``.  A machine reduces d₁ when it is built
-and d₂ lazily, at most once, on its first ``at_level``: coboundary tests need
-d₁ alone.  Machines are cached per module, level included, so the level-L²
-module of the ℂ^×-triviality test gets a machine of its own, which reduces
-d₁ again but never d₂.
+integer boundary matrices do not depend on the level, so machines are cached
+per group and action, and one machine serves every level L through
+``at_level(L)``.  A machine reduces d₁ when it is built and d₂ lazily, at most
+once, on first use: coboundary tests need d₁ alone.
+
+ℂ^× classes are read off the same integer SNF of d₂.  The Bockstein of
+0 → ℤ → ℂ → ℂ^× → 0 gives H²(G; ℂ^×[X]) ≅ H³(G; ℤ[X]), the torsion of
+coker(d₂), which is ⊕ ℤ/d_i over the diagonal entries d_i > 1.  A normalized
+level-L cocycle x with w = V⁻¹x mod L has the coordinates (d_i·w_i/L mod d_i)
+there, at any level.
 """
 
 from __future__ import annotations
@@ -344,6 +348,36 @@ class _H2Machine:
         D2 = _normalized_boundary(self.module, 2)
         return smith_normal_form(D2, want_u=False, want_v=True, want_vinv=True)
 
+    @cached_property
+    def _diag2(self) -> np.ndarray:
+        return np.array(self.snf2.diag, dtype=np.int64)
+
+    @cached_property
+    def cx_factors(self) -> tuple[int, ...]:
+        """Invariant factors of H²(G; ℂ^×[X]) ≅ H³(G; ℤ[X]): the diagonal
+        entries d_i > 1 of d₂, in ascending divisibility."""
+        return tuple(d for d in self.snf2.diag if d > 1)
+
+    def cx_coords(self, flat, L: int) -> tuple[int, ...]:
+        """Coordinates in ``cx_factors`` of the ℂ^× class of a normalized
+        level-L cocycle x (flat vector): (d_i·w_i/L mod d_i) with
+        w = V⁻¹x mod L.  Raises :class:`NotACocycle` unless L divides every
+        d_i·w_i, which is the cocycle condition d₂x ≡ 0 (mod L)."""
+        if L * L * max(self.m2, 1) >= 2**62:
+            raise TooLarge(
+                f"level {L} with {self.m2} cochain coordinates exceeds the int64 bound L²·m₂ < 2^62"
+            )
+        diag = self._diag2
+        w = (self.snf2._mod("Vinv", L) @ (np.asarray(flat, dtype=np.int64) % L)) % L
+        dw = diag * w[: len(diag)]
+        bad = np.flatnonzero(dw % L)
+        if len(bad):
+            raise NotACocycle(
+                f"level {L} does not divide d·w in SNF coordinate {bad[0]}", witness=int(bad[0])
+            )
+        cx = diag > 1
+        return tuple(int(v) for v in dw[cx] // L % diag[cx])
+
     def at_level(self, L: int) -> "_H2Level":
         if L not in self._levels:
             self._levels[L] = _H2Level(self, L)
@@ -426,8 +460,10 @@ class _H2Level:
 
 
 @lru_cache(maxsize=None)
-def _machine_for(module: GModule) -> _H2Machine:
-    return _H2Machine(module.at_level(1))
+def _machine_for(group: FiniteGroup, action: bytes) -> _H2Machine:
+    """One machine per group and action (the level is not part of the key)."""
+    table = np.frombuffer(action, dtype=np.int64).reshape(group.order, -1)
+    return _H2Machine(GModule(group, 1, table))
 
 
 def _machine(module: GModule, bound: int) -> _H2Machine:
@@ -437,7 +473,7 @@ def _machine(module: GModule, bound: int) -> _H2Machine:
         raise TooLarge(
             f"degree-3 boundary matrix would have {rows3} rows (bound {bound})"
         )
-    return _machine_for(module)
+    return _machine_for(module.group, module.action.tobytes())
 
 
 DEFAULT_H2_BOUND = 20000
@@ -464,41 +500,37 @@ def is_coboundary(c: Cochain, bound: int = DEFAULT_H2_BOUND):
 
 
 class CohomologyClassSet:
-    """Finite abelian group of cohomology classes with chosen representative
-    cocycles.  ``invariant_factors`` lists the cyclic orders (ascending
-    divisibility); representative 0 is always the zero class."""
+    """Finite abelian group ⊕ ℤ/f of cohomology classes with chosen
+    representative cocycles.  Class i has the coordinates ``coordinates[i]``
+    in the cyclic factors ``invariant_factors`` (ascending divisibility);
+    class 0 is the zero class.  ``coords_fn`` maps a cocycle to the
+    coordinates of its class."""
 
-    def __init__(self, module, representatives, invariant_factors, index_fn, add_fn, neg_fn):
+    def __init__(self, module, representatives, invariant_factors, coordinates, coords_fn):
         self.module = module
         self.representatives = tuple(representatives)
         self.invariant_factors = tuple(invariant_factors)
-        self._index_fn = index_fn
-        self._add_fn = add_fn
-        self._neg_fn = neg_fn
+        self.coordinates = tuple(coordinates)
+        self._coords_fn = coords_fn
+        self._index = {c: i for i, c in enumerate(self.coordinates)}
 
     def __len__(self) -> int:
         return len(self.representatives)
 
     def index_of(self, c: Cochain) -> int:
         """Index of the class of the given cocycle."""
-        return self._index_fn(c)
+        return self._index[self._coords_fn(c)]
 
     def add(self, i: int, j: int) -> int:
-        return self._add_fn(i, j)
+        a, b = self.coordinates[i], self.coordinates[j]
+        return self._index[tuple((x + y) % f for x, y, f in zip(a, b, self.invariant_factors))]
 
     def neg(self, i: int) -> int:
-        return self._neg_fn(i)
+        return self._index[tuple((-x) % f for x, f in zip(self.coordinates[i], self.invariant_factors))]
 
     def __repr__(self) -> str:
         shape = " ⊕ ".join(f"Z/{d}" for d in self.invariant_factors) or "trivial"
         return f"CohomologyClassSet({len(self)} classes, {shape})"
-
-
-def _mixed_radix_index(coords: tuple[int, ...], factors: tuple[int, ...]) -> int:
-    idx = 0
-    for c, f in zip(coords, factors):
-        idx = idx * f + c
-    return idx
 
 
 def h2(G: FiniteGroup, module: GModule, bound: int = DEFAULT_H2_BOUND) -> CohomologyClassSet:
@@ -517,159 +549,61 @@ def h2(G: FiniteGroup, module: GModule, bound: int = DEFAULT_H2_BOUND) -> Cohomo
     all_coords = list(product(*(range(s) for s in factors)))
     reps = [_embed_norm(module, 2, lvl.rep_flat(c)) for c in all_coords]
 
-    def index_fn(c: Cochain) -> int:
+    def coords_fn(c: Cochain) -> tuple[int, ...]:
         if c.module != module:
             raise ValueError("cochain is not over this module")
-        cn = normalize_cocycle(c)
-        return _mixed_radix_index(lvl.coords(_norm_flat(cn)), factors)
+        return lvl.coords(_norm_flat(normalize_cocycle(c)))
 
-    def add_fn(i: int, j: int) -> int:
-        a, b = all_coords[i], all_coords[j]
-        return _mixed_radix_index(tuple((x + y) % s for x, y, s in zip(a, b, factors)), factors)
+    return CohomologyClassSet(module, reps, factors, all_coords, coords_fn)
 
-    def neg_fn(i: int) -> int:
-        return _mixed_radix_index(tuple((-x) % s for x, s in zip(all_coords[i], factors)), factors)
 
-    return CohomologyClassSet(module, reps, factors, index_fn, add_fn, neg_fn)
+def _cx_coords(c: Cochain, bound: int) -> tuple[int, ...]:
+    """Coordinates of the ℂ^× class of a 2-cocycle, at any level."""
+    if c.degree != 2:
+        raise ValueError("expected a degree-2 cocycle")
+    return _machine(c.module, bound).cx_coords(_norm_flat(normalize_cocycle(c)), c.level)
 
 
 def cohomologous_over_Cx(c1: Cochain, c2: Cochain, bound: int = DEFAULT_H2_BOUND) -> bool:
     """Whether two 2-cocycles become cohomologous with ℂ^× coefficients.
 
-    The classes agree over ℂ^× iff the difference, rewritten at the square of
-    the common level, is a coboundary there: a ℂ^×-valued witness can always
-    be scaled to land in the L²-th roots of unity.
+    The levels may differ: each cocycle's ℂ^× class is read off the integer
+    SNF of d₂ (see the module docstring), and the two coordinate tuples are
+    compared.
     """
     if c1.group != c2.group or c1.module.size != c2.module.size:
         raise ValueError("cochains must live over the same group and G-set")
     if not np.array_equal(c1.module.action, c2.module.action):
         raise ValueError("cochains must share the module action")
-    M = c1.level * c2.level // gcd(c1.level, c2.level)
-    diff = raise_level(c1, M) - raise_level(c2, M)
-    return is_coboundary(raise_level(diff, M * M), bound=bound) is not None
+    return _cx_coords(c1, bound) == _cx_coords(c2, bound)
 
 
 def schur_classes(G: FiniteGroup, bound: int = DEFAULT_H2_BOUND) -> CohomologyClassSet:
-    """ℂ^×-cohomology classes of G presented at level |G|: degree-2 classes
-    mod |G| modulo the subgroup of classes that die over ℂ^×."""
+    """ℂ^×-cohomology classes of G (the Schur multiplier H²(G; ℂ^×)),
+    presented at level |G|.
+
+    Every ℂ^× class comes from a class of H²(G; ℤ/|G|), because the
+    multiplier's exponent divides |G|.  Its representative is the first
+    level-|G| class in coordinate order that maps onto it.  ``index_of``
+    accepts a trivial-module cocycle over G at any level.
+    """
     L = G.order
     module = GModule.trivial(G, L)
     machine = _machine(module, bound)
     lvl = machine.at_level(L)
-    factors = lvl.factors
-    all_coords = list(product(*(range(s) for s in factors)))
+    # ℂ^× coordinates → first level-|G| coordinates that map onto them; the
+    # insertion order of the dict fixes the class indices
+    chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for coords in product(*(range(s) for s in lvl.factors)):
+        chosen.setdefault(machine.cx_coords(lvl.rep_flat(coords), L), coords)
+    reps = [_embed_norm(module, 2, lvl.rep_flat(c)) for c in chosen.values()]
 
-    def rep_of(coords) -> Cochain:
-        return _embed_norm(module, 2, lvl.rep_flat(coords))
+    def coords_fn(c: Cochain) -> tuple[int, ...]:
+        if c.group != G or not c.module.is_trivial:
+            raise ValueError("expected a trivial-module cocycle over this group")
+        return _cx_coords(c, bound)
 
-    trivial_sub = []
-    for coords in all_coords:
-        c2 = raise_level(rep_of(coords), L * L)
-        if is_coboundary(c2, bound=bound) is not None:
-            trivial_sub.append(coords)
-
-    cover: dict[tuple[int, ...], int] = {}
-    chosen: list[tuple[int, ...]] = []
-    for coords in all_coords:
-        if coords in cover:
-            continue
-        idx = len(chosen)
-        chosen.append(coords)
-        for t in trivial_sub:
-            shifted = tuple((x + y) % s for x, y, s in zip(coords, t, factors))
-            cover[shifted] = idx
-    reps = [rep_of(c) for c in chosen]
-
-    def add_fn(i: int, j: int) -> int:
-        a, b = chosen[i], chosen[j]
-        return cover[tuple((x + y) % s for x, y, s in zip(a, b, factors))]
-
-    def neg_fn(i: int) -> int:
-        return cover[tuple((-x) % s for x, s in zip(chosen[i], factors))]
-
-    quotient_factors, _ = abelian_structure(len(chosen), add_fn)
-
-    def index_fn(c: Cochain) -> int:
-        if c.degree != 2:
-            raise ValueError("expected a degree-2 cocycle")
-        if c.module == module:
-            cn = normalize_cocycle(c)
-            return cover[lvl.coords(_norm_flat(cn))]
-        hits = [i for i, r in enumerate(reps) if cohomologous_over_Cx(c, r, bound=bound)]
-        assert len(hits) == 1, "every class must match exactly one representative"
-        return hits[0]
-
-    return CohomologyClassSet(module, reps, quotient_factors, index_fn, add_fn, neg_fn)
-
-
-# ---------------------------------------------------------------------------
-# Finite abelian structure (used for quotient groups and their characters)
-
-
-def abelian_structure(n: int, add) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Invariant factors (ascending divisibility) and per-element coordinates
-    of a finite abelian group given as elements 0..n−1 with identity 0.
-
-    >>> abelian_structure(4, lambda i, j: i ^ j)[0]
-    (2, 2)
-    """
-    if n > 64:
-        raise TooLarge("abelian_structure is for small groups")
-    if n == 1:
-        return (), [()]
-
-    def order(x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = add(y, x)
-            k += 1
-        return k
-
-    def multiple(x: int, k: int) -> int:
-        out = 0
-        for _ in range(k):
-            out = add(out, x)
-        return out
-
-    factors_desc: list[int] = []
-    gens_desc: list[int] = []
-    current = tuple(range(n))
-    while len(current) > 1:
-        d, g = max((order(x), -x) for x in current)
-        g = -g
-        factors_desc.append(d)
-        gens_desc.append(g)
-        cyc = {multiple(g, k) for k in range(d)}
-        target = len(current) // d
-        best = None
-        members = set(current)
-        for mask in range(1 << len(current)):
-            subset = [current[i] for i in range(len(current)) if mask >> i & 1]
-            if len(subset) != target or 0 not in subset:
-                continue
-            sset = set(subset)
-            if not sset <= members:
-                continue
-            if any(add(a, b) not in sset for a in subset for b in subset):
-                continue
-            if len(sset & cyc) != 1:
-                continue
-            tup = tuple(sorted(subset))
-            if best is None or tup < best:
-                best = tup
-        assert best is not None, "cyclic factor must split off"
-        current = best
-
-    factors = tuple(reversed(factors_desc))
-    gens = list(reversed(gens_desc))
-    coords: list = [None] * n
-    for tup in product(*(range(d) for d in factors)):
-        x = 0
-        for t, g in zip(tup, gens):
-            x = add(x, multiple(g, t))
-        assert coords[x] is None, "decomposition must be direct"
-        coords[x] = tup
-    return factors, coords
+    return CohomologyClassSet(module, reps, machine.cx_factors, chosen, coords_fn)
 
 
 # ---------------------------------------------------------------------------

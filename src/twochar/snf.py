@@ -37,13 +37,14 @@ class SNFResult:
     _mod_cache: dict | None = None
 
     def _mod(self, which: str, L: int) -> np.ndarray:
-        """Transform reduced mod L as int64; exact because ``solve_mod``
-        refuses levels with L²·max(rows, cols) ≥ 2^62."""
+        """Transform ``which`` ("U", "V" or "Vinv") reduced mod L as int64.
+        Products with it stay exact because its callers refuse levels with
+        L² times the transform size ≥ 2^62."""
         if self._mod_cache is None:
             self._mod_cache = {}
         key = (which, L)
         if key not in self._mod_cache:
-            mat = self.U if which == "U" else self.V
+            mat = {"U": self.U, "V": self.V, "Vinv": self.Vinv}[which]
             size = self.rows if which == "U" else self.cols
             arr = np.zeros((size, size), dtype=np.int64)
             for i, row in enumerate(mat):

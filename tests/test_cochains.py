@@ -1,6 +1,11 @@
 """Cochains and low-degree cohomology: differentials, class sets, transport."""
 
+import os
 import random
+import subprocess
+import sys
+from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +32,9 @@ from twochar.cochains import (
     restrict,
     schur_classes,
 )
-from twochar.errors import NotACocycle
-from twochar.groups import all_subgroups, from_permutation_generators, generated_subgroup
+from twochar.errors import NotACocycle, TooLarge
+from twochar.groups import all_subgroups, from_permutation_generators, generated_subgroup, subgroup_group
+from twochar.shapiro import shapiro_context
 
 GROUPS = [cyclic(3), cyclic(4), klein_four(), symmetric_3(), dihedral_4(), quaternion_8()]
 
@@ -251,3 +257,129 @@ def test_is_coboundary_never_reduces_d2(monkeypatch, d4):
     shapes = _count_reductions(monkeypatch)
     assert is_coboundary(c) is not None
     assert shapes == [(7**2, 7)]
+
+
+def test_one_machine_serves_every_level(monkeypatch):
+    A4 = from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
+    d1, d2 = (11**2, 11), (11**3, 11**2)
+    shapes = _count_reductions(monkeypatch)
+    schur_classes(A4)
+    assert shapes.count(d1) == shapes.count(d2) == 1
+    seen = len(shapes)
+    h2(A4, GModule.trivial(A4, 6))
+    c = random_cocycle(GModule.trivial(A4, 6), random.Random(1))
+    assert cohomologous_over_Cx(c, raise_level(c, 12 * 12))
+    assert d1 not in shapes[seen:] and d2 not in shapes[seen:]
+    assert cochains._machine_for.cache_info().misses == 1
+
+
+def test_schur_classes_of_z2_to_the_fourth():
+    # the multiplier (Z/2)^6 has 64 classes; enumerating subgroups of it hung
+    gens = [tuple(i ^ 1 if i // 2 == k else i for i in range(8)) for k in range(4)]
+    classes = schur_classes(from_permutation_generators(8, gens, name="Z2^4"))
+    assert classes.invariant_factors == (2,) * 6
+    assert len(classes) == 64
+    assert classes.add(5, 5) == 0
+
+
+# ---------------------------------------------------------------------------
+# The level-L² route, kept as an independent oracle for the ℂ^× engine
+
+
+def _dies_over_Cx(c: Cochain) -> bool:
+    """A ℂ^×-valued witness for a level-L cocycle can be scaled into the
+    L²-th roots of unity, so c dies over ℂ^× iff it is a coboundary once
+    rewritten at level L²."""
+    return is_coboundary(raise_level(c, c.level**2)) is not None
+
+
+def _same_over_Cx(c1: Cochain, c2: Cochain) -> bool:
+    M = lcm(c1.level, c2.level)
+    return _dies_over_Cx(raise_level(c1, M) - raise_level(c2, M))
+
+
+def _cx_zero(c: Cochain) -> bool:
+    return not any(cochains._cx_coords(c, cochains.DEFAULT_H2_BOUND))
+
+
+def test_cx_coordinates_vanish_exactly_on_level_squared_coboundaries(v4, d4, s3):
+    outcomes = set()
+    for G in (v4, d4, s3):
+        for rep in h2(G, GModule.trivial(G, G.order)).representatives:
+            zero = _cx_zero(rep)
+            assert zero == _dies_over_Cx(rep)
+            outcomes.add(zero)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", ["v4", "d4", "s3"])
+def test_cohomologous_over_Cx_matches_oracle_on_random_pairs(name, request):
+    G = request.getfixturevalue(name)
+    n = G.order
+    rng = random.Random(n)
+    for L1, L2 in ((n, n), (n, 2 * n), (2 * n, 2 * n)):
+        for _ in range(4):
+            c1 = random_cocycle(GModule.trivial(G, L1), rng)
+            c2 = random_cocycle(GModule.trivial(G, L2), rng)
+            assert cohomologous_over_Cx(c1, c2) == _same_over_Cx(c1, c2)
+
+
+def test_cohomologous_over_Cx_matches_oracle_on_coinduced_module(d4):
+    # D4 acting on the two cosets of a Klein four-subgroup: by Shapiro,
+    # H²(D4; ℂ^×[D4/V4]) ≅ H²(V4; ℂ^×) = Z/2
+    V = next(P for P in all_subgroups(d4) if P.order == 4 and all(d4.order_of(g) <= 2 for g in P.elements))
+    module = shapiro_context(d4, V, GModule.trivial(subgroup_group(V)[0], 8)).coinduced
+    assert module.size == 2
+    assert cochains._machine(module, cochains.DEFAULT_H2_BOUND).cx_factors == (2,)
+    rng = random.Random(4)
+    outcomes = []
+    for _ in range(12):
+        c1, c2 = random_cocycle(module, rng), random_cocycle(module, rng)
+        same = cohomologous_over_Cx(c1, c2)
+        assert same == _same_over_Cx(c1, c2)
+        outcomes.append(same)
+    assert set(outcomes) == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Bounds of the ℂ^× coordinates, enforced before the int64 work
+
+
+def test_cx_coordinates_enforce_bounds(monkeypatch, v4):
+    machine = cochains._machine(GModule.trivial(v4, 4), cochains.DEFAULT_H2_BOUND)
+    flat = np.zeros(machine.m2, dtype=np.int64)
+    flat[1] = 1                                       # c(1, 2) = 1, zero elsewhere
+    assert not is_cocycle(cochains._embed_norm(GModule.trivial(v4, 4), 2, flat))
+    with pytest.raises(NotACocycle):
+        machine.cx_coords(flat, 4)
+    shapes = _count_reductions(monkeypatch)
+    zero = Cochain.zero(GModule.trivial(v4, 2**30), 2)
+    with pytest.raises(TooLarge):                     # 2^60 · 9 ≥ 2^62
+        cohomologous_over_Cx(zero, zero)
+    assert (27, 9) not in shapes                      # refused before d₂ was reduced
+
+
+def test_cx_coordinate_bounds_survive_optimize_flag():
+    code = (
+        "import numpy as np\n"
+        "from twochar import cochains\n"
+        "from twochar.cochains import Cochain, GModule, cohomologous_over_Cx\n"
+        "from twochar.errors import NotACocycle, TooLarge\n"
+        "from twochar.groups import from_cayley_table\n"
+        "v4 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)], name='V4')\n"
+        "machine = cochains._machine(GModule.trivial(v4, 4), cochains.DEFAULT_H2_BOUND)\n"
+        "flat = np.zeros(machine.m2, dtype=np.int64)\n"
+        "flat[1] = 1\n"
+        "zero = Cochain.zero(GModule.trivial(v4, 2**30), 2)\n"
+        "for call in (lambda: machine.cx_coords(flat, 4), lambda: cohomologous_over_Cx(zero, zero)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (NotACocycle, TooLarge) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["NotACocycle", "TooLarge"]

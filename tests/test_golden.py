@@ -1,0 +1,66 @@
+"""Golden outputs: sha256 digests of CLI reports for the bundled groups.
+
+The digests pin the class indices, representative cocycles, canonical basis,
+mark matrices and character tables byte for byte, so that a change of engine
+behind them cannot reorder or rewrite an answer unnoticed.  Each command runs
+in-process through ``cli.main``.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from twochar.cli import main
+
+GOLDEN = {
+    ("h2", "z1"): "f8847b44a939c6b85857b47e0cefa39f9fb6db313ddab7cf6aae759a4f288297",
+    ("burnside", "z1"): "1c89b2cc05b0ddc89d8350ebef6fa71d8f655ef4b2743053033c471097de3aaf",
+    ("char-table", "z1"): "b10881d17cb9cdc6cb0258f425cb975bbee2e5cb11dd411fb4b55f909c3fe2c2",
+    ("h2", "z2"): "443e5d021babeeb5a54c8472cb4c12f2e89c0018427025104bf64b1faba892a9",
+    ("burnside", "z2"): "0c4ba0a2b2f54379cd2737303323ae36a25d88d6e3d94550a71ec282b27878e8",
+    ("char-table", "z2"): "3c8b07d22d697006672e3200d9b6db014ce649df00e840e8ed16122cda73dd47",
+    ("h2", "z3"): "89136f1f3488344e6372703ba004be05f6845646c0edf47a7980694b3e31ebc5",
+    ("burnside", "z3"): "fa6f8be341291b76924e4bc281a46ac01478813649c46939605f56c537f74019",
+    ("char-table", "z3"): "dd9c14dd01c8759c117698b137a009823d5acdcbad88fad83fd82c1f017f6870",
+    ("h2", "z4"): "0697d0fb727703e6f21327fd01d48f1201506cd5ce5ebe72ebd5aadcde2bf7d9",
+    ("burnside", "z4"): "3d9f2fdb9b92f79652a711b7cca9a029caeb0e929ea63cd167d8f7399ab9e0e5",
+    ("char-table", "z4"): "63a646f2e13ccc025f6b461f24c8baaeffab25bc3bca003a21e9d396b223378a",
+    ("h2", "z5"): "e4aab1ddc9666211e2c1e90846a789d90cde9ad51c426df915378ea3fff215aa",
+    ("burnside", "z5"): "5995c7af947c70fb949a5e167485978b9007a29eca34419e386b412cb6a1c605",
+    ("char-table", "z5"): "039081b29f4e82d1f9d098c47b9e6f64bed1bc6c6a28d9435a6c6795ff515f03",
+    ("h2", "z6"): "45cc47f649e30fdcc67dbb6f51c9eecf8066e18b619c6e8ddaa4c4dec58403f3",
+    ("burnside", "z6"): "b4537671dd078fde0601900019257a88b21bf4c6df3f458bbcacede30ae32f97",
+    ("char-table", "z6"): "37a5c8ce65b5cef7a9ddf875b2fe0cddb65971100f2931d09d87e4f676350eef",
+    ("h2", "z7"): "c0c2ddefc7c7c6a565b5593f38ef8a803b2bbbe548e3393e40190d8b6b5da4ce",
+    ("burnside", "z7"): "4d7644d83714231ad60c68918c70b2298864bf5cdf924a82497cacc5e8942067",
+    ("char-table", "z7"): "634dae779bb9e52f1a0fba658edc26644ea404d9084a90025604d125e3c29b4e",
+    ("h2", "z8"): "a97723bddafa688e0a253c45989f259b5ddf6506bf2ff0cc93eea11824eab0b7",
+    ("burnside", "z8"): "2e53371dcf9073af180026bba8e7bb008d77749c3bc67d1616ef614b17f38207",
+    ("char-table", "z8"): "95372d97617fdf46238f17f58c6634b26bd741cc427a2f7006806398f29ed220",
+    ("h2", "v4"): "6a6cef12b78af080a0e4da27840253d96275e506bc262034cde23b261983c470",
+    ("burnside", "v4"): "356c625bcdbbe979f9591caf034d74ac39e58253140c2194fd1911b4a19f1d17",
+    ("char-table", "v4"): "14d6d618545003c20f9cc75f9e08af433ba4f92e4c8e2973a15d5e0740af2064",
+    ("h2", "s3"): "488f967b7e7f8a2da1ba3a70e8b18ed928ee62de0a46adeb5828de3738738621",
+    ("burnside", "s3"): "1e62500207ef88fe54bf351e18626ef959c4e904aede254ddf767cb457b6f6d6",
+    ("char-table", "s3"): "c881a2ef439af3c92881d2ecd94448ce9fda4a2bc755dd363028f4396e2ccadd",
+    ("h2", "d4"): "4bdf906ddc4a35049d5a586c632c22e0ba8e582052f22f1cd000c81e60eaa427",
+    ("burnside", "d4"): "2c365fc8ed859ccd81e6cbc467e87ff09d8abf2fb3aea9e5e93de910d3583676",
+    ("char-table", "d4"): "cc85a15cd731933d1ecca874b826fd1a1c186695e5b0454a18d79939496993f7",
+    ("h2", "q8"): "2c267fde4a5c8059965cb54f9141aa426b28ac0caff060d7bc8a3413a176c70f",
+    ("burnside", "q8"): "ffe1520513d45de182ea8e802e1793ee7c9c5a37e6c3ea626ac566f4cd98a97c",
+    ("char-table", "q8"): "6bc6018d7c659819c14473847f1b2304d284e7d18f29b59d7a451e563b08c682",
+}
+
+# h2 prints its text report; the other two commands print JSON
+FORMAT = {"h2": (), "burnside": ("--format", "json"), "char-table": ("--format", "json")}
+
+
+@pytest.mark.parametrize("command, group", sorted(GOLDEN))
+def test_cli_output_matches_golden_digest(command, group):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, group, *FORMAT[command]])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[(command, group)]

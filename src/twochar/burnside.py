@@ -161,7 +161,7 @@ def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloRat:
         acc = CycloRat.zero()
         for idx in _mark_pullback_classes(P, pair):
             acc = acc + values[idx]
-        total = total + coeff * (acc / pair.subgroup.order)
+        total = total + coeff * CycloRat(acc.num, acc.den * pair.subgroup.order)
     return total
 
 

@@ -29,6 +29,7 @@ from .crossed import CrossedModule
 from .cyclo import CycloInt, CycloRat, RootOfUnity, raise_root_level, root_to_cyclo
 from .errors import (
     AlphaIllDefined,
+    FormulasDisagree,
     NotACocycle,
     NotCommuting,
     NotNormalized,
@@ -365,9 +366,11 @@ def char_table(G: FiniteGroup, verify: bool = True) -> CharTable:
             if verify:
                 v1 = gk_rep(reps[j], a, b)
                 v2 = gk_osorno(perms[j], a, b)
-                assert v == v1 == v2, (
-                    f"character formulas disagree at pair ({a},{b}), column {j}"
-                )
+                if not v == v1 == v2:
+                    raise FormulasDisagree(
+                        f"character formulas disagree at pair ({a},{b}), column {j}",
+                        witness=(a, b, j, v, v1, v2),
+                    )
             row.append(v)
         entries.append(tuple(row))
     return CharTable(G, pairs, cols, tuple(entries))

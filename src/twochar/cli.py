@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``h2`` (cohomology report), ``burnside`` (basis, multiplication
-table, mark matrix), ``char-table``, ``verify`` (invariant suites with
-fault-injection), and ``crossed`` (crossed-module reports).  Inputs are JSON
-files or names from the bundled corpus.  Exit codes: 0 success,
+table, mark matrix), ``char-table``, ``verify`` (the invariant suites in
+``twochar.verify``, with fault injection), and ``crossed`` (crossed-module
+reports).  Inputs are JSON files or names from the bundled corpus.  The
+handlers only format what the library computes.  Exit codes: 0 success,
 1 verification failure, 2 input error, 3 bound exceeded.
 """
 
@@ -12,91 +13,22 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass
-from importlib import resources
 
-from .burnside import (
-    basis,
-    basis_element,
-    determinant,
-    identity_element,
-    mark_matrix,
-    mul,
-    pretty_element,
-    scale,
-)
-from .characters import char_table, char_table_to_csv, char_table_to_json, gk_linear, oracle_twisted_regular
-from .cochains import Cochain, GModule, differential, h2, random_cochain, schur_classes
-from .crossed import CrossedModule, crossed_from_json, pi1, pi2, triple_classes, triples
-from .errors import ClosureTooLarge, TooLarge, TwoCharError
-from .groups import FiniteGroup, all_subgroups, group_from_json, subgroup_group, trivial_subgroup
+from .burnside import basis, basis_element, determinant, mark_matrix, mul, pretty_element
+from .characters import char_table, char_table_to_csv, char_table_to_json
+from .cochains import GModule, h2, schur_classes
+from .crossed import load_crossed, pi1, pi2, triple_classes, triples
+from .errors import ClosureTooLarge, FormulasDisagree, TooLarge, TwoCharError
+from .groups import DEFAULT_MAX_ORDER, load_group
 from .reps import Orbit
-from .shapiro import homotopy_varpi, phi, psi, shapiro_context
-
-DEFAULT_MAX_ORDER = 64
+from .verify import SUITES
 
 
-@dataclass
-class JobConfig:
-    command: str
-    inputs: tuple[str, ...]
-    output: str | None
-    level: int | None
-    seed: int
-    iters: int
-    poison: bool
-    numeric: bool
-    verify: bool
-    fmt: str
-    subcommand: str | None
-    max_order: int
-
-    def __post_init__(self):
-        if self.seed < 0 or self.iters < 1 or self.max_order < 1:
-            raise ValueError("seed, iters, and max-order must be non-negative/positive")
-
-
-def _bundled(name: str):
-    path = resources.files("twochar").joinpath("data").joinpath(name + ".json")
-    return path if path.is_file() else None
-
-
-def load_group(source: str, max_order: int) -> FiniteGroup:
-    if os.path.exists(source):
-        with open(source) as f:
-            doc = json.load(f)
-    else:
-        path = _bundled(source)
-        if path is None:
-            raise FileNotFoundError(f"no such file or bundled group: {source}")
-        doc = json.loads(path.read_text())
-    G = group_from_json(doc)
-    if G.order > max_order:
-        raise TooLarge(f"group order {G.order} exceeds the bound {max_order}")
-    return G
-
-
-def load_crossed(source: str, max_order: int) -> CrossedModule:
-    if os.path.exists(source):
-        with open(source) as f:
-            doc = json.load(f)
-    else:
-        path = _bundled(source)
-        if path is None:
-            raise FileNotFoundError(f"no such file or bundled crossed module: {source}")
-        doc = json.loads(path.read_text())
-    K = crossed_from_json(doc)
-    if K.G.order > max_order or K.H.order > max_order:
-        raise TooLarge(f"crossed module exceeds the order bound {max_order}")
-    return K
-
-
-def _emit(cfg: JobConfig, text: str):
+def _emit(args: argparse.Namespace, text: str):
     sys.stdout.write(text)
-    if cfg.output:
-        with open(cfg.output, "w") as f:
+    if args.output:
+        with open(args.output, "w") as f:
             f.write(text)
 
 
@@ -110,15 +42,15 @@ def _structure_str(factors) -> str:
 # Reports
 
 
-def cmd_h2(cfg: JobConfig) -> int:
-    G = load_group(cfg.inputs[0], cfg.max_order)
-    lines = [f"command: h2", f"input: {cfg.inputs[0]}", f"seed: {cfg.seed}", f"group: {G.name} (order {G.order})"]
+def cmd_h2(args: argparse.Namespace) -> int:
+    G = load_group(args.group, args.max_order)
+    lines = [f"command: h2", f"input: {args.group}", f"seed: {args.seed}", f"group: {G.name} (order {G.order})"]
     sc = schur_classes(G)
     lines.append(f"Schur classes: {len(sc)}, structure: {_structure_str(sc.invariant_factors)}")
-    if cfg.level is not None:
-        classes = h2(G, GModule.trivial(G, cfg.level))
+    if args.level is not None:
+        classes = h2(G, GModule.trivial(G, args.level))
         lines.append(
-            f"classes at level {cfg.level}: {len(classes)}, "
+            f"classes at level {args.level}: {len(classes)}, "
             f"invariant factors: {_structure_str(classes.invariant_factors)}"
         )
         for i, rep in enumerate(classes.representatives):
@@ -126,7 +58,7 @@ def cmd_h2(cfg: JobConfig) -> int:
     else:
         for i, rep in enumerate(sc.representatives):
             lines.append(f"representative {i}: {[int(v) for v in rep.values.reshape(-1)]}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -134,15 +66,15 @@ def _pair_label(pair: Orbit) -> str:
     return f"<{pair.schur_index}|{{{','.join(map(str, pair.subgroup.elements))}}}>"
 
 
-def cmd_burnside(cfg: JobConfig) -> int:
-    G = load_group(cfg.inputs[0], cfg.max_order)
+def cmd_burnside(args: argparse.Namespace) -> int:
+    G = load_group(args.group, args.max_order)
     pairs = basis(G)
     labels, cols, rows = mark_matrix(G)
     det = determinant(rows)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "command": "burnside",
-            "seed": cfg.seed,
+            "seed": args.seed,
             "group": G.name,
             "basis": [
                 {"subgroup": list(p.subgroup.elements), "class": p.schur_index}
@@ -155,9 +87,9 @@ def cmd_burnside(cfg: JobConfig) -> int:
             "marks": [[str(v) for v in row] for row in rows],
             "determinant": str(det),
         }
-        _emit(cfg, json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
+        _emit(args, json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
         return 0
-    lines = [f"command: burnside", f"input: {cfg.inputs[0]}", f"seed: {cfg.seed}", f"group: {G.name}"]
+    lines = [f"command: burnside", f"input: {args.group}", f"seed: {args.seed}", f"group: {G.name}"]
     lines.append(f"basis pairs: {len(pairs)}")
     for p in pairs:
         lines.append(f"  {_pair_label(p)}")
@@ -174,272 +106,55 @@ def cmd_burnside(cfg: JobConfig) -> int:
         lines.append(",".join([tag] + [str(v) for v in row]))
     lines.append(f"determinant: {det}")
     lines.append(f"determinant nonzero: {not det.is_zero()}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_char_table(cfg: JobConfig) -> int:
-    G = load_group(cfg.inputs[0], cfg.max_order)
+def cmd_char_table(args: argparse.Namespace) -> int:
+    G = load_group(args.group, args.max_order)
     status = None
-    if cfg.verify:
+    if args.verify:
         try:
             table = char_table(G, verify=True)
             status = "PASS"
-        except AssertionError as exc:
+        except FormulasDisagree as exc:
             table = char_table(G, verify=False)
             status = f"FAIL ({exc})"
     else:
         table = char_table(G, verify=False)
-    head = [f"command: char-table", f"input: {cfg.inputs[0]}", f"seed: {cfg.seed}", f"group: {G.name}"]
+    head = [f"command: char-table", f"input: {args.group}", f"seed: {args.seed}", f"group: {G.name}"]
     if status is not None:
         head.append(f"three-way agreement: {status}")
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = char_table_to_json(table)
-        doc["seed"] = cfg.seed
+        doc["seed"] = args.seed
         if status is not None:
             doc["verified"] = status
-        _emit(cfg, json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
+        _emit(args, json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
     else:
-        _emit(cfg, "\n".join(head) + "\n" + char_table_to_csv(table, numeric=cfg.numeric))
+        _emit(args, "\n".join(head) + "\n" + char_table_to_csv(table, numeric=args.numeric))
     return 1 if status is not None and status != "PASS" else 0
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-
-
-def _suite_shapiro(cfg: JobConfig, report: list[str]):
-    rng = random.Random(cfg.seed)
-    corpus = []
-    for gname, picker in (
-        ("s3", lambda G: next(P for P in all_subgroups(G) if P.order == 3)),
-        ("s3", lambda G: next(P for P in all_subgroups(G) if P.order == 2)),
-        ("d4", lambda G: next(P for P in all_subgroups(G) if P.order == 4 and max(G.order_of(g) for g in P.elements) == 4)),
-        ("z4", lambda G: next(P for P in all_subgroups(G) if P.order == 2)),
-    ):
-        G = load_group(gname, cfg.max_order)
-        corpus.append((G, picker(G)))
-    checked = 0
-    configs = 0
-    poison_at = rng.randrange(len(corpus) * 4) if cfg.poison else -1
-    for G, Q in corpus:
-        qgrp, _, _ = subgroup_group(Q)
-        translation = qgrp.table  # left translation of Q on itself
-        for kind, module in (
-            ("trivial", GModule.trivial(qgrp, 6)),
-            ("permutation", GModule.permutation(qgrp, translation, 4)),
-        ):
-            ctx = shapiro_context(G, Q, module)
-            for degree in (1, 2):
-                cfg_index = configs
-                configs += 1
-                for _ in range(cfg.iters):
-                    mu = random_cochain(module, degree, rng)
-                    down = psi(ctx, mu)
-                    if cfg_index == poison_at:
-                        bad = down.values.copy()
-                        bad.flat[0] = (bad.flat[0] + 1) % module.level
-                        down = Cochain(down.module, down.degree, bad)
-                    if phi(ctx, down) != mu:
-                        report.append(
-                            f"witness: transfer round trip failed for {G.name}, "
-                            f"subgroup {list(Q.elements)}, {kind} module, degree {degree}"
-                        )
-                        return False
-                    if differential(down) != psi(ctx, differential(mu)):
-                        report.append(f"witness: push/differential mismatch ({G.name}, {kind}, degree {degree})")
-                        return False
-                    c = random_cochain(ctx.coinduced, degree, rng)
-                    if differential(phi(ctx, c)) != phi(ctx, differential(c)):
-                        report.append(f"witness: pull/differential mismatch ({G.name}, {kind}, degree {degree})")
-                        return False
-                    lhs = psi(ctx, phi(ctx, c)) - c
-                    rhs = differential(homotopy_varpi(ctx, c)) + homotopy_varpi(ctx, differential(c))
-                    if lhs != rhs:
-                        report.append(f"witness: homotopy identity failed ({G.name}, {kind}, degree {degree})")
-                        return False
-                    checked += 4
-    report.append("max degree: 2")
-    report.append(f"configurations: {configs}")
-    report.append(f"cochain checks: {checked}")
-    return True
-
-
-def _suite_oracle(cfg: JobConfig, report: list[str]):
-    rng = random.Random(cfg.seed)
-    names = ("v4", "z4", "d4", "q8")
-    poison_target = rng.randrange(len(names)) if cfg.poison else -1
-    compared = 0
-    for gi, name in enumerate(names):
-        G = load_group(name, cfg.max_order)
-        sc = schur_classes(G)
-        for ci, mu in enumerate(sc.representatives):
-            probe = mu
-            flip = None
-            if gi == poison_target and ci == len(sc.representatives) - 1:
-                pairs = [
-                    (a, b)
-                    for a in G.elements
-                    for b in G.elements
-                    if a != 0 and b != 0 and G.commutes(a, b)
-                ]
-                a0, b0 = pairs[rng.randrange(len(pairs))]
-                bad = mu.values.copy()
-                pos = (b0, G.inv(a0), 0)
-                bad[pos] = (bad[pos] + 1) % mu.level
-                probe = Cochain(mu.module, 2, bad)
-                flip = (a0, b0)
-            for a in G.elements:
-                for b in G.elements:
-                    if not G.commutes(a, b):
-                        continue
-                    compared += 1
-                    if gk_linear(probe, a, b) != oracle_twisted_regular(mu, a, b):
-                        report.append(
-                            f"witness: formula/oracle mismatch at {G.name}, class {ci}, pair ({a},{b})"
-                            + (f" [injected flip near pair {flip}]" if flip else "")
-                        )
-                        return False
-    report.append(f"groups: {', '.join(names)}")
-    report.append(f"pairs compared: {compared}")
-    return True
-
-
-def _suite_burnside(cfg: JobConfig, report: list[str]):
-    rng = random.Random(cfg.seed)
-    law_groups = ("v4", "s3", "d4")
-    det_groups = ("v4", "z4", "s3", "d4", "q8")
-    poison_pick = rng.randrange(100) if cfg.poison else -1
-    comparisons = 0
-    for name in law_groups:
-        G = load_group(name, cfg.max_order)
-        pairs = basis(G)
-        e = identity_element(G)
-        pt = basis_element(G, Orbit(trivial_subgroup(G), 0))
-        if mul(pt, pt) != scale(G.order, pt):
-            report.append(f"witness: free-point square law fails for {G.name}")
-            return False
-        for i, a in enumerate(pairs):
-            ea = basis_element(G, a)
-            if mul(e, ea) != ea or mul(ea, e) != ea:
-                report.append(f"witness: identity law fails at {G.name} pair {i}")
-                return False
-            for j, b in enumerate(pairs):
-                eb = basis_element(G, b)
-                left = mul(ea, eb)
-                if comparisons == poison_pick:
-                    some = next(iter(left.coefficients))
-                    bumped = dict(left.coefficients)
-                    bumped[some] = bumped[some] + 1
-                    left = type(left)(G, bumped)
-                comparisons += 1
-                if left != mul(eb, ea):
-                    report.append(f"witness: commutativity fails at {G.name} pairs ({i},{j})")
-                    return False
-        for _ in range(cfg.iters):
-            i, j, k = (rng.randrange(len(pairs)) for _ in range(3))
-            a, b, c = (basis_element(G, pairs[x]) for x in (i, j, k))
-            if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                report.append(f"witness: associativity fails at {G.name} triple ({i},{j},{k})")
-                return False
-    dets = []
-    for name in det_groups:
-        G = load_group(name, cfg.max_order)
-        _, _, rows = mark_matrix(G)
-        det = determinant(rows)
-        if det.is_zero():
-            report.append(f"witness: singular mark matrix for {G.name}")
-            return False
-        dets.append(f"{G.name}: {det}")
-    report.append(f"law groups: {', '.join(law_groups)}")
-    report.append(f"mark determinants: {'; '.join(dets)}")
-    return True
-
-
-def _suite_crossed(cfg: JobConfig, report: list[str]):
-    rng = random.Random(cfg.seed)
-    expectations = (("crossed_z2_z4", 2, 1, 16), ("crossed_inner_s3", 1, 1, 36))
-    poison_target = rng.randrange(len(expectations)) if cfg.poison else -1
-    from .crossed import TwoMorphism, horizontal_compose, vertical_compose
-
-    for ki, (name, p1, p2, nt) in enumerate(expectations):
-        path = _bundled(name)
-        doc = json.loads(path.read_text())
-        if ki == poison_target:
-            g = 1 + rng.randrange(len(doc["action"]) - 1)
-            x = rng.randrange(len(doc["action"][0]))
-            doc["action"][g][x] = (doc["action"][g][x] + 1) % len(doc["action"][0])
-        try:
-            K = crossed_from_json(doc)
-        except TwoCharError as exc:
-            report.append(
-                f"witness: {name} rejected: {type(exc).__name__} at {exc.witness}"
-                + (" [injected]" if ki == poison_target else "")
-            )
-            return False
-        if pi1(K).order != p1 or pi2(K).order != p2:
-            report.append(f"witness: {name} has unexpected fundamental groups")
-            return False
-        if len(triples(K)) != nt:
-            report.append(f"witness: {name} has {len(triples(K))} triples, expected {nt}")
-            return False
-        if K.G.order * K.H.order <= 64:
-            G, H = K.G, K.H
-            for g1 in G.elements:
-                for g2 in G.elements:
-                    for h1 in H.elements:
-                        for h2 in H.elements:
-                            e1 = TwoMorphism(K, g1, h1)
-                            f1 = TwoMorphism(K, e1.target, h2)
-                            for h3 in H.elements:
-                                e2 = TwoMorphism(K, g2, h3)
-                                for h4 in H.elements:
-                                    f2 = TwoMorphism(K, e2.target, h4)
-                                    lhs = horizontal_compose(
-                                        vertical_compose(f1, e1), vertical_compose(f2, e2)
-                                    )
-                                    rhs = vertical_compose(
-                                        horizontal_compose(f1, f2), horizontal_compose(e1, e2)
-                                    )
-                                    if lhs != rhs:
-                                        report.append(
-                                            f"witness: interchange fails in {name} at "
-                                            f"({g1},{g2},{h1},{h2},{h3},{h4})"
-                                        )
-                                        return False
-        report.append(f"{name}: valid, pi1 order {p1}, pi2 order {p2}, triples {nt}")
-    return True
-
-
-SUITES = {
-    "shapiro": _suite_shapiro,
-    "oracle": _suite_oracle,
-    "burnside": _suite_burnside,
-    "crossed": _suite_crossed,
-}
-
-
-def cmd_verify(cfg: JobConfig) -> int:
-    suite = cfg.inputs[0]
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite: {suite} (choose from {', '.join(SUITES)})")
+def cmd_verify(args: argparse.Namespace) -> int:
+    result = SUITES[args.suite](args.seed, args.iters, args.poison, args.max_order)
     report = [
         f"command: verify",
-        f"suite: {suite}",
-        f"seed: {cfg.seed}",
-        f"iters: {cfg.iters}",
-        f"poison: {cfg.poison}",
+        f"suite: {args.suite}",
+        f"seed: {args.seed}",
+        f"iters: {args.iters}",
+        f"poison: {args.poison}",
+        *result.lines,
+        f"status: {'PASS' if result.ok else 'FAIL'}",
     ]
-    ok = SUITES[suite](cfg, report)
-    report.append(f"status: {'PASS' if ok else 'FAIL'}")
-    _emit(cfg, "\n".join(report) + "\n")
-    return 0 if ok else 1
+    _emit(args, "\n".join(report) + "\n")
+    return 0 if result.ok else 1
 
 
-def cmd_crossed(cfg: JobConfig) -> int:
-    sub = cfg.subcommand
-    lines = [f"command: crossed {sub}", f"input: {cfg.inputs[0]}", f"seed: {cfg.seed}"]
-    K = load_crossed(cfg.inputs[0], cfg.max_order)
+def cmd_crossed(args: argparse.Namespace) -> int:
+    sub = args.subcommand
+    lines = [f"command: crossed {sub}", f"input: {args.file}", f"seed: {args.seed}"]
+    K = load_crossed(args.file, args.max_order)
     if sub == "validate":
         lines.append("valid: true")
         lines.append(f"H order: {K.H.order}, G order: {K.G.order}")
@@ -456,7 +171,7 @@ def cmd_crossed(cfg: JobConfig) -> int:
         lines.append(f"class sizes: {[len(c) for c in classes]}")
     else:
         raise ValueError(f"unknown crossed subcommand: {sub}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -468,7 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twochar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None)
         p.add_argument(
@@ -480,64 +196,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("h2", help="cohomology classes of a group")
     p.add_argument("group")
     p.add_argument("--level", type=int, default=None)
-    common(p)
+    common(p, cmd_h2)
 
     p = sub.add_parser("burnside", help="basis, products, and mark matrix")
     p.add_argument("group")
     p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    common(p)
+    common(p, cmd_burnside)
 
     p = sub.add_parser("char-table", help="character table on commuting pairs")
     p.add_argument("group")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--numeric", action="store_true")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    common(p)
+    common(p, cmd_char_table)
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--poison", action="store_true")
-    common(p)
+    common(p, cmd_verify)
 
     p = sub.add_parser("crossed", help="crossed-module reports")
     p.add_argument("file")
     p.add_argument("subcommand", choices=("validate", "pi", "triples"))
-    common(p)
+    common(p, cmd_crossed)
 
     return parser
-
-
-def _config(args: argparse.Namespace) -> JobConfig:
-    target = getattr(args, "group", None) or getattr(args, "file", None) or getattr(args, "suite", None)
-    return JobConfig(
-        command=args.command,
-        inputs=(target,),
-        output=args.output,
-        level=getattr(args, "level", None),
-        seed=args.seed,
-        iters=getattr(args, "iters", 1),
-        poison=getattr(args, "poison", False),
-        numeric=getattr(args, "numeric", False),
-        verify=getattr(args, "verify", False),
-        fmt=getattr(args, "fmt", "text"),
-        subcommand=getattr(args, "subcommand", None),
-        max_order=args.max_order,
-    )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        handler = {
-            "h2": cmd_h2,
-            "burnside": cmd_burnside,
-            "char-table": cmd_char_table,
-            "verify": cmd_verify,
-            "crossed": cmd_crossed,
-        }[cfg.command]
-        return handler(cfg)
+        if args.seed < 0 or getattr(args, "iters", 1) < 1 or args.max_order < 1:
+            raise ValueError("seed, iters, and max-order must be non-negative/positive")
+        return args.handler(args)
     except (TooLarge, ClosureTooLarge) as exc:
         print(f"error: bound exceeded: {exc}", file=sys.stderr)
         return 3

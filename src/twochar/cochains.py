@@ -85,6 +85,8 @@ class GModule:
         return self.action[self.group.inverse]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GModule):
             return NotImplemented
         return (

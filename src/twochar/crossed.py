@@ -26,7 +26,15 @@ from .errors import (
     PeifferFailure,
     TooLarge,
 )
-from .groups import FiniteGroup, Subgroup, from_cayley_table, group_from_json, group_to_json
+from .groups import (
+    DEFAULT_MAX_ORDER,
+    FiniteGroup,
+    Subgroup,
+    from_cayley_table,
+    group_from_json,
+    group_to_json,
+    load_json,
+)
 
 
 class CrossedModule:
@@ -53,6 +61,8 @@ class CrossedModule:
         return int(self.action[g, h])
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, CrossedModule):
             return NotImplemented
         return (
@@ -287,3 +297,10 @@ def crossed_from_json(doc: dict) -> CrossedModule:
         doc["boundary"],
         doc["action"],
     )
+
+
+def load_crossed(source: str, max_order: int = DEFAULT_MAX_ORDER) -> CrossedModule:
+    K = crossed_from_json(load_json(source, "crossed module"))
+    if K.G.order > max_order or K.H.order > max_order:
+        raise TooLarge(f"crossed module exceeds the order bound {max_order}")
+    return K

@@ -97,6 +97,11 @@ class NotNormalized(TwoCharError):
     """Cocycle must vanish on identity arguments."""
 
 
+class FormulasDisagree(TwoCharError):
+    """The three 2-character formulas gave different values; ``witness`` is
+    (a, b, column, mark value, transversal value, fixed-point value)."""
+
+
 class NotScalarMultiple(TwoCharError):
     """Measured matrix is not a scalar multiple of the reference."""
 

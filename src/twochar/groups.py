@@ -13,13 +13,18 @@ Conventions, fixed once and relied on for byte-deterministic output:
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 from math import gcd
 
 import numpy as np
 
-from .errors import ClosureTooLarge, NotAGroup, NotAPermutation
+from .errors import ClosureTooLarge, NotAGroup, NotAPermutation, TooLarge
+
+DEFAULT_MAX_ORDER = 64
 
 
 class FiniteGroup:
@@ -46,6 +51,8 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return self.order == other.order and np.array_equal(self.table, other.table)
@@ -442,3 +449,22 @@ def group_from_json(doc: dict) -> FiniteGroup:
     if "generators" in doc:
         return from_permutation_generators(int(doc["degree"]), doc["generators"], name=name)
     raise ValueError("group document needs either 'cayley' or 'generators'")
+
+
+def load_json(source: str, kind: str = "group"):
+    """The JSON document at path ``source``, or else the bundled one named
+    ``source`` (``v4``, ``crossed_z2_z4``, …)."""
+    if os.path.exists(source):
+        with open(source) as f:
+            return json.load(f)
+    path = resources.files("twochar").joinpath("data").joinpath(source + ".json")
+    if not path.is_file():
+        raise FileNotFoundError(f"no such file or bundled {kind}: {source}")
+    return json.loads(path.read_text())
+
+
+def load_group(source: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+    G = group_from_json(load_json(source))
+    if G.order > max_order:
+        raise TooLarge(f"group order {G.order} exceeds the bound {max_order}")
+    return G

@@ -1,0 +1,245 @@
+"""Invariant suites: the identities behind twochar's answers, checked on
+seeded inputs.
+
+* ``shapiro`` — the coset-transfer identities (φ∘ψ = 1, ψ and φ are chain
+  maps, ψ∘φ − 1 = dϖ + ϖd) on random cochains;
+* ``oracle`` — the closed 2-character formula against the twisted-regular
+  oracle on every Schur class and commuting pair;
+* ``burnside`` — the ring laws of the decorated Burnside ring and nonzero
+  mark determinants;
+* ``crossed`` — validation, π₁/π₂, triple counts and the exhaustive
+  interchange law of the bundled crossed modules.
+
+Each suite is a function of ``(seed, iters, poison, max_order)``.  With
+``poison`` it corrupts one value chosen by the seed, so that the failure
+shows up as a witness line.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from itertools import product
+
+from .burnside import basis, basis_element, determinant, identity_element, mark_matrix, mul, scale
+from .characters import gk_linear, oracle_twisted_regular
+from .cochains import Cochain, GModule, differential, random_cochain, schur_classes
+from .crossed import TwoMorphism, crossed_from_json, horizontal_compose, load_crossed, pi1, pi2, triples
+from .crossed import vertical_compose
+from .errors import TwoCharError
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, all_subgroups, load_group, load_json, subgroup_group
+from .groups import trivial_subgroup
+from .reps import Orbit
+from .shapiro import homotopy_varpi, phi, psi, shapiro_context
+
+
+@dataclass(frozen=True)
+class SuiteResult:
+    """``lines`` is the report, ending in the witness of the first failed
+    identity if any; ``checks`` counts the identities compared."""
+
+    ok: bool
+    lines: tuple[str, ...]
+    checks: int
+
+
+def _fail(lines, witness: str, checks: int) -> SuiteResult:
+    return SuiteResult(False, (*lines, f"witness: {witness}"), checks)
+
+
+def shapiro(seed=0, iters=200, poison=False, max_order=DEFAULT_MAX_ORDER) -> SuiteResult:
+    rng = random.Random(seed)
+    corpus = []
+    for gname, picker in (
+        ("s3", lambda G: next(P for P in all_subgroups(G) if P.order == 3)),
+        ("s3", lambda G: next(P for P in all_subgroups(G) if P.order == 2)),
+        ("d4", lambda G: next(P for P in all_subgroups(G) if P.order == 4 and max(G.order_of(g) for g in P.elements) == 4)),
+        ("z4", lambda G: next(P for P in all_subgroups(G) if P.order == 2)),
+    ):
+        G = load_group(gname, max_order)
+        corpus.append((G, picker(G)))
+    checked = 0
+    configs = 0
+    poison_at = rng.randrange(len(corpus) * 4) if poison else -1
+    for G, Q in corpus:
+        qgrp, _, _ = subgroup_group(Q)
+        translation = qgrp.table  # left translation of Q on itself
+        for kind, module in (
+            ("trivial", GModule.trivial(qgrp, 6)),
+            ("permutation", GModule.permutation(qgrp, translation, 4)),
+        ):
+            ctx = shapiro_context(G, Q, module)
+            for degree in (1, 2):
+                cfg_index = configs
+                configs += 1
+                for _ in range(iters):
+                    mu = random_cochain(module, degree, rng)
+                    down = psi(ctx, mu)
+                    if cfg_index == poison_at:
+                        bad = down.values.copy()
+                        bad.flat[0] = (bad.flat[0] + 1) % module.level
+                        down = Cochain(down.module, down.degree, bad)
+                    if phi(ctx, down) != mu:
+                        return _fail(
+                            (),
+                            f"transfer round trip failed for {G.name}, "
+                            f"subgroup {list(Q.elements)}, {kind} module, degree {degree}",
+                            checked,
+                        )
+                    if differential(down) != psi(ctx, differential(mu)):
+                        return _fail((), f"push/differential mismatch ({G.name}, {kind}, degree {degree})", checked)
+                    c = random_cochain(ctx.coinduced, degree, rng)
+                    if differential(phi(ctx, c)) != phi(ctx, differential(c)):
+                        return _fail((), f"pull/differential mismatch ({G.name}, {kind}, degree {degree})", checked)
+                    lhs = psi(ctx, phi(ctx, c)) - c
+                    rhs = differential(homotopy_varpi(ctx, c)) + homotopy_varpi(ctx, differential(c))
+                    if lhs != rhs:
+                        return _fail((), f"homotopy identity failed ({G.name}, {kind}, degree {degree})", checked)
+                    checked += 4
+    lines = ("max degree: 2", f"configurations: {configs}", f"cochain checks: {checked}")
+    return SuiteResult(True, lines, checked)
+
+
+def oracle(seed=0, iters=200, poison=False, max_order=DEFAULT_MAX_ORDER) -> SuiteResult:
+    """``iters`` is unused: every pair is compared."""
+    rng = random.Random(seed)
+    names = ("v4", "z4", "d4", "q8")
+    poison_target = rng.randrange(len(names)) if poison else -1
+    compared = 0
+    for gi, name in enumerate(names):
+        G = load_group(name, max_order)
+        sc = schur_classes(G)
+        for ci, mu in enumerate(sc.representatives):
+            probe = mu
+            flip = None
+            if gi == poison_target and ci == len(sc.representatives) - 1:
+                pairs = [
+                    (a, b)
+                    for a in G.elements
+                    for b in G.elements
+                    if a != 0 and b != 0 and G.commutes(a, b)
+                ]
+                a0, b0 = pairs[rng.randrange(len(pairs))]
+                bad = mu.values.copy()
+                pos = (b0, G.inv(a0), 0)
+                bad[pos] = (bad[pos] + 1) % mu.level
+                probe = Cochain(mu.module, 2, bad)
+                flip = (a0, b0)
+            for a in G.elements:
+                for b in G.elements:
+                    if not G.commutes(a, b):
+                        continue
+                    compared += 1
+                    if gk_linear(probe, a, b) != oracle_twisted_regular(mu, a, b):
+                        return _fail(
+                            (),
+                            f"formula/oracle mismatch at {G.name}, class {ci}, pair ({a},{b})"
+                            + (f" [injected flip near pair {flip}]" if flip else ""),
+                            compared,
+                        )
+    return SuiteResult(True, (f"groups: {', '.join(names)}", f"pairs compared: {compared}"), compared)
+
+
+def ring_laws(G: FiniteGroup, index_triples, poison_at=-1) -> tuple[str | None, int]:
+    """Check the ring laws of the decorated Burnside ring on its basis: the
+    free point squares to |G| times itself, the identity is neutral, every
+    two basis elements commute, and the basis-index ``index_triples``
+    associate.  Return the first failure's witness text (None if all hold)
+    and the number of comparisons made.  ``poison_at`` bumps one coefficient
+    of the product in the commutativity comparison of that index."""
+    els = [basis_element(G, p) for p in basis(G)]
+    e = identity_element(G)
+    pt = basis_element(G, Orbit(trivial_subgroup(G), 0))
+    checks = 1
+    if mul(pt, pt) != scale(G.order, pt):
+        return f"free-point square law fails for {G.name}", checks
+    for i, a in enumerate(els):
+        checks += 2
+        if mul(e, a) != a or mul(a, e) != a:
+            return f"identity law fails at {G.name} pair {i}", checks
+        for j, b in enumerate(els):
+            left = mul(a, b)
+            if i * len(els) + j == poison_at:
+                some = next(iter(left.coefficients))
+                bumped = dict(left.coefficients)
+                bumped[some] = bumped[some] + 1
+                left = type(left)(G, bumped)
+            checks += 1
+            if left != mul(b, a):
+                return f"commutativity fails at {G.name} pairs ({i},{j})", checks
+    for i, j, k in index_triples:
+        checks += 1
+        if mul(mul(els[i], els[j]), els[k]) != mul(els[i], mul(els[j], els[k])):
+            return f"associativity fails at {G.name} triple ({i},{j},{k})", checks
+    return None, checks
+
+
+def burnside(seed=0, iters=200, poison=False, max_order=DEFAULT_MAX_ORDER) -> SuiteResult:
+    rng = random.Random(seed)
+    law_groups = ("v4", "s3", "d4")
+    det_groups = ("v4", "z4", "s3", "d4", "q8")
+    poison_pick = rng.randrange(100) if poison else -1
+    checks = 0
+    for name in law_groups:
+        G = load_group(name, max_order)
+        n = len(basis(G))
+        sampled = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(iters))
+        witness, k = ring_laws(G, sampled, poison_pick)
+        checks += k
+        if witness is not None:
+            return _fail((), witness, checks)
+        poison_pick -= n * n
+    dets = []
+    for name in det_groups:
+        G = load_group(name, max_order)
+        det = determinant(mark_matrix(G)[2])
+        if det.is_zero():
+            return _fail((), f"singular mark matrix for {G.name}", checks)
+        dets.append(f"{G.name}: {det}")
+    lines = (f"law groups: {', '.join(law_groups)}", f"mark determinants: {'; '.join(dets)}")
+    return SuiteResult(True, lines, checks)
+
+
+def crossed(seed=0, iters=200, poison=False, max_order=DEFAULT_MAX_ORDER) -> SuiteResult:
+    """``iters`` is unused: the interchange law is checked on every tuple
+    of modules with |G|·|H| ≤ 64."""
+    rng = random.Random(seed)
+    expectations = (("crossed_z2_z4", 2, 1, 16), ("crossed_inner_s3", 1, 1, 36))
+    poison_target = rng.randrange(len(expectations)) if poison else -1
+    lines = []
+    checks = 0
+    for ki, (name, p1, p2, nt) in enumerate(expectations):
+        K = load_crossed(name, max_order)
+        if ki == poison_target:
+            doc = load_json(name, "crossed module")
+            g = 1 + rng.randrange(len(doc["action"]) - 1)
+            x = rng.randrange(len(doc["action"][0]))
+            doc["action"][g][x] = (doc["action"][g][x] + 1) % len(doc["action"][0])
+            try:
+                K = crossed_from_json(doc)
+            except TwoCharError as exc:
+                return _fail(lines, f"{name} rejected: {type(exc).__name__} at {exc.witness} [injected]", checks)
+        if pi1(K).order != p1 or pi2(K).order != p2:
+            return _fail(lines, f"{name} has unexpected fundamental groups", checks)
+        if len(triples(K)) != nt:
+            return _fail(lines, f"{name} has {len(triples(K))} triples, expected {nt}", checks)
+        if K.G.order * K.H.order <= 64:
+            G, H = K.G, K.H
+            for g1, g2, h1, h2 in product(G.elements, G.elements, H.elements, H.elements):
+                e1 = TwoMorphism(K, g1, h1)
+                f1 = TwoMorphism(K, e1.target, h2)
+                for h3 in H.elements:
+                    e2 = TwoMorphism(K, g2, h3)
+                    for h4 in H.elements:
+                        f2 = TwoMorphism(K, e2.target, h4)
+                        lhs = horizontal_compose(vertical_compose(f1, e1), vertical_compose(f2, e2))
+                        rhs = vertical_compose(horizontal_compose(f1, f2), horizontal_compose(e1, e2))
+                        checks += 1
+                        if lhs != rhs:
+                            at = f"({g1},{g2},{h1},{h2},{h3},{h4})"
+                            return _fail(lines, f"interchange fails in {name} at {at}", checks)
+        lines.append(f"{name}: valid, pi1 order {p1}, pi2 order {p2}, triples {nt}")
+    return SuiteResult(True, tuple(lines), checks)
+
+
+SUITES = {"shapiro": shapiro, "oracle": oracle, "burnside": burnside, "crossed": crossed}

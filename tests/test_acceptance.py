@@ -4,6 +4,7 @@ Each test prints nothing on success; run with ``pytest -v`` to get one
 pass/fail line per criterion.
 """
 
+import itertools
 import random
 import time
 
@@ -11,16 +12,7 @@ import pytest
 
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
 from twochar.burnside import add as b_add
-from twochar.burnside import (
-    basis,
-    basis_element,
-    determinant,
-    from_rep2,
-    identity_element,
-    mark_matrix,
-    mul,
-    scale,
-)
+from twochar.burnside import basis, determinant, from_rep2, mark_matrix, mul
 from twochar.characters import (
     char_table,
     char_table_to_csv,
@@ -28,23 +20,13 @@ from twochar.characters import (
     gk_linear,
     gk_osorno,
     gk_rep,
-    oracle_twisted_regular,
 )
-from twochar.cochains import GModule, differential, random_cochain, schur_classes
-from twochar.crossed import (
-    TwoMorphism,
-    crossed_from_json,
-    horizontal_compose,
-    pi1,
-    pi2,
-    triples,
-    vertical_compose,
-)
+from twochar.cochains import schur_classes
+from twochar.crossed import crossed_from_json, load_crossed
 from twochar.cyclo import CycloInt, root_to_cyclo
 from twochar.errors import TwoCharError
-from twochar.groups import all_subgroups, commuting_pair_classes, subgroup_group, trivial_subgroup
+from twochar.groups import commuting_pair_classes, load_json
 from twochar.reps import (
-    Orbit,
     degree,
     direct_sum,
     from_perm_cocycle,
@@ -52,51 +34,17 @@ from twochar.reps import (
     tensor,
     to_perm_cocycle,
 )
-from twochar.shapiro import homotopy_varpi, phi, psi, shapiro_context
-
-
-def _bundled_crossed(name):
-    import json
-    from importlib import resources
-
-    text = resources.files("twochar").joinpath("data").joinpath(name + ".json").read_text()
-    return json.loads(text)
+from twochar.verify import crossed, oracle, ring_laws, shapiro
 
 
 def test_criterion_1_transfer_identities_on_random_cochains():
+    # S3 ⊇ Z3, S3 ⊇ Z2, D4 ⊇ Z4 and Z4 ⊇ Z2, each on the trivial module at
+    # level 6 and the translation module at level 4, in degrees 1 and 2:
+    # 16 configurations × 200 random cochains × 4 identities
     start = time.perf_counter()
-    s3, d4, z4 = symmetric_3(), dihedral_4(), cyclic(4)
-    pairs = [
-        (s3, next(P for P in all_subgroups(s3) if P.order == 3)),
-        (s3, next(P for P in all_subgroups(s3) if P.order == 2)),
-        (
-            d4,
-            next(
-                P
-                for P in all_subgroups(d4)
-                if P.order == 4 and max(d4.order_of(g) for g in P.elements) == 4
-            ),
-        ),
-        (z4, next(P for P in all_subgroups(z4) if P.order == 2)),
-    ]
-    rng = random.Random(2026)
-    for G, Q in pairs:
-        qgrp, _, _ = subgroup_group(Q)
-        for module in (GModule.trivial(qgrp, 6), GModule.permutation(qgrp, qgrp.table, 4)):
-            ctx = shapiro_context(G, Q, module)
-            for n in (1, 2):
-                for _ in range(200):
-                    mu = random_cochain(module, n, rng)
-                    down = psi(ctx, mu)
-                    assert phi(ctx, down) == mu
-                    assert differential(down) == psi(ctx, differential(mu))
-                    c = random_cochain(ctx.coinduced, n, rng)
-                    assert differential(phi(ctx, c)) == phi(ctx, differential(c))
-                    lhs = psi(ctx, phi(ctx, c)) - c
-                    rhs = differential(homotopy_varpi(ctx, c)) + homotopy_varpi(
-                        ctx, differential(c)
-                    )
-                    assert lhs == rhs
+    result = shapiro(seed=2026, iters=200)
+    assert result.ok, result.lines
+    assert result.checks == 16 * 200 * 4
     assert time.perf_counter() - start < 10.0
 
 
@@ -112,12 +60,10 @@ def test_criterion_2_schur_class_counts_match_literature():
 
 
 def test_criterion_3_formula_matches_twisted_regular_oracle():
-    for G in (klein_four(), cyclic(4), dihedral_4(), quaternion_8()):
-        for mu in schur_classes(G).representatives:
-            for a in G.elements:
-                for b in G.elements:
-                    if G.commutes(a, b):
-                        assert gk_linear(mu, a, b) == oracle_twisted_regular(mu, a, b)
+    # every Schur class of V4, Z4, D4 and Q8 on every commuting pair
+    result = oracle()
+    assert result.ok, result.lines
+    assert result.checks == 168
     v4 = klein_four()
     bimod = schur_classes(v4).representatives[1]
     assert root_to_cyclo(gk_linear(bimod, 2, 1)) == CycloInt.from_int(-1)
@@ -158,62 +104,43 @@ def test_criterion_5_class_map_and_characters_respect_ring_ops():
 def test_criterion_6_burnside_basis_marks_and_ring_laws():
     assert len(basis(klein_four())) == 6
     assert len(basis(symmetric_3())) == 4
+    checks = 0
     for G in (klein_four(), cyclic(4), symmetric_3(), dihedral_4(), quaternion_8()):
         _, _, rows = mark_matrix(G)
         assert not determinant(rows).is_zero()
-        pairs = basis(G)
-        els = [basis_element(G, p) for p in pairs]
-        e = identity_element(G)
-        pt = basis_element(G, Orbit(trivial_subgroup(G), 0))
-        assert mul(pt, pt) == scale(G.order, pt)
-        for a in els:
-            assert mul(e, a) == a == mul(a, e)
-            for b in els:
-                assert mul(a, b) == mul(b, a)
-                for c in els:
-                    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        n = len(basis(G))
+        witness, k = ring_laws(G, itertools.product(range(n), repeat=3))
+        assert witness is None, witness
+        checks += k
+    # exhaustive: 1 + 2n + n² + n³ comparisons for a basis of size n = 6, 3, 4, 11, 6
+    assert checks == 2137
 
 
 def test_criterion_7_crossed_module_validation_and_interchange():
-    k1 = crossed_from_json(_bundled_crossed("crossed_z2_z4"))
-    k2 = crossed_from_json(_bundled_crossed("crossed_inner_s3"))
-    assert (pi1(k1).order, pi2(k1).order) == (2, 1)
-    assert (pi1(k2).order, pi2(k2).order) == (1, 1)
-    assert len(triples(k1)) == 16
-    assert len(triples(k2)) == 36
+    for name in ("crossed_z2_z4", "crossed_inner_s3"):
+        K = load_crossed(name)
+        assert K.G.order * K.H.order <= 64
 
     # poisoned inputs are rejected with witnesses
-    doc = _bundled_crossed("crossed_inner_s3")
+    doc = load_json("crossed_inner_s3")
     doc["action"][1][0] = (doc["action"][1][0] + 1) % 6
     with pytest.raises(TwoCharError) as exc:
         crossed_from_json(doc)
     assert exc.value.witness is not None
-    doc = _bundled_crossed("crossed_z2_z4")
+    doc = load_json("crossed_z2_z4")
     doc["boundary"] = [0, 1]
     with pytest.raises(TwoCharError) as exc:
         crossed_from_json(doc)
     assert exc.value.witness is not None
 
-    for K in (k1, k2):
-        G, H = K.G, K.H
-        assert G.order * H.order <= 64
-        for g1 in G.elements:
-            for g2 in G.elements:
-                for h1 in H.elements:
-                    for h2 in H.elements:
-                        e1 = TwoMorphism(K, g1, h1)
-                        f1 = TwoMorphism(K, e1.target, h2)
-                        for h3 in H.elements:
-                            e2 = TwoMorphism(K, g2, h3)
-                            for h4 in H.elements:
-                                f2 = TwoMorphism(K, e2.target, h4)
-                                lhs = horizontal_compose(
-                                    vertical_compose(f1, e1), vertical_compose(f2, e2)
-                                )
-                                rhs = vertical_compose(
-                                    horizontal_compose(f1, f2), horizontal_compose(e1, e2)
-                                )
-                                assert lhs == rhs
+    result = crossed()
+    assert result.ok, result.lines
+    assert result.lines == (
+        "crossed_z2_z4: valid, pi1 order 2, pi2 order 1, triples 16",
+        "crossed_inner_s3: valid, pi1 order 1, pi2 order 1, triples 36",
+    )
+    # the interchange law on all |G|²|H|⁴ tuples: 4²·2⁴ + 6²·6⁴
+    assert result.checks == 256 + 46656
 
 
 def test_criterion_8_classification_roundtrip_preserves_canonical_form():

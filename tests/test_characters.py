@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
+from twochar import characters
 from twochar.characters import (
     CrossedLinearData,
     MonomialMatrix,
@@ -25,7 +26,7 @@ from twochar.burnside import from_rep2
 from twochar.cochains import schur_classes
 from twochar.crossed import crossed_module, triples
 from twochar.cyclo import CycloInt, RootOfUnity, root_to_cyclo
-from twochar.errors import NotCommuting, NotNormalized, NotScalarMultiple, TripleNotInG
+from twochar.errors import FormulasDisagree, NotCommuting, NotNormalized, NotScalarMultiple, TripleNotInG
 from twochar.groups import commuting_pair_classes
 from twochar.reps import direct_sum, random_rep2, regular_rep2, tensor, to_perm_cocycle, trivial_rep2
 
@@ -248,6 +249,16 @@ def test_char_table_symmetric(s3):
     column = [row[reg] for row in table.entries]
     assert column[0] == CycloInt.from_int(6)
     assert all(v == CycloInt.zero() for v in column[1:])
+
+
+def test_char_table_disagreement_carries_witness(v4, monkeypatch):
+    monkeypatch.setattr(characters, "gk_rep", lambda *args: gk_rep(*args) + 1)
+    with pytest.raises(FormulasDisagree) as exc:
+        char_table(v4, verify=True)
+    assert str(exc.value) == "character formulas disagree at pair (0,0), column 0"
+    a, b, column, v, v1, v2 = exc.value.witness
+    assert (a, b, column) == (0, 0, 0)
+    assert v == v2 and v1 == v + 1
 
 
 def test_char_table_csv_deterministic(s3):

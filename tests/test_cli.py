@@ -1,6 +1,12 @@
 """Command-line interface: reports, exit codes, fault injection, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from twochar.cli import main
 
@@ -105,6 +111,31 @@ def test_order_bound_is_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("TWO_CHAR_MAX_ORDER", "4")
     code, _, err = run(capsys, "h2", "q8")
     assert code == 3
+
+
+def test_verify_crossed_respects_order_bound(capsys):
+    # crossed_inner_s3 is S3 → S3, over the bound 4
+    code, out, err = run(capsys, "verify", "crossed", "--max-order", "4")
+    assert code == 3
+    assert out == ""
+    assert "bound exceeded" in err
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_char_table_disagreement_fails_under_optimize_flag(flags):
+    code = (
+        "import twochar.characters as characters\n"
+        "from twochar.cli import main\n"
+        "gk_rep = characters.gk_rep\n"
+        "characters.gk_rep = lambda *args: gk_rep(*args) + 1\n"
+        "raise SystemExit(main(['char-table', 'v4', '--verify']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 1, out.stderr
+    assert "three-way agreement: FAIL (character formulas disagree at pair (0,0), column 0)" in out.stdout
 
 
 def test_outputs_are_byte_identical(tmp_path, capsys):

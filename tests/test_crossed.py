@@ -1,8 +1,6 @@
 """Crossed modules: validation witnesses, 2-morphisms, triple orbits."""
 
-import json
 import random
-from importlib import resources
 
 import pytest
 
@@ -13,6 +11,7 @@ from twochar.crossed import (
     crossed_module,
     crossed_to_json,
     horizontal_compose,
+    load_crossed,
     pi1,
     pi1_projection,
     pi2,
@@ -32,17 +31,12 @@ from twochar.errors import (
 from twochar.groups import subgroup_class_representatives
 
 
-def _bundled(name):
-    text = resources.files("twochar").joinpath("data").joinpath(name + ".json").read_text()
-    return json.loads(text)
-
-
 def _k1():
-    return crossed_from_json(_bundled("crossed_z2_z4"))
+    return load_crossed("crossed_z2_z4")
 
 
 def _k2():
-    return crossed_from_json(_bundled("crossed_inner_s3"))
+    return load_crossed("crossed_inner_s3")
 
 
 def test_bundled_modules_validate():

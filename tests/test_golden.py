@@ -2,8 +2,9 @@
 
 The digests pin the class indices, representative cocycles, canonical basis,
 mark matrices and character tables byte for byte, so that a change of engine
-behind them cannot reorder or rewrite an answer unnoticed.  Each command runs
-in-process through ``cli.main``.
+behind them cannot reorder or rewrite an answer unnoticed.  The ``verify``
+cases pin each invariant suite's report, witness and exit code, with and
+without fault injection.  Each command runs in-process through ``cli.main``.
 """
 
 import contextlib
@@ -56,11 +57,44 @@ GOLDEN = {
 # h2 prints its text report; the other two commands print JSON
 FORMAT = {"h2": (), "burnside": ("--format", "json"), "char-table": ("--format", "json")}
 
+# (suite, seed, poison): (exit code, digest) of ``verify SUITE --iters 5 --seed SEED [--poison]``
+VERIFY_GOLDEN = {
+    ("shapiro", 0, False): (0, "7257a0872edf613e907b1d0b7c13c0352ebcf39a8ac3f08b1180b31be8836a70"),
+    ("shapiro", 0, True): (1, "853f20993120f0883126986586da92d368f57f203dac31cfb318c6c0cc9a2272"),
+    ("shapiro", 5, False): (0, "bbcaaa05bf3fe4836e87e92ad1d0d9cfe64adf12f3c92ee122e24ea5bff97ad5"),
+    ("shapiro", 5, True): (1, "6473436debd6fd98c70f9a8817a0cade88cfe2d29be4f5fa0fcc511205919343"),
+    ("oracle", 0, False): (0, "f1534759af50003bfaa221115f8b3d75b0e8f0a28158bcdf0dfdd9a176fbc03f"),
+    ("oracle", 0, True): (1, "186a13a7dba8ffb826824205f9bca0816ca68fc095779d1fdd70c477ebe7c1d8"),
+    ("oracle", 5, False): (0, "3c6a4a104f4c78cf1a6ec34ba64afd8555f56a06d13cfa86fa07b0fb31649dc7"),
+    ("oracle", 5, True): (1, "e36ac5ba359da6d2c6982dd311b9dbabeaa516506d3e5488fa02f24db5078a3f"),
+    ("burnside", 0, False): (0, "15c1e116542ddab707e6ef5d8c1213e114bbc2130d63b281542f43964b7be5bc"),
+    ("burnside", 0, True): (1, "d4a4d11ca5a7546d61e75581c175a3f56ab61e1301e676eab95a6545b84b78e8"),
+    ("burnside", 5, False): (0, "3b578dd48e7445022df38aa7b60c449f8a4238a10fc4f465d35c5e087257c596"),
+    ("burnside", 5, True): (1, "3a6d9bda4a9e483f00a2476442eab4707bbdc568383933371bb5a55948966a31"),
+    ("crossed", 0, False): (0, "dcb546c2166da475acb009a02d11afa8f542d4514e16bcd38b59f40bf0a5eaeb"),
+    ("crossed", 0, True): (1, "eb8109fed58058d08e75a048398c61ecd8d833fb1bac5cd0e1fd3f3c63cdb2f3"),
+    ("crossed", 5, False): (0, "a4adce31e122fc8fd1c6f06879be791cf25c9574f1b66df73c95150211a9976d"),
+    ("crossed", 5, True): (1, "50b2c2317132f5be27245b0b2f80cb2377a620a5eaf0bfd3741fc3e8ead2763b"),
+}
 
-@pytest.mark.parametrize("command, group", sorted(GOLDEN))
-def test_cli_output_matches_golden_digest(command, group):
+CASES = [
+    pytest.param((command, group, *FORMAT[command]), 0, digest, id=f"{command}-{group}")
+    for (command, group), digest in sorted(GOLDEN.items())
+] + [
+    pytest.param(
+        ("verify", suite, "--iters", "5", "--seed", str(seed), *(("--poison",) if poison else ())),
+        code,
+        digest,
+        id=f"verify-{suite}-seed{seed}" + ("-poison" if poison else ""),
+    )
+    for (suite, seed, poison), (code, digest) in VERIFY_GOLDEN.items()
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CASES)
+def test_cli_output_matches_golden_digest(argv, code, digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([command, group, *FORMAT[command]])
-    assert code == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[(command, group)]
+        exit_code = main(list(argv))
+    assert exit_code == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

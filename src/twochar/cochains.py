@@ -10,28 +10,37 @@ vanish whenever an argument is the identity): any 2-cocycle differs from a
 normalized one by the coboundary of a constant, so no classes are lost, and
 the boundary matrices shrink from |G|^n·|X| to (|G|−1)^n·|X| rows.  The
 integer boundary matrices do not depend on the level, so machines are cached
-per group and action, and one machine serves every level L through
-``at_level(L)``.  A machine reduces d₁ when it is built and d₂ lazily, at most
-once, on first use: coboundary tests need d₁ alone.
+per group and action, and one machine serves every level with no SNF per
+level.  It reduces d₁ when it is built, and d₂ and B lazily, at most once:
+coboundary tests need d₁ alone.
 
-ℂ^× classes are read off the same integer SNF of d₂.  The Bockstein of
-0 → ℤ → ℂ → ℂ^× → 0 gives H²(G; ℂ^×[X]) ≅ H³(G; ℤ[X]), the torsion of
-coker(d₂), which is ⊕ ℤ/d_i over the diagonal entries d_i > 1.  A normalized
-level-L cocycle x with w = V⁻¹x mod L has the coordinates (d_i·w_i/L mod d_i)
-there, at any level.
+Let d₂ have the SNF diagonal d_1 | … | d_r (r = rank d₂) and column
+transform V₂; as d₂d₁ = 0, only B = (V₂⁻¹d₁)[r:] is nonzero, with the
+diagonal (e_j) (0 past rank B) and row transform U_B.  By the universal
+coefficient sequence, H²(G; ℤ/L[X]) ≅ ⊕ ℤ/gcd(d_i, L) ⊕ ⊕ ℤ/gcd(e_j, L): a
+normalized level-L cocycle x with w = V₂⁻¹x mod L has the coordinates
+w_i·gcd(d_i, L)/L and U_B·w[r:], and the generators are (L/gcd(d_i, L))·V₂e_i
+and V₂[:, r:]·U_B⁻¹e_j.  The Bockstein of 0 → ℤ → ℂ → ℂ^× → 0 gives
+H²(G; ℂ^×[X]) ≅ H³(G; ℤ[X]) = ⊕ ℤ/d_i over the d_i > 1, where x has the
+coordinates (d_i·w_i/L mod d_i), at any level.
+
+Representatives are canonical: reduced by the Hermite normal form of
+K_L = im d₁ + Lℤ^{m₂} (level-L classes) or of K = ker_ℤ d₂ + Lℤ^{m₂} (ℂ^×
+classes), so no SNF choice moves them, and classes are sorted by them.  The
+one int64 bound, L²·m₂ < 2^62, is checked before any work at level L.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain, product
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import numpy as np
 
 from .errors import NotACocycle, NotAMultiple, NotContained, TooLarge
 from .groups import FiniteGroup, Subgroup, full_subgroup, subgroup_group
-from .snf import smith_normal_form, solve_mod
+from .snf import hermite_mod, hermite_reduce, smith_normal_form, solve_mod
 
 
 class GModule:
@@ -225,14 +234,22 @@ def normalize_cocycle(c: Cochain) -> Cochain:
     """
     if not is_cocycle(c):
         raise NotACocycle("normalize_cocycle requires a cocycle")
-    if c.degree == 1:
-        return c  # 1-cocycles always vanish at the identity
+    return c if c.degree == 1 else _normalize(c)  # 1-cocycles vanish at the identity
+
+
+def _normalize(c: Cochain) -> Cochain:
+    """``normalize_cocycle`` with no degree-3 test: raises
+    :class:`NotACocycle` with a witness if an identity slice stays nonzero.
+    Normalized cochains form a subcomplex, so callers test d₂ alone."""
     if c.degree != 2:
-        raise ValueError("normalize_cocycle is defined for degrees 1 and 2")
-    G, module = c.group, c.module
-    const = np.broadcast_to(c.values[0, 0], (G.order, module.size))
-    out = c - differential(Cochain(module, 1, const))
-    assert not out.values[0].any() and not out.values[:, 0].any()
+        raise ValueError("expected a degree-2 cocycle")
+    const = np.broadcast_to(c.values[0, 0], (c.group.order, c.module.size))
+    out = c - differential(Cochain(c.module, 1, const))
+    slices = out.values.copy()
+    slices[1:, 1:] = 0
+    if slices.any():
+        g, h, x = (int(v) for v in np.argwhere(slices)[0])
+        raise NotACocycle(f"not a 2-cocycle: nonzero at ({g}, {h}, x={x}) after normalizing", witness=(g, h, x))
     return out
 
 
@@ -338,11 +355,9 @@ class _H2Machine:
     def __init__(self, module: GModule):
         self.module = module
         m, X = module.group.order, module.size
-        self.m1 = (m - 1) * X
         self.m2 = (m - 1) ** 2 * X
         self.D1 = _normalized_boundary(module, 1)
         self.snf1 = smith_normal_form(self.D1, want_u=True, want_v=True)
-        self._levels: dict[int, _H2Level] = {}
 
     @cached_property
     def snf2(self):
@@ -352,113 +367,60 @@ class _H2Machine:
 
     @cached_property
     def _diag2(self) -> np.ndarray:
-        return np.array(self.snf2.diag, dtype=np.int64)
+        """d_1 … d_r, the nonzero diagonal entries of d₂."""
+        return np.array([d for d in self.snf2.diag if d], dtype=np.int64)
+
+    @cached_property
+    def snfB(self):
+        """SNF of B = (V₂⁻¹·d₁)[r:] with U_B and U_B⁻¹, in exact integers."""
+        r = len(self._diag2)
+        Vinv = np.array(self.snf2.Vinv[r:], dtype=object).reshape(self.m2 - r, self.m2)
+        return smith_normal_form(Vinv @ self.D1, want_u=True, want_v=False, want_uinv=True)
 
     @cached_property
     def cx_factors(self) -> tuple[int, ...]:
         """Invariant factors of H²(G; ℂ^×[X]) ≅ H³(G; ℤ[X]): the diagonal
         entries d_i > 1 of d₂, in ascending divisibility."""
-        return tuple(d for d in self.snf2.diag if d > 1)
+        return tuple(int(d) for d in self._diag2 if d > 1)
 
-    def cx_coords(self, flat, L: int) -> tuple[int, ...]:
-        """Coordinates in ``cx_factors`` of the ℂ^× class of a normalized
-        level-L cocycle x (flat vector): (d_i·w_i/L mod d_i) with
-        w = V⁻¹x mod L.  Raises :class:`NotACocycle` unless L divides every
-        d_i·w_i, which is the cocycle condition d₂x ≡ 0 (mod L)."""
+    def _check_level(self, L: int):
         if L * L * max(self.m2, 1) >= 2**62:
-            raise TooLarge(
-                f"level {L} with {self.m2} cochain coordinates exceeds the int64 bound L²·m₂ < 2^62"
-            )
-        diag = self._diag2
+            raise TooLarge(f"level {L} with {self.m2} cochain coordinates exceeds the int64 bound L²·m₂ < 2^62")
+
+    def _w(self, flat, L: int) -> np.ndarray:
+        """w = V₂⁻¹x mod L for a normalized level-L cocycle x; raises
+        :class:`NotACocycle` unless d₂x ≡ 0 (mod L), i.e. L | d_i·w_i."""
+        self._check_level(L)
         w = (self.snf2._mod("Vinv", L) @ (np.asarray(flat, dtype=np.int64) % L)) % L
-        dw = diag * w[: len(diag)]
-        bad = np.flatnonzero(dw % L)
+        bad = np.flatnonzero(self._diag2 * w[: len(self._diag2)] % L)
         if len(bad):
             raise NotACocycle(
                 f"level {L} does not divide d·w in SNF coordinate {bad[0]}", witness=int(bad[0])
             )
-        cx = diag > 1
-        return tuple(int(v) for v in dw[cx] // L % diag[cx])
+        return w
 
-    def at_level(self, L: int) -> "_H2Level":
-        if L not in self._levels:
-            self._levels[L] = _H2Level(self, L)
-        return self._levels[L]
+    def cx_coords(self, flat, L: int) -> tuple[int, ...]:
+        """Coordinates in ``cx_factors`` of the ℂ^× class of a normalized
+        level-L cocycle: (d_i·w_i/L mod d_i) over the d_i > 1."""
+        w, d = self._w(flat, L), self._diag2
+        return tuple(int(v) for v in (d * w[: len(d)])[d > 1] // L % d[d > 1])
 
+    def level_classes(self, L: int) -> tuple[list[int], list[int], np.ndarray]:
+        """The indices k, orders and generators (rows) of the cyclic factors
+        of H²(G; ℤ/L[X]) of order > 1; k < r indexes d_k, k ≥ r e_{k−r}."""
+        self._check_level(L)
+        d, e, r = self._diag2, self.snfB.diag, len(self._diag2)
+        orders = [gcd(int(v), L) for v in d] + [gcd(v, L) for v in e] + [L] * (self.m2 - r - len(e))
+        ks = [k for k, o in enumerate(orders) if o > 1]
+        V = self.snf2._mod("V", L)
+        tail = V[:, r:] @ self.snfB._mod("Uinv", L) % L
+        gens = [V[:, k] * (L // orders[k]) % L if k < r else tail[:, k - r] for k in ks]
+        return ks, [orders[k] for k in ks], np.array(gens, dtype=np.int64).reshape(len(ks), self.m2)
 
-def _check_int64_transform(mat: list[list[int]], what: str):
-    """Raise :class:`TooLarge` unless every entry of an SNF transform is below
-    2^20, the bound that keeps the int64 products of ``_H2Level`` exact."""
-    top = max(map(abs, chain.from_iterable(mat)), default=0)
-    if top >= 2**20:
-        raise TooLarge(f"{what} has an entry of {top.bit_length()} bits; the int64 path allows 20")
-
-
-class _H2Level:
-    """H² = (kernel of d₂ mod L) / (image of d₁ mod L), presented by Smith
-    normal form of the image lattice in kernel-lattice coordinates."""
-
-    def __init__(self, machine: _H2Machine, L: int):
-        self.machine = machine
-        self.L = L
-        m2 = machine.m2
-        snf2 = machine.snf2
-        _check_int64_transform(snf2.Vinv, "V⁻¹ of d₂")
-        diag2 = snf2.diag
-        d = [diag2[j] if j < len(diag2) else 0 for j in range(m2)]
-        self.g = [gcd(dj, L) for dj in d]
-        self.step = [L // gj for gj in self.g]
-        Vinv = np.array(snf2.Vinv, dtype=np.int64)
-        self._vinv2 = Vinv
-        self._v2 = np.array(snf2.V, dtype=np.int64)
-        # image lattice in kernel coordinates: columns M_K⁻¹·d₁ and M_K⁻¹·L·e_j
-        Y = Vinv @ machine.D1
-        W = np.zeros((m2, machine.m1 + m2), dtype=object)
-        for i in range(m2):
-            s = self.step[i]
-            for j in range(machine.m1):
-                q, r = divmod(int(Y[i, j]), s)
-                assert r == 0, "coboundary outside the kernel lattice"
-                W[i, j] = q
-            for j in range(m2):
-                W[i, machine.m1 + j] = self.g[i] * int(Vinv[i, j])
-        self.snfW = smith_normal_form(
-            [[int(v) for v in row] for row in W],
-            want_u=True, want_v=False, want_uinv=True,
-        )
-        assert all(s > 0 for s in self.snfW.diag), "quotient must be finite"
-        self.factor_cols = [i for i, s in enumerate(self.snfW.diag) if s > 1]
-        self.factors = tuple(self.snfW.diag[i] for i in self.factor_cols)
-        _check_int64_transform(self.snfW.U, "U of the image lattice")
-        _check_int64_transform(self.snfW.Uinv, "U⁻¹ of the image lattice")
-        # generator of the i-th cyclic factor: kernel vector M_K·(U_W⁻¹ e_i)
-        Uinv = np.array(self.snfW.Uinv, dtype=np.int64)
-        step_arr = np.array(self.step, dtype=np.int64)
-        self.gens = [
-            ((self._v2 % L) @ ((step_arr * Uinv[:, i]) % L)) % L for i in self.factor_cols
-        ]
-        self._uw = np.array(self.snfW.U, dtype=np.int64)
-
-    def coords(self, flat: np.ndarray) -> tuple[int, ...]:
-        """Class coordinates of a normalized cocycle (flat mod-L vector)."""
-        w = self._vinv2 @ np.asarray(flat, dtype=np.int64)
-        x = np.empty(self.machine.m2, dtype=np.int64)
-        for i in range(self.machine.m2):
-            q, r = divmod(int(w[i]), self.step[i])
-            if r:
-                raise NotACocycle("vector is not in the cocycle lattice")
-            x[i] = q
-        out = []
-        for i, s in zip(self.factor_cols, self.factors):
-            row = self._uw[i] % s
-            out.append(int((row @ (x % s)) % s))
-        return tuple(out)
-
-    def rep_flat(self, coords: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(self.machine.m2, dtype=np.int64)
-        for ci, gen in zip(coords, self.gens):
-            out = (out + ci * gen) % self.L
-        return out
+    def level_coords(self, flat, L: int) -> np.ndarray:
+        """The m₂ coordinates of a normalized cocycle's level-L class."""
+        w, r = self._w(flat, L), len(self._diag2)
+        return np.concatenate([w[:r] * np.gcd(self._diag2, L) // L, self.snfB._mod("U", L) @ w[r:] % L])
 
 
 @lru_cache(maxsize=None)
@@ -489,8 +451,7 @@ def is_coboundary(c: Cochain, bound: int = DEFAULT_H2_BOUND):
     if not is_cocycle(c):
         raise NotACocycle("not a 2-cocycle; differential is nonzero")
     machine = _machine(c.module, bound)
-    cn = normalize_cocycle(c)
-    sol = solve_mod(machine.snf1, _norm_flat(cn), c.level)
+    sol = solve_mod(machine.snf1, _norm_flat(_normalize(c)), c.level)
     if sol is None:
         return None
     pi = _embed_norm(c.module, 1, sol)
@@ -502,17 +463,22 @@ def is_coboundary(c: Cochain, bound: int = DEFAULT_H2_BOUND):
 
 
 class CohomologyClassSet:
-    """Finite abelian group ⊕ ℤ/f of cohomology classes with chosen
-    representative cocycles.  Class i has the coordinates ``coordinates[i]``
-    in the cyclic factors ``invariant_factors`` (ascending divisibility);
-    class 0 is the zero class.  ``coords_fn`` maps a cocycle to the
-    coordinates of its class."""
+    """Finite abelian group ⊕ ℤ/f of the classes Σ c_k·gens[k], c_k < orders[k].
+    Class c has the coordinates P·c mod f in ``invariant_factors`` (ascending
+    divisibility); its representative is reduced modulo the rows of
+    ``lattice`` plus Lℤ^{m₂}, and classes are sorted by it, so class 0 is
+    zero.  ``coords_fn`` maps a cocycle to the coordinates of its class."""
 
-    def __init__(self, module, representatives, invariant_factors, coordinates, coords_fn):
+    def __init__(self, module, lattice, gens, orders, P, invariant_factors, coords_fn):
+        L, n = module.level, len(orders)
+        combos = np.array(list(product(*map(range, orders))), dtype=np.int64).reshape(prod(orders), n)
+        reps = hermite_reduce(hermite_mod(lattice, L), combos @ gens, L)
+        coords = combos @ P.T % invariant_factors
+        order = sorted(range(len(reps)), key=lambda i: reps[i].tolist())
         self.module = module
-        self.representatives = tuple(representatives)
+        self.representatives = tuple(_embed_norm(module, 2, reps[i]) for i in order)
         self.invariant_factors = tuple(invariant_factors)
-        self.coordinates = tuple(coordinates)
+        self.coordinates = tuple(tuple(map(int, coords[i])) for i in order)
         self._coords_fn = coords_fn
         self._index = {c: i for i, c in enumerate(self.coordinates)}
 
@@ -535,35 +501,42 @@ class CohomologyClassSet:
         return f"CohomologyClassSet({len(self)} classes, {shape})"
 
 
+@lru_cache(maxsize=None)
+def _invariant_factors(orders: tuple[int, ...]):
+    """Invariant factors f > 1 of ⊕_k ℤ/o_k and P with y ↦ P·y mod f an
+    isomorphism onto ⊕ ℤ/f: U of the SNF of diag(o), or 1 for a divisor
+    chain.  Cached, since few order tuples occur."""
+    if all(b % a == 0 for a, b in zip(orders, orders[1:])):
+        return orders, np.eye(len(orders), dtype=np.int64)
+    snf = smith_normal_form(np.diag(orders), want_u=True, want_v=False)
+    keep = [i for i, f in enumerate(snf.diag) if f > 1]
+    return tuple(snf.diag[i] for i in keep), np.array(snf.U, dtype=np.int64)[keep]
+
+
 def h2(G: FiniteGroup, module: GModule, bound: int = DEFAULT_H2_BOUND) -> CohomologyClassSet:
     """Degree-2 cohomology of G with coefficients in the module, as a finite
-    abelian group with explicit representative cocycles."""
+    abelian group with canonical representative cocycles."""
     if module.group != G:
         raise ValueError("module is not over the given group")
     machine = _machine(module, bound)
-    lvl = machine.at_level(module.level)
-    factors = lvl.factors
-    n_classes = 1
-    for s in factors:
-        n_classes *= s
-    if n_classes > 4096:
-        raise TooLarge(f"{n_classes} cohomology classes exceed the enumeration cap")
-    all_coords = list(product(*(range(s) for s in factors)))
-    reps = [_embed_norm(module, 2, lvl.rep_flat(c)) for c in all_coords]
+    L = module.level
+    ks, orders, gens = machine.level_classes(L)
+    factors, P = _invariant_factors(tuple(orders))
+    if prod(factors) > 4096:
+        raise TooLarge(f"{prod(factors)} cohomology classes exceed the enumeration cap")
 
     def coords_fn(c: Cochain) -> tuple[int, ...]:
         if c.module != module:
             raise ValueError("cochain is not over this module")
-        return lvl.coords(_norm_flat(normalize_cocycle(c)))
+        y = machine.level_coords(_norm_flat(_normalize(c)), L)[ks]
+        return tuple(int(v) for v in P @ y % factors)
 
-    return CohomologyClassSet(module, reps, factors, all_coords, coords_fn)
+    return CohomologyClassSet(module, machine.D1.T, gens, orders, P, factors, coords_fn)
 
 
 def _cx_coords(c: Cochain, bound: int) -> tuple[int, ...]:
     """Coordinates of the ℂ^× class of a 2-cocycle, at any level."""
-    if c.degree != 2:
-        raise ValueError("expected a degree-2 cocycle")
-    return _machine(c.module, bound).cx_coords(_norm_flat(normalize_cocycle(c)), c.level)
+    return _machine(c.module, bound).cx_coords(_norm_flat(_normalize(c)), c.level)
 
 
 def cohomologous_over_Cx(c1: Cochain, c2: Cochain, bound: int = DEFAULT_H2_BOUND) -> bool:
@@ -581,31 +554,24 @@ def cohomologous_over_Cx(c1: Cochain, c2: Cochain, bound: int = DEFAULT_H2_BOUND
 
 
 def schur_classes(G: FiniteGroup, bound: int = DEFAULT_H2_BOUND) -> CohomologyClassSet:
-    """ℂ^×-cohomology classes of G (the Schur multiplier H²(G; ℂ^×)),
-    presented at level |G|.
-
-    Every ℂ^× class comes from a class of H²(G; ℤ/|G|), because the
-    multiplier's exponent divides |G|.  Its representative is the first
-    level-|G| class in coordinate order that maps onto it.  ``index_of``
-    accepts a trivial-module cocycle over G at any level.
-    """
+    """ℂ^×-cohomology classes of G (the Schur multiplier H²(G; ℂ^×)) at
+    level |G|: the class with coordinates c in ``cx_factors`` is
+    Σ c_i·(|G|/d_i)·V₂e_i (|G| annihilates H³(G; ℤ), so d_i | |G|).
+    ``index_of`` accepts a trivial-module cocycle over G at any level."""
     L = G.order
     module = GModule.trivial(G, L)
     machine = _machine(module, bound)
-    lvl = machine.at_level(L)
-    # ℂ^× coordinates → first level-|G| coordinates that map onto them; the
-    # insertion order of the dict fixes the class indices
-    chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for coords in product(*(range(s) for s in lvl.factors)):
-        chosen.setdefault(machine.cx_coords(lvl.rep_flat(coords), L), coords)
-    reps = [_embed_norm(module, 2, lvl.rep_flat(c)) for c in chosen.values()]
+    machine._check_level(L)
+    d, r, V = machine._diag2, len(machine._diag2), machine.snf2._mod("V", L)
+    gens = (V[:, :r][:, d > 1] * (L // d[d > 1])).T % L
 
     def coords_fn(c: Cochain) -> tuple[int, ...]:
         if c.group != G or not c.module.is_trivial:
             raise ValueError("expected a trivial-module cocycle over this group")
         return _cx_coords(c, bound)
 
-    return CohomologyClassSet(module, reps, machine.cx_factors, chosen, coords_fn)
+    factors = machine.cx_factors
+    return CohomologyClassSet(module, V[:, r:].T, gens, factors, np.eye(len(factors), dtype=np.int64), factors, coords_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +587,10 @@ def random_cochain(module: GModule, degree: int, rng) -> Cochain:
 
 def random_cocycle(module: GModule, rng, bound: int = DEFAULT_H2_BOUND) -> Cochain:
     """Uniform-ish random 2-cocycle: random coboundary plus a random class."""
-    machine = _machine(module, bound)
-    lvl = machine.at_level(module.level)
+    _, _, gens = _machine(module, bound).level_classes(module.level)
     pi = random_cochain(module, 1, rng)
     out = differential(pi)
-    for gen in lvl.gens:
+    for gen in gens:
         k = rng.randrange(module.level)
         out = out + _embed_norm(module, 2, (k * gen) % module.level)
     return out

@@ -37,15 +37,15 @@ class SNFResult:
     _mod_cache: dict | None = None
 
     def _mod(self, which: str, L: int) -> np.ndarray:
-        """Transform ``which`` ("U", "V" or "Vinv") reduced mod L as int64.
+        """Transform ``which`` ("U", "Uinv", "V" or "Vinv") reduced mod L as int64.
         Products with it stay exact because its callers refuse levels with
         L² times the transform size ≥ 2^62."""
         if self._mod_cache is None:
             self._mod_cache = {}
         key = (which, L)
         if key not in self._mod_cache:
-            mat = {"U": self.U, "V": self.V, "Vinv": self.Vinv}[which]
-            size = self.rows if which == "U" else self.cols
+            mat = {"U": self.U, "Uinv": self.Uinv, "V": self.V, "Vinv": self.Vinv}[which]
+            size = self.rows if which.startswith("U") else self.cols
             arr = np.zeros((size, size), dtype=np.int64)
             for i, row in enumerate(mat):
                 arr[i] = [v % L for v in row]
@@ -230,3 +230,36 @@ def solve_mod(snf: SNFResult, b, L: int):
             y[i] = (ti // g) * pow(d // g, -1, red) % red if red > 1 else 0
     x = (snf._mod("V", L) @ y) % L
     return [int(v) for v in x]
+
+
+def hermite_mod(gens, L: int) -> np.ndarray:
+    """Hermite normal form, computed mod L (Domich–Kannan–Trotter), of the
+    lattice spanned by the rows of ``gens`` and Lℤⁿ: the unique upper
+    triangular basis H with H[k, k] | L and 0 ≤ H[j, k] < H[k, k] for j < k,
+    so a vector reduced by it depends only on its coset.  Euclid steps clear
+    column k into a pivot that starts as L·e_k, and (L/H[k, k])·pivot joins
+    the rows left.  Entries stay below L, and products below L²."""
+    A = np.asarray(gens, dtype=np.int64) % L
+    H = np.zeros((A.shape[1],) * 2, dtype=np.int64)
+    for k in range(len(H)):
+        H[k, k] = L
+        for i in np.flatnonzero(A[:, k]):
+            piv, a = H[k].copy(), A[i].copy()
+            while a[k]:
+                piv, a = a, (piv - piv[k] // a[k] * a) % L
+            H[k], A[i] = piv, a
+        if H[k, k] < L:     # else H[k] = L·e_k, and nothing above it needs reducing
+            A = np.vstack([A[A.any(axis=1)], (L // H[k, k]) * H[k] % L])
+            q = H[:k, k] // H[k, k]
+            H[:k, k:] = (H[:k, k:] - np.outer(q, H[k, k:])) % L
+    return H
+
+
+def hermite_reduce(H: np.ndarray, x, L: int) -> np.ndarray:
+    """The unique vector of x + lattice (x a vector, or one per row) with
+    0 ≤ x_k < H[k, k] in every coordinate, for H from ``hermite_mod``."""
+    x = np.asarray(x, dtype=np.int64) % L
+    for k in np.flatnonzero(np.diag(H) < L):    # x_k < L already where H[k, k] = L
+        q = x[..., k] // H[k, k]
+        x[..., k:] = (x[..., k:] - q[..., None] * H[k, k:]) % L
+    return x

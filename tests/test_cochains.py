@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,16 @@ from twochar.cochains import (
     schur_classes,
 )
 from twochar.errors import NotACocycle, TooLarge
-from twochar.groups import all_subgroups, from_permutation_generators, generated_subgroup, subgroup_group
+from twochar.groups import (
+    all_subgroups,
+    from_cayley_table,
+    from_permutation_generators,
+    generated_subgroup,
+    load_group,
+    subgroup_group,
+)
 from twochar.shapiro import shapiro_context
+from twochar.snf import hermite_mod, hermite_reduce
 
 GROUPS = [cyclic(3), cyclic(4), klein_four(), symmetric_3(), dihedral_4(), quaternion_8()]
 
@@ -270,6 +278,10 @@ def test_one_machine_serves_every_level(monkeypatch):
     c = random_cocycle(GModule.trivial(A4, 6), random.Random(1))
     assert cohomologous_over_Cx(c, raise_level(c, 12 * 12))
     assert d1 not in shapes[seen:] and d2 not in shapes[seen:]
+    seen = len(shapes)
+    assert h2(A4, GModule.trivial(A4, 4)).invariant_factors == (2,)
+    assert h2(A4, GModule.trivial(A4, 24)).invariant_factors == (6,)
+    assert len(shapes) == seen                         # no SNF per level
     assert cochains._machine_for.cache_info().misses == 1
 
 
@@ -356,6 +368,8 @@ def test_cx_coordinates_enforce_bounds(monkeypatch, v4):
     zero = Cochain.zero(GModule.trivial(v4, 2**30), 2)
     with pytest.raises(TooLarge):                     # 2^60 · 9 ≥ 2^62
         cohomologous_over_Cx(zero, zero)
+    with pytest.raises(TooLarge):
+        h2(v4, zero.module)
     assert (27, 9) not in shapes                      # refused before d₂ was reduced
 
 
@@ -383,3 +397,158 @@ def test_cx_coordinate_bounds_survive_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["NotACocycle", "TooLarge"]
+
+
+# ---------------------------------------------------------------------------
+# Level-free H² and canonical representatives
+
+
+def _dihedral(n: int):
+    return from_permutation_generators(
+        n, [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))], name=f"D{n}"
+    )
+
+
+def _a4():
+    return from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
+
+
+def _numbering_free_groups():
+    groups = {name: load_group(name, 64) for name in "z1 z2 z3 z4 z5 z6 z7 z8 v4 s3 d4 q8".split()}
+    groups["Z2^3"] = from_cayley_table([[i ^ j for j in range(8)] for i in range(8)], name="Z2^3")
+    groups["Z4xZ2"] = from_permutation_generators(6, [(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], name="Z4xZ2")
+    groups["A4"] = _a4()
+    groups["D6"] = _dihedral(6)
+    groups["D8"] = _dihedral(8)
+    return groups
+
+
+# Computed with the per-level image-lattice SNF that the level-free
+# presentation replaced: (Schur factors, Schur classes, {level: h2 factors})
+# at the levels |G|, 2|G|, 6 and 5.
+NUMBERING_FREE = {
+    "z1": ((), 1, {1: (), 2: (), 6: (), 5: ()}),
+    "z2": ((), 1, {2: (2,), 4: (2,), 6: (2,), 5: ()}),
+    "z3": ((), 1, {3: (3,), 6: (3,), 5: ()}),
+    "z4": ((), 1, {4: (4,), 8: (4,), 6: (2,), 5: ()}),
+    "z5": ((), 1, {5: (5,), 10: (5,), 6: ()}),
+    "z6": ((), 1, {6: (6,), 12: (6,), 5: ()}),
+    "z7": ((), 1, {7: (7,), 14: (7,), 6: (), 5: ()}),
+    "z8": ((), 1, {8: (8,), 16: (8,), 6: (2,), 5: ()}),
+    "v4": ((2,), 2, {4: (2, 2, 2), 8: (2, 2, 2), 6: (2, 2, 2), 5: ()}),
+    "s3": ((), 1, {6: (2,), 12: (2,), 5: ()}),
+    "d4": ((2,), 2, {8: (2, 2, 2), 16: (2, 2, 2), 6: (2, 2, 2), 5: ()}),
+    "q8": ((), 1, {8: (2, 2), 16: (2, 2), 6: (2, 2), 5: ()}),
+    "Z2^3": ((2, 2, 2), 8, {8: (2,) * 6, 16: (2,) * 6, 6: (2,) * 6, 5: ()}),
+    "Z4xZ2": ((2,), 2, {8: (2, 2, 4), 16: (2, 2, 4), 6: (2, 2, 2), 5: ()}),
+    "A4": ((2,), 2, {12: (6,), 24: (6,), 6: (6,), 5: ()}),
+    "D6": ((2,), 2, {12: (2, 2, 2), 24: (2, 2, 2), 6: (2, 2, 2), 5: ()}),
+    "D8": ((2,), 2, {16: (2, 2, 2), 32: (2, 2, 2), 6: (2, 2, 2), 5: ()}),
+}
+
+
+def test_invariant_factors_match_the_per_level_presentation():
+    for name, G in _numbering_free_groups().items():
+        schur, count, levels = NUMBERING_FREE[name]
+        sc = schur_classes(G)
+        assert (sc.invariant_factors, len(sc)) == (schur, count), name
+        for L, factors in levels.items():
+            classes = h2(G, GModule.trivial(G, L))
+            assert classes.invariant_factors == factors, (name, L)
+            assert len(classes) == prod(factors)
+
+
+# Representative 1 of ``h2 v4`` and ``h2 d4`` as the per-level presentation
+# printed it, before representatives were reduced
+OLD_REPRESENTATIVE_1 = {
+    "v4": [0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0],
+    "d4": [
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 7, 6, 0, 4, 5, 5, 0, 6, 4, 6, 2, 6, 2, 6, 0, 6, 2, 6, 0, 6, 0, 4,
+        0, 3, 5, 4, 0, 4, 3, 5, 0, 5, 3, 2, 0, 2, 7, 5, 0, 5, 1, 0, 6, 0, 7, 5, 0, 2, 2, 0, 0, 2, 0, 2,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["v4", "d4"])
+def test_old_representatives_lie_in_the_new_classes(name):
+    G = load_group(name, 64)
+    sc = schur_classes(G)
+    old = Cochain(sc.module, 2, np.array(OLD_REPRESENTATIVE_1[name]).reshape(G.order, G.order, 1))
+    assert cohomologous_over_Cx(old, sc.representatives[1])
+    assert not cohomologous_over_Cx(old, sc.representatives[0])
+    assert sc.index_of(old) == 1
+
+
+def _random_unimodular(n: int, rng) -> np.ndarray:
+    U = np.eye(n, dtype=object)
+    for _ in range(4 * n):
+        i, j = rng.sample(range(n), 2)
+        U[i] += rng.randint(-3, 3) * U[j]
+        U[[i, j]] = U[[j, i]]
+    return U
+
+
+def _lattices(G):
+    """(L, rows of K, rows of K_L) for trivial coefficients at level L = |G|:
+    K = ker d₂ + Lℤ^{m₂} for ℂ^× classes, K_L = im d₁ + Lℤ^{m₂}."""
+    L = G.order
+    machine = cochains._machine(GModule.trivial(G, L), cochains.DEFAULT_H2_BOUND)
+    r = len(machine._diag2)
+    return L, machine.snf2._mod("V", L)[:, r:].T, machine.D1.T
+
+
+@pytest.mark.parametrize("name", ["v4", "d4", "s3", "a4"])
+def test_hermite_form_does_not_depend_on_the_generators(name, request):
+    G = _a4() if name == "a4" else request.getfixturevalue(name)
+    L, K, K_L = _lattices(G)
+    rng = random.Random(G.order)
+    for gens in (K, K_L):
+        mixed = (_random_unimodular(len(gens), rng) @ gens.astype(object)) % L
+        assert np.array_equal(hermite_mod(mixed.astype(np.int64), L), hermite_mod(gens, L))
+
+
+@pytest.mark.parametrize("name", ["v4", "d4", "s3", "a4"])
+def test_representatives_are_canonical(name, request):
+    G = _a4() if name == "a4" else request.getfixturevalue(name)
+    L, K, K_L = _lattices(G)
+    rng = random.Random(L)
+    for classes, lattice in ((h2(G, GModule.trivial(G, L)), K_L), (schur_classes(G), K)):
+        H = hermite_mod(lattice, L)
+        flats = [cochains._norm_flat(rep).tolist() for rep in classes.representatives]
+        assert not any(flats[0])
+        assert flats == sorted(flats) and len({tuple(f) for f in flats}) == len(flats)
+        for i, rep in enumerate(classes.representatives):
+            pi = random_cochain(rep.module, 1, rng).values.copy()
+            pi[0] = 0                                  # dπ is normalized
+            moved = rep + differential(Cochain(rep.module, 1, pi))
+            lifted = cochains._norm_flat(moved).copy()
+            lifted[rng.randrange(len(lifted))] += L
+            assert hermite_reduce(H, lifted, L).tolist() == flats[i]
+            assert classes.index_of(moved) == i
+
+
+def test_query_path_skips_the_degree_3_cocycle_test(monkeypatch, v4):
+    classes, sc = h2(v4, GModule.trivial(v4, 4)), schur_classes(v4)
+    c = random_cocycle(GModule.trivial(v4, 4), random.Random(5))
+    calls = []
+    real = cochains.is_cocycle
+    monkeypatch.setattr(cochains, "is_cocycle", lambda x: calls.append(x) or real(x))
+    classes.index_of(c)
+    sc.index_of(c)
+    cohomologous_over_Cx(c, c)
+    assert calls == []
+    is_coboundary(c)
+    assert len(calls) == 1
+
+
+def test_query_path_rejects_non_cocycles(v4):
+    classes, sc = h2(v4, GModule.trivial(v4, 4)), schur_classes(v4)
+    values = np.zeros((4, 4, 1), dtype=np.int64)
+    values[0, 1, 0] = 1                        # c(1, g) ≠ c(1, 1)
+    with pytest.raises(NotACocycle) as info:
+        sc.index_of(Cochain(GModule.trivial(v4, 4), 2, values))
+    assert info.value.witness == (0, 1, 0)
+    values[0, 1, 0], values[1, 2, 0] = 0, 1    # normalized, but dc ≠ 0
+    for index_of in (classes.index_of, sc.index_of):
+        with pytest.raises(NotACocycle):
+            index_of(Cochain(GModule.trivial(v4, 4), 2, values))

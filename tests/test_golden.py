@@ -40,18 +40,26 @@ GOLDEN = {
     ("h2", "z8"): "a97723bddafa688e0a253c45989f259b5ddf6506bf2ff0cc93eea11824eab0b7",
     ("burnside", "z8"): "2e53371dcf9073af180026bba8e7bb008d77749c3bc67d1616ef614b17f38207",
     ("char-table", "z8"): "95372d97617fdf46238f17f58c6634b26bd741cc427a2f7006806398f29ed220",
-    ("h2", "v4"): "6a6cef12b78af080a0e4da27840253d96275e506bc262034cde23b261983c470",
+    ("h2", "v4"): "7b179ddd4f18e231aae97132c5c8993eb9380c37dad1158bd2739c7d8a88d784",
     ("burnside", "v4"): "356c625bcdbbe979f9591caf034d74ac39e58253140c2194fd1911b4a19f1d17",
     ("char-table", "v4"): "14d6d618545003c20f9cc75f9e08af433ba4f92e4c8e2973a15d5e0740af2064",
     ("h2", "s3"): "488f967b7e7f8a2da1ba3a70e8b18ed928ee62de0a46adeb5828de3738738621",
     ("burnside", "s3"): "1e62500207ef88fe54bf351e18626ef959c4e904aede254ddf767cb457b6f6d6",
     ("char-table", "s3"): "c881a2ef439af3c92881d2ecd94448ce9fda4a2bc755dd363028f4396e2ccadd",
-    ("h2", "d4"): "4bdf906ddc4a35049d5a586c632c22e0ba8e582052f22f1cd000c81e60eaa427",
+    ("h2", "d4"): "68c31d8ef3919cac0d09f5aef50a04d4df6aa9df85a8bd94fac83ef73461242a",
     ("burnside", "d4"): "2c365fc8ed859ccd81e6cbc467e87ff09d8abf2fb3aea9e5e93de910d3583676",
     ("char-table", "d4"): "cc85a15cd731933d1ecca874b826fd1a1c186695e5b0454a18d79939496993f7",
     ("h2", "q8"): "2c267fde4a5c8059965cb54f9141aa426b28ac0caff060d7bc8a3413a176c70f",
     ("burnside", "q8"): "ffe1520513d45de182ea8e802e1793ee7c9c5a37e6c3ea626ac566f4cd98a97c",
     ("char-table", "q8"): "6bc6018d7c659819c14473847f1b2304d284e7d18f29b59d7a451e563b08c682",
+}
+
+# (group, level): digest of ``h2 GROUP --level LEVEL``, which prints every
+# class at that level with its canonical representative
+LEVEL_GOLDEN = {
+    ("v4", 2): "1f16061d85ce678264929e150d7349a6d8e2d3e3e4a31f50a58c0f4a93aac5b4",
+    ("d4", 4): "c26e6aa4bd5d4be30feb3b321c11a9d0264fe7dc9a56072f1a26dd13fc44c180",
+    ("z6", 6): "415794b4b913f155019805d2af7c8074fe902588cfd3fbda7b263484de7f54b0",
 }
 
 # h2 prints its text report; the other two commands print JSON
@@ -80,6 +88,9 @@ VERIFY_GOLDEN = {
 CASES = [
     pytest.param((command, group, *FORMAT[command]), 0, digest, id=f"{command}-{group}")
     for (command, group), digest in sorted(GOLDEN.items())
+] + [
+    pytest.param(("h2", group, "--level", str(level)), 0, digest, id=f"h2-{group}-level{level}")
+    for (group, level), digest in LEVEL_GOLDEN.items()
 ] + [
     pytest.param(
         ("verify", suite, "--iters", "5", "--seed", str(seed), *(("--poison",) if poison else ())),

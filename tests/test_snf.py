@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import symmetric_3
-from twochar.cochains import GModule, _H2Machine, _normalized_boundary
+from twochar.cochains import GModule, _normalized_boundary
 from twochar.errors import TooLarge
 from twochar.groups import from_permutation_generators, generated_subgroup
 from twochar.snf import smith_normal_form, solve_mod
@@ -128,10 +129,25 @@ def _digest(*parts):
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
+def _image_lattice(D1, d2, L):
+    """The image lattice W in the coordinates of the level-L cocycles, as a
+    per-level H² presentation would reduce it: row i holds (V₂⁻¹d₁)[i]
+    divided by L/gcd(d_i, L), then gcd(d_i, L)·V₂⁻¹[i].  It is a dense
+    matrix with entries beyond ±1, which the boundary matrices lack."""
+    m2 = len(d2.Vinv)
+    d = [d2.diag[i] if i < len(d2.diag) else 0 for i in range(m2)]
+    g = [gcd(di, L) for di in d]
+    Y = np.array(d2.Vinv, dtype=object) @ D1
+    return [
+        [int(v) // (L // g[i]) for v in Y[i]] + [g[i] * int(v) for v in d2.Vinv[i]]
+        for i in range(m2)
+    ]
+
+
 def _transform_digests():
-    """sha256 over (diag, U, V, Uinv, Vinv) for each SNF that ``_H2Machine``
-    and ``_H2Level`` take: d₁ with U and V, d₂ with V and V⁻¹, and the
-    image lattice W with U and U⁻¹ at level |G|."""
+    """sha256 over (diag, U, V, Uinv, Vinv) for three SNFs on each module:
+    d₁ with U and V, d₂ with V and V⁻¹, and the image lattice W with U and
+    U⁻¹ at level |G|."""
     S3 = symmetric_3()
     modules = {
         "A4": GModule.trivial(from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)]), 12),
@@ -142,11 +158,14 @@ def _transform_digests():
     }
     out = {}
     for name, module in modules.items():
-        d1 = smith_normal_form(_normalized_boundary(module, 1), want_u=True, want_v=True)
+        D1 = _normalized_boundary(module, 1)
+        d1 = smith_normal_form(D1, want_u=True, want_v=True)
         d2 = smith_normal_form(
             _normalized_boundary(module, 2), want_u=False, want_v=True, want_vinv=True
         )
-        W = _H2Machine(module).at_level(module.level).snfW
+        W = smith_normal_form(
+            _image_lattice(D1, d2, module.level), want_u=True, want_v=False, want_uinv=True
+        )
         for label, res in (("d1", d1), ("d2", d2), ("W", W)):
             out[f"{name} {label}"] = _digest(res.diag, res.U, res.V, res.Uinv, res.Vinv)
     return out

@@ -9,8 +9,9 @@ Mark homomorphisms evaluate an element against a pair (P, α) with α a
 character of the linear-class group of P: averaging α over the conjugators
 carrying P into each basis subgroup gives a ring homomorphism to ℚ(ζ).  The
 matrix of all marks against all basis pairs (the table of marks, decorated)
-is invertible over ℚ(ζ); its exact determinant is computed by fraction-free
-Gaussian elimination over the cyclotomic field.
+is invertible over ℚ(ζ); its exact determinant is computed by Gaussian
+elimination over the cyclotomic field, dividing by each pivot through its
+exact inverse (:meth:`~twochar.cyclo.CycloRat.inverse`).
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _character_table(P: Subgroup):
     by their exponents at level lcm(f), so the order does not depend on the
     coordinates chosen for the classes."""
     sc = linear_classes(P)
-    factors = sc.invariant_factors
+    factors = sc.orders                    # the invariant factors, for Schur classes
     N = factors[-1] if factors else 1      # lcm of a divisor chain
 
     def exponent(digits, coords) -> int:

@@ -352,28 +352,33 @@ class CharTable:
 
 def char_table(G: FiniteGroup, verify: bool = True) -> CharTable:
     """Rows: commuting-pair classes; columns: basis pairs; entries: exact
-    cyclotomic character values.  With ``verify`` every entry is re-derived
-    through the transversal and fixed-point formulas."""
+    cyclotomic character values.  With ``verify`` the table is checked by
+    :func:`verify_char_table`."""
     pairs = tuple(cls.representative for cls in commuting_pair_classes(G))
     cols = basis(G)
-    reps = [Rep2(G, (pair,)) for pair in cols]
-    perms = [to_perm_cocycle(r) for r in reps] if verify else None
-    entries = []
-    for a, b in pairs:
-        row = []
-        for j, pair in enumerate(cols):
-            v = gk_as_mark(a, b, basis_element(G, pair))
-            if verify:
-                v1 = gk_rep(reps[j], a, b)
-                v2 = gk_osorno(perms[j], a, b)
-                if not v == v1 == v2:
-                    raise FormulasDisagree(
-                        f"character formulas disagree at pair ({a},{b}), column {j}",
-                        witness=(a, b, j, v, v1, v2),
-                    )
-            row.append(v)
-        entries.append(tuple(row))
-    return CharTable(G, pairs, cols, tuple(entries))
+    entries = tuple(tuple(gk_as_mark(a, b, basis_element(G, pair)) for pair in cols) for a, b in pairs)
+    table = CharTable(G, pairs, cols, entries)
+    if verify:
+        verify_char_table(table)
+    return table
+
+
+def verify_char_table(t: CharTable) -> None:
+    """Re-derive every entry through the transversal and fixed-point
+    formulas, row by row; raises :class:`FormulasDisagree` at the first entry
+    where the three values differ, with the witness (a, b, column, mark
+    value, transversal value, fixed-point value)."""
+    reps = [Rep2(t.group, (pair,)) for pair in t.columns]
+    perms = [to_perm_cocycle(r) for r in reps]
+    for (a, b), row in zip(t.pairs, t.entries):
+        for j, v in enumerate(row):
+            v1 = gk_rep(reps[j], a, b)
+            v2 = gk_osorno(perms[j], a, b)
+            if not v == v1 == v2:
+                raise FormulasDisagree(
+                    f"character formulas disagree at pair ({a},{b}), column {j}",
+                    witness=(a, b, j, v, v1, v2),
+                )
 
 
 def char_table_to_csv(t: CharTable, numeric: bool = False) -> str:

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .burnside import basis, basis_element, determinant, mark_matrix, mul, pretty_element
-from .characters import char_table, char_table_to_csv, char_table_to_json
+from .characters import char_table, char_table_to_csv, char_table_to_json, verify_char_table
 from .cochains import GModule, h2, schur_classes
 from .crossed import load_crossed, pi1, pi2, triple_classes, triples
 from .errors import ClosureTooLarge, FormulasDisagree, TooLarge, TwoCharError
@@ -112,16 +112,14 @@ def cmd_burnside(args: argparse.Namespace) -> int:
 
 def cmd_char_table(args: argparse.Namespace) -> int:
     G = load_group(args.group, args.max_order)
+    table = char_table(G, verify=False)
     status = None
     if args.verify:
         try:
-            table = char_table(G, verify=True)
+            verify_char_table(table)
             status = "PASS"
         except FormulasDisagree as exc:
-            table = char_table(G, verify=False)
             status = f"FAIL ({exc})"
-    else:
-        table = char_table(G, verify=False)
     head = [f"command: char-table", f"input: {args.group}", f"seed: {args.seed}", f"group: {G.name}"]
     if status is not None:
         head.append(f"three-way agreement: {status}")

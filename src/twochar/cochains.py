@@ -430,12 +430,12 @@ def _machine_for(group: FiniteGroup, action: bytes) -> _H2Machine:
     return _H2Machine(GModule(group, 1, table))
 
 
-def _machine(module: GModule, bound: int) -> _H2Machine:
+def _machine(module: GModule) -> _H2Machine:
     m, X = module.group.order, module.size
     rows3 = (m - 1) ** 3 * X
-    if rows3 > bound:
+    if rows3 > DEFAULT_H2_BOUND:
         raise TooLarge(
-            f"degree-3 boundary matrix would have {rows3} rows (bound {bound})"
+            f"degree-3 boundary matrix would have {rows3} rows (bound {DEFAULT_H2_BOUND})"
         )
     return _machine_for(module.group, module.action.tobytes())
 
@@ -443,14 +443,14 @@ def _machine(module: GModule, bound: int) -> _H2Machine:
 DEFAULT_H2_BOUND = 20000
 
 
-def is_coboundary(c: Cochain, bound: int = DEFAULT_H2_BOUND):
+def is_coboundary(c: Cochain):
     """A 1-cochain π with dπ = c, or None if no witness exists mod the level.
     Raises :class:`NotACocycle` when c is not a 2-cocycle."""
     if c.degree != 2:
         raise ValueError("is_coboundary expects a degree-2 cochain")
     if not is_cocycle(c):
         raise NotACocycle("not a 2-cocycle; differential is nonzero")
-    machine = _machine(c.module, bound)
+    machine = _machine(c.module)
     sol = solve_mod(machine.snf1, _norm_flat(_normalize(c)), c.level)
     if sol is None:
         return None
@@ -463,22 +463,22 @@ def is_coboundary(c: Cochain, bound: int = DEFAULT_H2_BOUND):
 
 
 class CohomologyClassSet:
-    """Finite abelian group ⊕ ℤ/f of the classes Σ c_k·gens[k], c_k < orders[k].
-    Class c has the coordinates P·c mod f in ``invariant_factors`` (ascending
-    divisibility); its representative is reduced modulo the rows of
-    ``lattice`` plus Lℤ^{m₂}, and classes are sorted by it, so class 0 is
-    zero.  ``coords_fn`` maps a cocycle to the coordinates of its class."""
+    """Finite abelian group ⊕ ℤ/o of the classes Σ c_k·gens[k], c_k < orders[k],
+    isomorphic to ⊕ ℤ/f over ``invariant_factors`` (ascending divisibility).
+    Class c has the coordinates c; its representative is reduced modulo the
+    rows of ``lattice`` plus Lℤ^{m₂}, and classes are sorted by it, so class
+    0 is zero.  ``coords_fn`` maps a cocycle to the coordinates of its class."""
 
-    def __init__(self, module, lattice, gens, orders, P, invariant_factors, coords_fn):
+    def __init__(self, module, lattice, gens, orders, invariant_factors, coords_fn):
         L, n = module.level, len(orders)
         combos = np.array(list(product(*map(range, orders))), dtype=np.int64).reshape(prod(orders), n)
         reps = hermite_reduce(hermite_mod(lattice, L), combos @ gens, L)
-        coords = combos @ P.T % invariant_factors
         order = sorted(range(len(reps)), key=lambda i: reps[i].tolist())
         self.module = module
         self.representatives = tuple(_embed_norm(module, 2, reps[i]) for i in order)
+        self.orders = tuple(orders)
         self.invariant_factors = tuple(invariant_factors)
-        self.coordinates = tuple(tuple(map(int, coords[i])) for i in order)
+        self.coordinates = tuple(tuple(map(int, combos[i])) for i in order)
         self._coords_fn = coords_fn
         self._index = {c: i for i, c in enumerate(self.coordinates)}
 
@@ -491,10 +491,10 @@ class CohomologyClassSet:
 
     def add(self, i: int, j: int) -> int:
         a, b = self.coordinates[i], self.coordinates[j]
-        return self._index[tuple((x + y) % f for x, y, f in zip(a, b, self.invariant_factors))]
+        return self._index[tuple((x + y) % o for x, y, o in zip(a, b, self.orders))]
 
     def neg(self, i: int) -> int:
-        return self._index[tuple((-x) % f for x, f in zip(self.coordinates[i], self.invariant_factors))]
+        return self._index[tuple((-x) % o for x, o in zip(self.coordinates[i], self.orders))]
 
     def __repr__(self) -> str:
         shape = " ⊕ ".join(f"Z/{d}" for d in self.invariant_factors) or "trivial"
@@ -502,44 +502,41 @@ class CohomologyClassSet:
 
 
 @lru_cache(maxsize=None)
-def _invariant_factors(orders: tuple[int, ...]):
-    """Invariant factors f > 1 of ⊕_k ℤ/o_k and P with y ↦ P·y mod f an
-    isomorphism onto ⊕ ℤ/f: U of the SNF of diag(o), or 1 for a divisor
-    chain.  Cached, since few order tuples occur."""
+def _invariant_factors(orders: tuple[int, ...]) -> tuple[int, ...]:
+    """Invariant factors f > 1 of ⊕_k ℤ/o_k: the orders themselves for a
+    divisor chain, else the SNF of diag(o).  Cached, since few order tuples
+    occur."""
     if all(b % a == 0 for a, b in zip(orders, orders[1:])):
-        return orders, np.eye(len(orders), dtype=np.int64)
-    snf = smith_normal_form(np.diag(orders), want_u=True, want_v=False)
-    keep = [i for i, f in enumerate(snf.diag) if f > 1]
-    return tuple(snf.diag[i] for i in keep), np.array(snf.U, dtype=np.int64)[keep]
+        return orders
+    return tuple(f for f in smith_normal_form(np.diag(orders), want_u=False, want_v=False).diag if f > 1)
 
 
-def h2(G: FiniteGroup, module: GModule, bound: int = DEFAULT_H2_BOUND) -> CohomologyClassSet:
+def h2(G: FiniteGroup, module: GModule) -> CohomologyClassSet:
     """Degree-2 cohomology of G with coefficients in the module, as a finite
     abelian group with canonical representative cocycles."""
     if module.group != G:
         raise ValueError("module is not over the given group")
-    machine = _machine(module, bound)
+    machine = _machine(module)
     L = module.level
     ks, orders, gens = machine.level_classes(L)
-    factors, P = _invariant_factors(tuple(orders))
-    if prod(factors) > 4096:
-        raise TooLarge(f"{prod(factors)} cohomology classes exceed the enumeration cap")
+    if prod(orders) > 4096:
+        raise TooLarge(f"{prod(orders)} cohomology classes exceed the enumeration cap")
 
     def coords_fn(c: Cochain) -> tuple[int, ...]:
         if c.module != module:
             raise ValueError("cochain is not over this module")
         y = machine.level_coords(_norm_flat(_normalize(c)), L)[ks]
-        return tuple(int(v) for v in P @ y % factors)
+        return tuple(int(v) for v in y % orders)
 
-    return CohomologyClassSet(module, machine.D1.T, gens, orders, P, factors, coords_fn)
+    return CohomologyClassSet(module, machine.D1.T, gens, orders, _invariant_factors(tuple(orders)), coords_fn)
 
 
-def _cx_coords(c: Cochain, bound: int) -> tuple[int, ...]:
+def _cx_coords(c: Cochain) -> tuple[int, ...]:
     """Coordinates of the ℂ^× class of a 2-cocycle, at any level."""
-    return _machine(c.module, bound).cx_coords(_norm_flat(_normalize(c)), c.level)
+    return _machine(c.module).cx_coords(_norm_flat(_normalize(c)), c.level)
 
 
-def cohomologous_over_Cx(c1: Cochain, c2: Cochain, bound: int = DEFAULT_H2_BOUND) -> bool:
+def cohomologous_over_Cx(c1: Cochain, c2: Cochain) -> bool:
     """Whether two 2-cocycles become cohomologous with ℂ^× coefficients.
 
     The levels may differ: each cocycle's ℂ^× class is read off the integer
@@ -550,17 +547,17 @@ def cohomologous_over_Cx(c1: Cochain, c2: Cochain, bound: int = DEFAULT_H2_BOUND
         raise ValueError("cochains must live over the same group and G-set")
     if not np.array_equal(c1.module.action, c2.module.action):
         raise ValueError("cochains must share the module action")
-    return _cx_coords(c1, bound) == _cx_coords(c2, bound)
+    return _cx_coords(c1) == _cx_coords(c2)
 
 
-def schur_classes(G: FiniteGroup, bound: int = DEFAULT_H2_BOUND) -> CohomologyClassSet:
+def schur_classes(G: FiniteGroup) -> CohomologyClassSet:
     """ℂ^×-cohomology classes of G (the Schur multiplier H²(G; ℂ^×)) at
     level |G|: the class with coordinates c in ``cx_factors`` is
     Σ c_i·(|G|/d_i)·V₂e_i (|G| annihilates H³(G; ℤ), so d_i | |G|).
     ``index_of`` accepts a trivial-module cocycle over G at any level."""
     L = G.order
     module = GModule.trivial(G, L)
-    machine = _machine(module, bound)
+    machine = _machine(module)
     machine._check_level(L)
     d, r, V = machine._diag2, len(machine._diag2), machine.snf2._mod("V", L)
     gens = (V[:, :r][:, d > 1] * (L // d[d > 1])).T % L
@@ -568,10 +565,10 @@ def schur_classes(G: FiniteGroup, bound: int = DEFAULT_H2_BOUND) -> CohomologyCl
     def coords_fn(c: Cochain) -> tuple[int, ...]:
         if c.group != G or not c.module.is_trivial:
             raise ValueError("expected a trivial-module cocycle over this group")
-        return _cx_coords(c, bound)
+        return _cx_coords(c)
 
     factors = machine.cx_factors
-    return CohomologyClassSet(module, V[:, r:].T, gens, factors, np.eye(len(factors), dtype=np.int64), factors, coords_fn)
+    return CohomologyClassSet(module, V[:, r:].T, gens, factors, factors, coords_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +582,9 @@ def random_cochain(module: GModule, degree: int, rng) -> Cochain:
     return Cochain(module, degree, np.array(flat, dtype=np.int64).reshape(shape))
 
 
-def random_cocycle(module: GModule, rng, bound: int = DEFAULT_H2_BOUND) -> Cochain:
+def random_cocycle(module: GModule, rng) -> Cochain:
     """Uniform-ish random 2-cocycle: random coboundary plus a random class."""
-    _, _, gens = _machine(module, bound).level_classes(module.level)
+    _, _, gens = _machine(module).level_classes(module.level)
     pi = random_cochain(module, 1, rng)
     out = differential(pi)
     for gen in gens:

@@ -7,6 +7,10 @@ Three value types, all exact:
   the power basis 1, ζ, …, ζ^(φ(L)−1) modulo the L-th cyclotomic polynomial;
 * :class:`CycloRat` — a CycloInt divided by a positive integer, kept reduced.
 
+All arithmetic is on integers.  A nonzero x ∈ ℚ(ζ_L) is inverted by its
+Galois norm: x⁻¹ = ∏_{σ≠1} σ(x) / N(x), where σ runs over ζ ↦ ζ^k with k
+prime to L and the norm N(x) = ∏_σ σ(x) is a nonzero rational number.
+
 Equality on every type means equality of the complex numbers denoted, so
 values at different levels compare correctly (ζ₄² == −1).
 """
@@ -14,7 +18,6 @@ values at different levels compare correctly (ζ₄² == −1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -105,18 +108,16 @@ class RootOfUnity:
             raise ValueError("level must be positive")
         object.__setattr__(self, "exponent", self.exponent % self.level)
 
-    def _frac(self) -> Fraction:
-        return Fraction(self.exponent, self.level) % 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RootOfUnity):
-            return self._frac() == other._frac()
+            return self.exponent * other.level == other.exponent * self.level
         if isinstance(other, (int, CycloInt, CycloRat)):
             return root_to_cyclo(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._frac())
+        g = gcd(self.exponent, self.level)
+        return hash((self.exponent // g, self.level // g))
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         if not isinstance(other, RootOfUnity):
@@ -264,6 +265,15 @@ def root_to_cyclo(r: RootOfUnity) -> CycloInt:
     return CycloInt(r.level, _reduce_mod_cyclotomic(tuple(mono), r.level))
 
 
+def _galois_conjugate(x: CycloInt, k: int) -> CycloInt:
+    """The image of x under the automorphism ζ ↦ ζ^k of Q(ζ_L)."""
+    L = x.level
+    out = [0] * L
+    for i, c in enumerate(x.coeffs):
+        out[i * k % L] += c
+    return CycloInt(L, _reduce_mod_cyclotomic(tuple(out), L))
+
+
 def _content(coeffs: tuple[int, ...]) -> int:
     g = 0
     for c in coeffs:
@@ -368,31 +378,16 @@ class CycloRat:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloRat":
-        """Exact field inverse via the extended Euclidean algorithm on
-        (numerator, Φ_L) over the rationals."""
+        """Exact field inverse by the Galois norm: x⁻¹ = ∏_{σ≠1} σ(x) / N(x),
+        σ running over ζ ↦ ζ^k with k prime to the level."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         L = self.num.level
-        a = [Fraction(c) for c in self.num.coeffs]
-        while a and a[-1] == 0:
-            a.pop()
-        b = [Fraction(c) for c in cyclotomic_polynomial(L)]
-        # invariant: r0 = s0·num (mod Φ_L), r1 = s1·num (mod Φ_L)
-        r0, s0 = a, [Fraction(1)]
-        r1, s1 = b, [Fraction(0)]
-        while len(r1) > 1 or (r1 and r1[0] != 0):
-            q, rem = _frac_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
-        # Φ_L is irreducible over Q, so the gcd is a nonzero constant
-        assert len(r0) == 1 and r0[0] != 0
-        c = r0[0]
-        inv_coeffs = [x / c for x in s0]
-        den_lcm = 1
-        for f in inv_coeffs:
-            den_lcm = den_lcm * f.denominator // gcd(den_lcm, f.denominator)
-        ints = tuple(int(f * den_lcm) for f in inv_coeffs)
-        return CycloRat(CycloInt(L, _reduce_mod_cyclotomic(ints, L)) * self.den, den_lcm)
+        conj = CycloInt.one(L)
+        for k in range(2, L):
+            if gcd(k, L) == 1:
+                conj = conj * _galois_conjugate(self.num, k)
+        return CycloRat(conj * self.den, (self.num * conj).coeffs[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -408,41 +403,6 @@ class CycloRat:
 
     def to_complex(self) -> complex:
         return self.num.to_complex() / self.den
-
-
-def _frac_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    quo = [Fraction(0)] * max(len(num) - d, 0)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i] / lead
-        if c:
-            quo[i - d] = c
-            for j, dj in enumerate(den):
-                num[i - d + j] -= c * dj
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
-
-
-def _frac_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    out = [x - y for x, y in zip(a, b)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # ---------------------------------------------------------------------------

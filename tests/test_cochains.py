@@ -311,7 +311,7 @@ def _same_over_Cx(c1: Cochain, c2: Cochain) -> bool:
 
 
 def _cx_zero(c: Cochain) -> bool:
-    return not any(cochains._cx_coords(c, cochains.DEFAULT_H2_BOUND))
+    return not any(cochains._cx_coords(c))
 
 
 def test_cx_coordinates_vanish_exactly_on_level_squared_coboundaries(v4, d4, s3):
@@ -342,7 +342,7 @@ def test_cohomologous_over_Cx_matches_oracle_on_coinduced_module(d4):
     V = next(P for P in all_subgroups(d4) if P.order == 4 and all(d4.order_of(g) <= 2 for g in P.elements))
     module = shapiro_context(d4, V, GModule.trivial(subgroup_group(V)[0], 8)).coinduced
     assert module.size == 2
-    assert cochains._machine(module, cochains.DEFAULT_H2_BOUND).cx_factors == (2,)
+    assert cochains._machine(module).cx_factors == (2,)
     rng = random.Random(4)
     outcomes = []
     for _ in range(12):
@@ -358,7 +358,7 @@ def test_cohomologous_over_Cx_matches_oracle_on_coinduced_module(d4):
 
 
 def test_cx_coordinates_enforce_bounds(monkeypatch, v4):
-    machine = cochains._machine(GModule.trivial(v4, 4), cochains.DEFAULT_H2_BOUND)
+    machine = cochains._machine(GModule.trivial(v4, 4))
     flat = np.zeros(machine.m2, dtype=np.int64)
     flat[1] = 1                                       # c(1, 2) = 1, zero elsewhere
     assert not is_cocycle(cochains._embed_norm(GModule.trivial(v4, 4), 2, flat))
@@ -381,7 +381,7 @@ def test_cx_coordinate_bounds_survive_optimize_flag():
         "from twochar.errors import NotACocycle, TooLarge\n"
         "from twochar.groups import from_cayley_table\n"
         "v4 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)], name='V4')\n"
-        "machine = cochains._machine(GModule.trivial(v4, 4), cochains.DEFAULT_H2_BOUND)\n"
+        "machine = cochains._machine(GModule.trivial(v4, 4))\n"
         "flat = np.zeros(machine.m2, dtype=np.int64)\n"
         "flat[1] = 1\n"
         "zero = Cochain.zero(GModule.trivial(v4, 2**30), 2)\n"
@@ -492,7 +492,7 @@ def _lattices(G):
     """(L, rows of K, rows of K_L) for trivial coefficients at level L = |G|:
     K = ker d₂ + Lℤ^{m₂} for ℂ^× classes, K_L = im d₁ + Lℤ^{m₂}."""
     L = G.order
-    machine = cochains._machine(GModule.trivial(G, L), cochains.DEFAULT_H2_BOUND)
+    machine = cochains._machine(GModule.trivial(G, L))
     r = len(machine._diag2)
     return L, machine.snf2._mod("V", L)[:, r:].T, machine.D1.T
 

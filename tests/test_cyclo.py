@@ -51,6 +51,18 @@ def test_root_cross_level_equality():
     assert raise_root_level(RootOfUnity(2, 1), 6).exponent == 3
 
 
+def test_equal_roots_hash_equal_across_levels():
+    half_turn = [RootOfUnity(4, 2), RootOfUnity(2, 1), RootOfUnity(8, 4), RootOfUnity(6, -3)]
+    for a in half_turn:
+        for b in half_turn:
+            assert a == b and hash(a) == hash(b)
+    assert len(set(half_turn)) == 1
+    assert RootOfUnity(1, 0) == RootOfUnity(5, 5) and hash(RootOfUnity(1, 0)) == hash(RootOfUnity(5, 5))
+    others = [RootOfUnity(4, 1), RootOfUnity(4, 3), RootOfUnity(8, 2), RootOfUnity(8, 1), RootOfUnity(2, 0)]
+    assert all(r != h for r in others for h in half_turn)
+    assert len(set(half_turn + others)) == 5
+
+
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 12), i=st.integers(0, 23), j=st.integers(0, 23))
 def test_root_product_matches_complex(n, i, j):
@@ -104,14 +116,15 @@ def test_cross_level_cyclo_equality():
 
 
 @settings(max_examples=40, deadline=None)
-@given(level=st.sampled_from([2, 3, 4, 6, 8]), data=st.data())
-def test_rat_inverse(level, data):
+@given(level=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 15, 16]), den=st.integers(1, 12), data=st.data())
+def test_rat_inverse(level, den, data):
     x = _random_cyclo(data.draw, level)
     if x.is_zero():
         return
-    r = CycloRat.from_cyclo(x)
+    r = CycloRat(x, den)
     assert r * r.inverse() == CycloRat.one()
     assert r / r == CycloRat.one()
+    assert r.inverse().level == level
 
 
 def test_rat_zero_has_no_inverse():

@@ -10,6 +10,7 @@ without fault injection.  Each command runs in-process through ``cli.main``.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -108,4 +109,37 @@ def test_cli_output_matches_golden_digest(argv, code, digest):
     with contextlib.redirect_stdout(out):
         exit_code = main(list(argv))
     assert exit_code == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# Groups outside the bundled corpus whose subgroups carry more than two Schur
+# classes: Z2^3 has Schur multiplier (Z/2)^3.  Both outputs record each
+# value's level ("level" keys and ζ8^2 versus ζ4), so a level drift shows here
+# even where the values compare equal.
+EXTRA_GROUPS = {
+    "Z2^3": {"name": "Z2^3", "cayley": [[i ^ j for j in range(8)] for i in range(8)]},
+    "Z4xZ2": {"name": "Z4xZ2", "degree": 6, "generators": [[1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]]},
+}
+
+EXTRA_GOLDEN = {
+    ("burnside", "Z2^3"): "2f3fdbd1431ad007e44bd1b17ed9685b9fb474eb34fd895d70025e3d84cd7f13",
+    ("char-table", "Z2^3"): "0bb6883fc29126655426a7697692662b886259c31176fb5d7da4a5e46da5bb0e",
+    ("burnside", "Z4xZ2"): "2ebb0d795bfb488baebfac3351e91d370577b03c309f5864e0eafc9849f2f24c",
+    ("char-table", "Z4xZ2"): "a1b840e46bcf33386c37c2bc25d16597e1ef966d4e0e1fa4a4cf058e358bdab9",
+}
+
+EXTRA_FLAGS = {"burnside": ("--format", "json"), "char-table": ("--format", "json", "--verify")}
+
+
+@pytest.mark.parametrize(
+    "command, group, digest",
+    [pytest.param(c, g, d, id=f"{c}-{g}") for (c, g), d in EXTRA_GOLDEN.items()],
+)
+def test_unbundled_group_output_matches_golden_digest(tmp_path, command, group, digest):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(EXTRA_GROUPS[group]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exit_code = main([command, str(path), *EXTRA_FLAGS[command]])
+    assert exit_code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

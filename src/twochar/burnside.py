@@ -5,13 +5,13 @@ pair per conjugation orbit of (subgroup P, linear class over P); the basis
 pair is exactly a canonical :class:`~twochar.reps.Orbit`.  Multiplication is
 the bilinear extension of the orbit tensor product (a double-coset sum).
 
-Mark homomorphisms evaluate an element against a pair (P, α) with α a
-character of the linear-class group of P: averaging α over the conjugators
-carrying P into each basis subgroup gives a ring homomorphism to ℚ(ζ).  The
-matrix of all marks against all basis pairs (the table of marks, decorated)
-is invertible over ℚ(ζ); its exact determinant is computed by Gaussian
-elimination over the cyclotomic field, dividing by each pivot through its
-exact inverse (:meth:`~twochar.cyclo.CycloRat.inverse`).
+Mark homomorphisms evaluate an element against (P, α), α a tuple of roots of
+unity (a character of the linear classes of P): a basis pair ⟨Θ, Q⟩ maps to
+the sum of α over the cosets Q·g fixed by P, at Θ pulled back along g — a
+ring homomorphism to ℚ(ζ).  The matrix of all marks against all basis pairs
+(the table of marks, decorated) is invertible over ℚ(ζ); its exact
+determinant is computed by Gaussian elimination, dividing by each pivot
+through its exact inverse (:meth:`~twochar.cyclo.CycloRat.inverse`).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from functools import lru_cache
 from itertools import product
 
 from .cochains import conjugate_pullback
-from .cyclo import CycloRat, RootOfUnity, root_to_cyclo
+from .cyclo import CycloInt, CycloRat, RootOfUnity, root_to_cyclo
 from .errors import AlphaNotHomomorphism, GroupMismatch
-from .groups import FiniteGroup, Subgroup, full_subgroup, subgroup_class_representatives
+from .groups import FiniteGroup, Subgroup, full_subgroup, right_transversal, subgroup_class_representatives
 from .reps import Orbit, Rep2, _normalizer_min, _orbit_key, linear_classes, tensor
 
 BasisPair = Orbit
@@ -123,54 +123,55 @@ def mul(u: BurnsideElement, v: BurnsideElement) -> BurnsideElement:
 
 @lru_cache(maxsize=None)
 def _mark_pullback_classes(P: Subgroup, pair: BasisPair) -> tuple[int, ...]:
-    """For each g ∈ G with g·P·g⁻¹ ⊆ pair.subgroup: the linear-class index
-    over P of the decoration pulled back along conjugation by g."""
+    """For each coset Q·g with g·P·g⁻¹ ⊆ Q = pair.subgroup: the linear class
+    over P of the decoration pulled back along conjugation by g (the same for
+    all of Q·g, since inner automorphisms act trivially on H²)."""
     G = P.parent
     Q = pair.subgroup
     q_members = frozenset(Q.elements)
     theta = pair.cocycle
     sc_P = linear_classes(P)
     out = []
-    for g in G.elements:
+    for g in right_transversal(G, Q):
         if all(G.conj(g, p) in q_members for p in P.elements):
             out.append(sc_P.index_of(conjugate_pullback(theta, g, P)))
     return tuple(out)
 
 
-def _check_alpha(P: Subgroup, alpha) -> list[CycloRat]:
+@lru_cache(maxsize=None)
+def _check_alpha(P: Subgroup, alpha: tuple[RootOfUnity, ...]) -> None:
+    """Raise :class:`AlphaNotHomomorphism` unless α respects the class group
+    law.  Cached on success only: it returns nothing a caller could reuse."""
     sc = linear_classes(P)
-    values = [alpha(i) if callable(alpha) else alpha[i] for i in range(len(sc))]
-    values = [v if isinstance(v, CycloRat) else CycloRat.from_int(int(v)) for v in values]
-    for i in range(len(sc)):
-        for j in range(len(sc)):
-            if values[sc.add(i, j)] != values[i] * values[j]:
-                raise AlphaNotHomomorphism(
-                    f"α breaks the class group law at ({i}, {j})", witness=(i, j)
-                )
-    return values
+    for i, j in product(range(len(sc)), repeat=2):
+        if alpha[sc.add(i, j)] != alpha[i] * alpha[j]:
+            raise AlphaNotHomomorphism(f"α breaks the class group law at ({i}, {j})", witness=(i, j))
 
 
 def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloRat:
-    """Evaluate the mark homomorphism for (P, α) on u: per basis pair
-    ⟨Θ, Q⟩, average α over the pulled-back classes of Θ along every
-    conjugator carrying P into Q, weighted 1/|Q|."""
+    """Evaluate the mark homomorphism for (P, α) on u, α a sequence of roots
+    of unity, one per linear class of P: per basis pair ⟨Θ, Q⟩, the sum of α
+    over the cosets of Q that P fixes, at the pulled-back classes of Θ."""
     if P.parent != u.group:
         raise GroupMismatch("P is not a subgroup of the element's group")
-    values = _check_alpha(P, alpha)
+    roots = isinstance(alpha, (tuple, list)) and all(isinstance(v, RootOfUnity) for v in alpha)
+    if not roots or len(alpha) != len(linear_classes(P)):
+        raise AlphaNotHomomorphism("α must be one root of unity per linear class")
+    _check_alpha(P, tuple(alpha))
     total = CycloRat.zero()
     for pair, coeff in u.coefficients.items():
-        acc = CycloRat.zero()
+        acc = CycloInt.zero()
         for idx in _mark_pullback_classes(P, pair):
-            acc = acc + values[idx]
-        total = total + coeff * CycloRat(acc.num, acc.den * pair.subgroup.order)
+            acc = acc + root_to_cyclo(alpha[idx])
+        total = total + coeff * acc
     return total
 
 
 @lru_cache(maxsize=None)
 def _character_table(P: Subgroup):
-    """All characters of the linear-class group ⊕ ℤ/f of P, as value tuples
-    indexed by class.  The character with digits (e_k) sends the class with
-    coordinates (c_k) to exp(2πi·Σ e_k·c_k/f_k); the characters are sorted
+    """All characters of the linear-class group ⊕ ℤ/f of P, as tuples of
+    roots of unity indexed by class.  The character with digits (e_k) sends
+    the class (c_k) to exp(2πi·Σ e_k·c_k/f_k); the characters are sorted
     by their exponents at level lcm(f), so the order does not depend on the
     coordinates chosen for the classes."""
     sc = linear_classes(P)
@@ -184,7 +185,7 @@ def _character_table(P: Subgroup):
         tuple(exponent(digits, coords) for coords in sc.coordinates)
         for digits in product(*(range(f) for f in factors))
     )
-    return tuple(tuple(CycloRat.from_cyclo(root_to_cyclo(RootOfUnity(N, t))) for t in row) for row in rows)
+    return tuple(tuple(RootOfUnity(N, t) for t in row) for row in rows)
 
 
 def mark_matrix(G: FiniteGroup):

@@ -31,6 +31,7 @@ from .errors import (
     AlphaIllDefined,
     FormulasDisagree,
     NotACocycle,
+    NotAnAlgebraicInteger,
     NotCommuting,
     NotNormalized,
     NotScalarMultiple,
@@ -308,34 +309,35 @@ def gk_osorno(p: PermCocycleRep, a: int, b: int) -> CycloInt:
 
 
 def _as_cyclo_int(v: CycloRat) -> CycloInt:
-    assert v.den == 1, "character values must be algebraic integers"
+    if v.den != 1:
+        raise NotAnAlgebraicInteger(f"character value {v} is not an algebraic integer", witness=v)
     return v.num
 
 
-def gk_as_mark(a: int, b: int, u: BurnsideElement) -> CycloInt:
-    """Mark-homomorphism route: P = ⟨a, b⟩, α = the linear character sending
-    each decoration class to its gk_linear value at (a, b)."""
-    G = u.group
+def _gk_mark(G: FiniteGroup, a: int, b: int):
+    """The mark pair (P, α) of the pair (a, b): P = ⟨a, b⟩, α the character
+    sending each decoration class over P to its gk_linear value at (a, b)."""
     if not G.commutes(a, b):
         raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
     P = generated_subgroup(G, (a, b))
     _, to_sub, _ = subgroup_group(P)
     a_s, b_s = int(to_sub[a]), int(to_sub[b])
-    sc = linear_classes(P)
     alpha = []
-    for i, rep in enumerate(sc.representatives):
+    for i, rep in enumerate(linear_classes(P).representatives):
         root = gk_linear(rep, a_s, b_s)
         # well-definedness on the class: a coboundary shift must not move it
-        probe = Cochain(
-            rep.module, 1, (np.arange(rep.group.order) % rep.level)[:, None]
-        )
+        probe = Cochain(rep.module, 1, (np.arange(rep.group.order) % rep.level)[:, None])
         shifted = rep + differential(probe)
         if gk_linear(shifted, a_s, b_s) != root:
-            raise AlphaIllDefined(
-                f"class {i} gives inconsistent values", witness=i
-            )
-        alpha.append(CycloRat.from_cyclo(root_to_cyclo(root)))
-    return _as_cyclo_int(mark(P, alpha, u))
+            raise AlphaIllDefined(f"class {i} gives inconsistent values", witness=i)
+        alpha.append(root)
+    return P, tuple(alpha)
+
+
+def gk_as_mark(a: int, b: int, u: BurnsideElement) -> CycloInt:
+    """Mark-homomorphism route: the mark of u at (P, α) = ``_gk_mark(a, b)``,
+    which must be an algebraic integer (else :class:`NotAnAlgebraicInteger`)."""
+    return _as_cyclo_int(mark(*_gk_mark(u.group, a, b), u))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +358,8 @@ def char_table(G: FiniteGroup, verify: bool = True) -> CharTable:
     :func:`verify_char_table`."""
     pairs = tuple(cls.representative for cls in commuting_pair_classes(G))
     cols = basis(G)
-    entries = tuple(tuple(gk_as_mark(a, b, basis_element(G, pair)) for pair in cols) for a, b in pairs)
+    rows = [_gk_mark(G, a, b) for a, b in pairs]  # one α per row
+    entries = tuple(tuple(_as_cyclo_int(mark(P, alpha, basis_element(G, c))) for c in cols) for P, alpha in rows)
     table = CharTable(G, pairs, cols, entries)
     if verify:
         verify_char_table(table)

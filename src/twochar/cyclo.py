@@ -24,6 +24,7 @@ from math import gcd
 from .errors import NotAMultiple
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     out, m, p = 1, n, 2
     while p * p <= m:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
+from twochar import burnside
 from twochar.burnside import (
     add,
     basis,
@@ -23,7 +24,8 @@ from twochar.burnside import (
 )
 from twochar.cyclo import CycloRat, RootOfUnity, root_to_cyclo
 from twochar.errors import AlphaNotHomomorphism, GroupMismatch
-from twochar.groups import full_subgroup, trivial_subgroup
+from twochar.cochains import conjugate_pullback
+from twochar.groups import from_permutation_generators, full_subgroup, trivial_subgroup
 from twochar.reps import Orbit, linear_classes, random_rep2, tensor
 
 GROUPS = [klein_four(), cyclic(4), symmetric_3(), dihedral_4(), quaternion_8()]
@@ -101,9 +103,9 @@ def test_mark_of_trivial_character_counts_fixed_cosets(s3):
     triv = trivial_subgroup(s3)
     for pair in basis(s3):
         u = basis_element(s3, pair)
-        value = mark(triv, lambda i: CycloRat.one(), u)
+        value = mark(triv, [RootOfUnity(1, 0)] * len(linear_classes(triv)), u)
         assert value == CycloRat.from_int(s3.order // pair.subgroup.order)
-        top = mark(full, lambda i: CycloRat.one(), u)
+        top = mark(full, [RootOfUnity(1, 0)] * len(linear_classes(full)), u)
         expect = 1 if pair.subgroup.order == s3.order else 0
         assert top == CycloRat.from_int(expect)
 
@@ -115,6 +117,73 @@ def test_mark_rejects_non_homomorphism(v4):
     bad = [CycloRat.from_int(2)] * n  # 2 is not a root of unity times itself
     with pytest.raises(AlphaNotHomomorphism):
         mark(P, bad, u)
+
+
+def _averaged_mark(P, alpha, u):
+    """The mark as an average: over every g ∈ G with g·P·g⁻¹ ⊆ Q, α at the
+    class of Θ pulled back along g, weighted 1/|Q|."""
+    G = P.parent
+    total = CycloRat.zero()
+    for pair, coeff in u.coefficients.items():
+        Q = pair.subgroup
+        acc = CycloRat.zero()
+        for g in G.elements:
+            if all(G.conj(g, p) in Q for p in P.elements):
+                idx = linear_classes(P).index_of(conjugate_pullback(pair.cocycle, g, P))
+                acc = acc + root_to_cyclo(alpha[idx])
+        total = total + coeff * CycloRat(acc.num, acc.den * Q.order)
+    return total
+
+
+Z4xZ2 = from_permutation_generators(6, [(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], name="Z4xZ2")
+
+
+@pytest.mark.parametrize(
+    "G", [klein_four(), symmetric_3(), dihedral_4(), quaternion_8(), Z4xZ2], ids=lambda G: G.name
+)
+def test_fixed_coset_sum_equals_the_averaged_mark(G):
+    labels, cols, rows = mark_matrix(G)
+    for (P, ci), row in zip(labels, rows):
+        alpha = burnside._character_table(P)[ci]
+        for pair, value in zip(cols, row):
+            expect = _averaged_mark(P, alpha, basis_element(G, pair))
+            assert value == expect and str(value) == str(expect) and value.level == expect.level
+
+
+def test_mark_rejects_root_of_unity_alpha_breaking_the_law(v4):
+    P = full_subgroup(v4)
+    sc = linear_classes(P)
+    assert len(sc) == 2 and sc.add(1, 1) == 0       # H²(V4; ℂ^×) = ℤ/2, class 0 the identity
+    with pytest.raises(AlphaNotHomomorphism) as info:
+        mark(P, [RootOfUnity(1, 0), RootOfUnity(4, 1)], identity_element(v4))
+    assert info.value.witness == (1, 1)
+
+
+def test_mark_rejects_alpha_that_is_not_a_sequence_of_roots(v4):
+    P = full_subgroup(v4)
+    u = identity_element(v4)
+    for bad in (lambda i: RootOfUnity(1, 0), [1, 1], (RootOfUnity(1, 0),), [RootOfUnity(1, 0)] * 3):
+        with pytest.raises(AlphaNotHomomorphism):
+            mark(P, bad, u)
+
+
+@pytest.mark.parametrize("levels", [(1, 4), (4, 1)])
+def test_mark_keeps_the_level_of_its_own_alpha(v4, levels):
+    # roots of unity at levels 1 and 4 compare and hash equal; the law-check
+    # cache must not hand one caller's α to the other
+    burnside._check_alpha.cache_clear()
+    for P in (full_subgroup(v4), trivial_subgroup(v4)):
+        for level in levels:
+            alpha = (RootOfUnity(level, 0),) * len(linear_classes(P))
+            value = mark(P, alpha, identity_element(v4))
+            assert value == CycloRat.one() and value.level == level
+
+
+def test_law_check_runs_once_per_mark_matrix_row(d4):
+    burnside._check_alpha.cache_clear()
+    labels, cols, rows = mark_matrix(d4)
+    assert burnside._check_alpha.cache_info().misses == len(rows)
+    assert burnside._check_alpha.cache_info().hits == len(rows) * (len(cols) - 1)
 
 
 def test_mark_is_multiplicative(s3):

@@ -11,10 +11,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from twochar.burnside import determinant, mark_matrix
 from twochar.cli import main
+from twochar.groups import group_from_json
 
 GOLDEN = {
     ("h2", "z1"): "f8847b44a939c6b85857b47e0cefa39f9fb6db313ddab7cf6aae759a4f288297",
@@ -113,12 +119,13 @@ def test_cli_output_matches_golden_digest(argv, code, digest):
 
 
 # Groups outside the bundled corpus whose subgroups carry more than two Schur
-# classes: Z2^3 has Schur multiplier (Z/2)^3.  Both outputs record each
-# value's level ("level" keys and ζ8^2 versus ζ4), so a level drift shows here
-# even where the values compare equal.
+# classes: Z2^3 has Schur multiplier (Z/2)^3, Z2^4 has (Z/2)^6 (64 classes).
+# Both outputs record each value's level ("level" keys and ζ8^2 versus ζ4), so
+# a level drift shows here even where the values compare equal.
 EXTRA_GROUPS = {
     "Z2^3": {"name": "Z2^3", "cayley": [[i ^ j for j in range(8)] for i in range(8)]},
     "Z4xZ2": {"name": "Z4xZ2", "degree": 6, "generators": [[1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]]},
+    "Z2^4": {"name": "Z2^4", "cayley": [[i ^ j for j in range(16)] for i in range(16)]},
 }
 
 EXTRA_GOLDEN = {
@@ -126,7 +133,14 @@ EXTRA_GOLDEN = {
     ("char-table", "Z2^3"): "0bb6883fc29126655426a7697692662b886259c31176fb5d7da4a5e46da5bb0e",
     ("burnside", "Z4xZ2"): "2ebb0d795bfb488baebfac3351e91d370577b03c309f5864e0eafc9849f2f24c",
     ("char-table", "Z4xZ2"): "a1b840e46bcf33386c37c2bc25d16597e1ef966d4e0e1fa4a4cf058e358bdab9",
+    ("char-table", "Z2^4"): "146a758e242b93988bc2d5da1c33de50167158e3fdab07c93a1a8e6fcfae68b2",
 }
+
+# Z2^4 has 270 mark rows; its ``burnside`` report also prints all 270² basis
+# products, so the marks and the determinant are pinned directly: digests of
+# json.dumps([[str(v) for v in row] for row in rows]) and of str(determinant)
+Z2_4_MARKS = "4ff71020af651dec9e7367b1e97dfa4a3214c3d0ccae8c240f34aab13154f7c8"
+Z2_4_DETERMINANT = "ea6dea9f3b35c0e51c8ac10fd8ecc5070c8ff0949c6bf60922b50ef0ab16a08e"
 
 EXTRA_FLAGS = {"burnside": ("--format", "json"), "char-table": ("--format", "json", "--verify")}
 
@@ -143,3 +157,46 @@ def test_unbundled_group_output_matches_golden_digest(tmp_path, command, group, 
         exit_code = main([command, str(path), *EXTRA_FLAGS[command]])
     assert exit_code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_z2_4_mark_matrix_and_determinant_match_golden_digest():
+    rows = mark_matrix(group_from_json(EXTRA_GROUPS["Z2^4"]))[2]
+    assert len(rows) == 270
+    marks = json.dumps([[str(v) for v in row] for row in rows])
+    assert hashlib.sha256(marks.encode()).hexdigest() == Z2_4_MARKS
+    assert hashlib.sha256(str(determinant(rows)).encode()).hexdigest() == Z2_4_DETERMINANT
+
+
+# Runs a list of CLI argument vectors read from stdin in one process and prints
+# one line per run: exit code and output digest.
+_RUN_ALL = """
+import contextlib, hashlib, io, json, sys
+from twochar.cli import main
+print(sys.flags.optimize)
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_mark_goldens_hold_in_reverse_order_under_optimize_flag(tmp_path):
+    # a second cache history next to the forward in-process run above, with
+    # every assert stripped: no digest may depend on either
+    cases = [((c, g, *FORMAT[c]), d) for (c, g), d in sorted(GOLDEN.items()) if c != "h2"]
+    for (command, group), digest in EXTRA_GOLDEN.items():
+        path = tmp_path / f"{group}.json"
+        path.write_text(json.dumps(EXTRA_GROUPS[group]))
+        cases.append(((command, str(path), *EXTRA_FLAGS[command]), digest))
+    cases.reverse()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _RUN_ALL],
+        input=json.dumps([list(argv) for argv, _ in cases]),
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "1"
+    assert lines[1:] == [f"0 {digest}" for _, digest in cases]

@@ -88,8 +88,12 @@ def add(u: BurnsideElement, v: BurnsideElement) -> BurnsideElement:
 
 
 def scale(a, u: BurnsideElement) -> BurnsideElement:
-    if not isinstance(a, CycloRat):
-        a = CycloRat.from_int(int(a))
+    """a·u for an ``int`` or :class:`CycloRat` scalar a; any other scalar,
+    ``bool`` and ``float`` included, raises ``TypeError``."""
+    if isinstance(a, bool) or not isinstance(a, (int, CycloRat)):
+        raise TypeError(f"scalar must be an int or a CycloRat, not {type(a).__name__}")
+    if isinstance(a, int):
+        a = CycloRat.from_int(a)
     return BurnsideElement(u.group, {p: a * c for p, c in u.coefficients.items()})
 
 

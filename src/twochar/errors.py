@@ -41,6 +41,11 @@ class TooLarge(TwoCharError):
     """Cohomology computation exceeded its size bound."""
 
 
+class WrongWitness(TwoCharError):
+    """A computed witness fails the check it was computed to pass (an
+    internal fault); ``witness`` is where it fails, e.g. (g, h, x)."""
+
+
 class NotContained(TwoCharError):
     """Conjugated subgroup is not inside the cochain's domain group."""
 

@@ -39,18 +39,27 @@ class SNFResult:
     def _mod(self, which: str, L: int) -> np.ndarray:
         """Transform ``which`` ("U", "Uinv", "V" or "Vinv") reduced mod L as int64.
         Products with it stay exact because its callers refuse levels with
-        L² times the transform size ≥ 2^62."""
+        L² times the transform size ≥ 2^62.  Copies are kept for the
+        ``MOD_LEVELS`` most recently used levels only."""
         if self._mod_cache is None:
             self._mod_cache = {}
-        key = (which, L)
-        if key not in self._mod_cache:
+        # level → {which: copy}, least recently used first
+        copies = self._mod_cache.pop(L, {})
+        self._mod_cache[L] = copies
+        if len(self._mod_cache) > MOD_LEVELS:
+            del self._mod_cache[next(iter(self._mod_cache))]
+        if which not in copies:
             mat = {"U": self.U, "Uinv": self.Uinv, "V": self.V, "Vinv": self.Vinv}[which]
             size = self.rows if which.startswith("U") else self.cols
             arr = np.zeros((size, size), dtype=np.int64)
             for i, row in enumerate(mat):
                 arr[i] = [v % L for v in row]
-            self._mod_cache[key] = arr
-        return self._mod_cache[key]
+            copies[which] = arr
+        return copies[which]
+
+
+# levels whose int64 transform copies an SNFResult keeps
+MOD_LEVELS = 4
 
 
 def _eye(n: int) -> list[list[int]]:

@@ -44,6 +44,15 @@ def test_zero_and_add(s3):
     assert not z.coefficients
 
 
+def test_scale_accepts_only_exact_scalars(v4):
+    e = identity_element(v4)
+    assert scale(2, e) == add(e, e)
+    assert scale(CycloRat.from_int(1, 2), scale(2, e)) == e
+    for bad in (0.5, 2.0, True, "2", None):
+        with pytest.raises(TypeError):
+            scale(bad, e)
+
+
 def test_group_mismatch(s3, d4):
     with pytest.raises(GroupMismatch):
         add(identity_element(s3), identity_element(d4))

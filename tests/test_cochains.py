@@ -1,5 +1,6 @@
 """Cochains and low-degree cohomology: differentials, class sets, transport."""
 
+import json
 import os
 import random
 import subprocess
@@ -32,7 +33,7 @@ from twochar.cochains import (
     restrict,
     schur_classes,
 )
-from twochar.errors import NotACocycle, TooLarge
+from twochar.errors import NotACocycle, TooLarge, WrongWitness
 from twochar.groups import (
     all_subgroups,
     from_cayley_table,
@@ -42,7 +43,7 @@ from twochar.groups import (
     subgroup_group,
 )
 from twochar.shapiro import shapiro_context
-from twochar.snf import hermite_mod, hermite_reduce
+from twochar.snf import MOD_LEVELS, hermite_mod, hermite_reduce, smith_normal_form
 
 GROUPS = [cyclic(3), cyclic(4), klein_four(), symmetric_3(), dihedral_4(), quaternion_8()]
 
@@ -256,7 +257,7 @@ def test_schur_classes_reduces_d2_once(monkeypatch):
     A4 = from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
     shapes = _count_reductions(monkeypatch)
     assert schur_classes(A4).invariant_factors == (2,)
-    assert shapes.count((11**3, 11**2)) == 1
+    assert shapes.count((2 * 11**2, 11**2)) == 1
 
 
 def test_is_coboundary_never_reduces_d2(monkeypatch, d4):
@@ -269,7 +270,7 @@ def test_is_coboundary_never_reduces_d2(monkeypatch, d4):
 
 def test_one_machine_serves_every_level(monkeypatch):
     A4 = from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
-    d1, d2 = (11**2, 11), (11**3, 11**2)
+    d1, d2 = (11**2, 11), (2 * 11**2, 11**2)
     shapes = _count_reductions(monkeypatch)
     schur_classes(A4)
     assert shapes.count(d1) == shapes.count(d2) == 1
@@ -370,7 +371,7 @@ def test_cx_coordinates_enforce_bounds(monkeypatch, v4):
         cohomologous_over_Cx(zero, zero)
     with pytest.raises(TooLarge):
         h2(v4, zero.module)
-    assert (27, 9) not in shapes                      # refused before d₂ was reduced
+    assert (18, 9) not in shapes                      # refused before d₂ was reduced
 
 
 def test_cx_coordinate_bounds_survive_optimize_flag():
@@ -378,7 +379,7 @@ def test_cx_coordinate_bounds_survive_optimize_flag():
         "import numpy as np\n"
         "from twochar import cochains\n"
         "from twochar.cochains import Cochain, GModule, cohomologous_over_Cx\n"
-        "from twochar.errors import NotACocycle, TooLarge\n"
+        "from twochar.errors import NotACocycle, TooLarge, WrongWitness\n"
         "from twochar.groups import from_cayley_table\n"
         "v4 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)], name='V4')\n"
         "machine = cochains._machine(GModule.trivial(v4, 4))\n"
@@ -413,8 +414,11 @@ def _a4():
     return from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
 
 
+BUNDLED = "z1 z2 z3 z4 z5 z6 z7 z8 v4 s3 d4 q8".split()
+
+
 def _numbering_free_groups():
-    groups = {name: load_group(name, 64) for name in "z1 z2 z3 z4 z5 z6 z7 z8 v4 s3 d4 q8".split()}
+    groups = {name: load_group(name, 64) for name in BUNDLED}
     groups["Z2^3"] = from_cayley_table([[i ^ j for j in range(8)] for i in range(8)], name="Z2^3")
     groups["Z4xZ2"] = from_permutation_generators(6, [(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], name="Z4xZ2")
     groups["A4"] = _a4()
@@ -552,3 +556,135 @@ def test_query_path_rejects_non_cocycles(v4):
     for index_of in (classes.index_of, sc.index_of):
         with pytest.raises(NotACocycle):
             index_of(Cochain(GModule.trivial(v4, 4), 2, values))
+
+
+# ---------------------------------------------------------------------------
+# Generator-row d₂: the rows whose first argument is a generator
+
+
+def _coset_module(G, order: int) -> GModule:
+    """G acting on the cosets of its first subgroup of the given order."""
+    P = next(P for P in all_subgroups(G) if P.order == order)
+    return shapiro_context(G, P, GModule.trivial(subgroup_group(P)[0], G.order)).coinduced
+
+
+COSET_MODULES = {
+    "S3/C2": lambda: _coset_module(symmetric_3(), 2),
+    "D4/C2": lambda: _coset_module(dihedral_4(), 2),
+    "A4/C3": lambda: _coset_module(_a4(), 3),
+}
+
+
+@pytest.mark.parametrize("name", BUNDLED + list(COSET_MODULES))
+def test_generator_rows_span_the_rows_of_d2(name):
+    if name in COSET_MODULES:
+        module = COSET_MODULES[name]()
+    else:
+        G = load_group(name)
+        module = GModule.trivial(G, G.order)
+    G = module.group
+    machine = cochains._machine(module)
+    assert generated_subgroup(G, machine.gens).order == G.order
+    full = cochains._normalized_boundary(module, 2)
+    diag = [d for d in smith_normal_form(full, want_u=False, want_v=False).diag if d]
+    assert diag == [d for d in machine.snf2.diag if d]
+    r = len(diag)
+    V = np.array(machine.snf2.V, dtype=np.int64).reshape(machine.m2, machine.m2)
+    # y is an integer combination of the kept rows D′ = U′⁻¹·S·V⁻¹ iff yV
+    # is zero past r and divisible by d_i before it
+    Y = full @ V
+    assert not Y[:, r:].any()
+    assert not (Y[:, :r] % np.array(diag, dtype=np.int64)).any()
+
+
+def test_dihedral_group_of_order_32_is_in_bounds():
+    assert schur_classes(_dihedral(16)).invariant_factors == (2,)
+
+
+def _z2_to_the_sixth():
+    return from_cayley_table([[i ^ j for j in range(64)] for i in range(64)], name="Z2^6")
+
+
+def test_order_64_is_refused_before_any_matrix_is_built(monkeypatch):
+    shapes = _count_reductions(monkeypatch)
+    built = []
+    real = cochains._normalized_boundary
+    monkeypatch.setattr(cochains, "_normalized_boundary", lambda *a: built.append(a) or real(*a))
+    for G in (_z2_to_the_sixth(), cyclic(64)):
+        with pytest.raises(TooLarge):
+            schur_classes(G)
+    assert shapes == [] and built == []
+
+
+def test_order_64_is_exit_3_under_optimize_flag(tmp_path):
+    path = tmp_path / "z2_6.json"
+    path.write_text(json.dumps({"name": "Z2^6", "cayley": [[i ^ j for j in range(64)] for i in range(64)]}))
+    code = f"from twochar.cli import main\nraise SystemExit(main(['h2', {str(path)!r}]))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 3, out.stderr
+    assert "bound exceeded" in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# Typed guard on the coboundary witness
+
+
+def _off_by_one(real):
+    def wrong(snf, b, L):
+        sol = real(snf, b, L)
+        return None if sol is None else [(sol[0] + 1) % L] + list(sol[1:])
+    return wrong
+
+
+def test_wrong_coboundary_witness_is_a_typed_error(monkeypatch, d4):
+    c = differential(random_cochain(GModule.trivial(d4, 8), 1, random.Random(3)))
+    monkeypatch.setattr(cochains, "solve_mod", _off_by_one(cochains.solve_mod))
+    with pytest.raises(WrongWitness) as info:
+        is_coboundary(c)
+    g, h, x = info.value.witness
+    assert 1 in (g, h) and x == 0                      # π(1) is the value that moved
+
+
+def test_wrong_coboundary_witness_survives_optimize_flag():
+    code = (
+        "import random\n"
+        "from twochar import cochains\n"
+        "from twochar.cochains import GModule, differential, is_coboundary, random_cochain\n"
+        "from twochar.errors import WrongWitness\n"
+        "from twochar.groups import load_group\n"
+        "real = cochains.solve_mod\n"
+        "def wrong(snf, b, L):\n"
+        "    sol = real(snf, b, L)\n"
+        "    return [(sol[0] + 1) % L] + list(sol[1:])\n"
+        "cochains.solve_mod = wrong\n"
+        "d4 = load_group('d4')\n"
+        "c = differential(random_cochain(GModule.trivial(d4, 8), 1, random.Random(3)))\n"
+        "try:\n"
+        "    is_coboundary(c)\n"
+        "except WrongWitness as exc:\n"
+        "    print(type(exc).__name__, len(exc.witness))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["WrongWitness", "3"]
+
+
+# ---------------------------------------------------------------------------
+# Bounded cache of int64 transform copies
+
+
+def test_transform_copies_are_kept_for_a_few_levels(d4):
+    sc = schur_classes(d4)
+    levels = [8 * k for k in range(1, 21)]
+    answers = [[sc.index_of(raise_level(rep, L)) for rep in sc.representatives] for L in levels]
+    assert answers == [list(range(len(sc)))] * 20
+    cache = cochains._machine(sc.module).snf2._mod_cache
+    assert len(cache) <= MOD_LEVELS
+    assert sum(len(copies) for copies in cache.values()) <= 2 * MOD_LEVELS    # V and V⁻¹
+    assert [sc.index_of(raise_level(rep, 8)) for rep in sc.representatives] == answers[0]

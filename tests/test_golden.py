@@ -20,7 +20,8 @@ import pytest
 
 from twochar.burnside import determinant, mark_matrix
 from twochar.cli import main
-from twochar.groups import group_from_json
+from twochar.cochains import GModule, h2, schur_classes
+from twochar.groups import from_permutation_generators, group_from_json
 
 GOLDEN = {
     ("h2", "z1"): "f8847b44a939c6b85857b47e0cefa39f9fb6db313ddab7cf6aae759a4f288297",
@@ -165,6 +166,28 @@ def test_z2_4_mark_matrix_and_determinant_match_golden_digest():
     marks = json.dumps([[str(v) for v in row] for row in rows])
     assert hashlib.sha256(marks.encode()).hexdigest() == Z2_4_MARKS
     assert hashlib.sha256(str(determinant(rows)).encode()).hexdigest() == Z2_4_DETERMINANT
+
+
+# S4 is the group whose d₂ reduction shrinks the most when only the rows whose
+# first argument is a generator are kept.  Digests of repr(invariant factors)
+# followed by the ``values.tobytes()`` of every representative, in order.
+S4_GOLDEN = {
+    "schur_classes": "da51bfadebbe7a439532220cba235b33e0246e176e947c0205bd769d53c5371c",
+    "h2 level 24": "817aedc97d26e0e3ddfb634fb709786767e597904a5bd807c39b05f1e0a8431a",
+}
+
+
+def _classes_digest(classes) -> str:
+    digest = hashlib.sha256(repr(classes.invariant_factors).encode())
+    for rep in classes.representatives:
+        digest.update(rep.values.tobytes())
+    return digest.hexdigest()
+
+
+def test_s4_classes_match_golden_digest():
+    S4 = from_permutation_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="S4")
+    assert _classes_digest(schur_classes(S4)) == S4_GOLDEN["schur_classes"]
+    assert _classes_digest(h2(S4, GModule.trivial(S4, 24))) == S4_GOLDEN["h2 level 24"]
 
 
 # Runs a list of CLI argument vectors read from stdin in one process and prints

@@ -8,10 +8,14 @@ the bilinear extension of the orbit tensor product (a double-coset sum).
 Mark homomorphisms evaluate an element against (P, α), α a tuple of roots of
 unity (a character of the linear classes of P): a basis pair ⟨Θ, Q⟩ maps to
 the sum of α over the cosets Q·g fixed by P, at Θ pulled back along g — a
-ring homomorphism to ℚ(ζ).  The matrix of all marks against all basis pairs
-(the table of marks, decorated) is invertible over ℚ(ζ); its exact
-determinant is computed by Gaussian elimination, dividing by each pivot
-through its exact inverse (:meth:`~twochar.cyclo.CycloRat.inverse`).
+ring homomorphism to ℚ(ζ).  The pulled-back classes are read from
+:func:`~twochar.reps.pullback_map`, so no cochain is built per coset.  The
+mark at (P, α) equals the mark at (P, α∘n*) for n in the normalizer of P, so
+the rows of the table of marks are the pairs (P, α) up to G-conjugacy: one
+least α per normalizer orbit.  The table is then square and invertible over
+ℚ(ζ); its exact determinant is computed by Gaussian elimination, dividing by
+each pivot through its exact inverse
+(:meth:`~twochar.cyclo.CycloRat.inverse`).
 """
 
 from __future__ import annotations
@@ -19,11 +23,17 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .cochains import conjugate_pullback
 from .cyclo import CycloInt, CycloRat, RootOfUnity, root_to_cyclo
 from .errors import AlphaNotHomomorphism, GroupMismatch
-from .groups import FiniteGroup, Subgroup, full_subgroup, right_transversal, subgroup_class_representatives
-from .reps import Orbit, Rep2, _normalizer_min, _orbit_key, linear_classes, tensor
+from .groups import (
+    FiniteGroup,
+    Subgroup,
+    full_subgroup,
+    normalizer,
+    right_transversal,
+    subgroup_class_representatives,
+)
+from .reps import Orbit, Rep2, _normalizer_min, _orbit_key, linear_classes, pullback_map, tensor
 
 BasisPair = Orbit
 
@@ -133,13 +143,11 @@ def _mark_pullback_classes(P: Subgroup, pair: BasisPair) -> tuple[int, ...]:
     G = P.parent
     Q = pair.subgroup
     q_members = frozenset(Q.elements)
-    theta = pair.cocycle
-    sc_P = linear_classes(P)
-    out = []
-    for g in right_transversal(G, Q):
-        if all(G.conj(g, p) in q_members for p in P.elements):
-            out.append(sc_P.index_of(conjugate_pullback(theta, g, P)))
-    return tuple(out)
+    return tuple(
+        pullback_map(Q, g, P)[pair.schur_index]
+        for g in right_transversal(G, Q)
+        if all(G.conj(g, p) in q_members for p in P.elements)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -192,15 +200,34 @@ def _character_table(P: Subgroup):
     return tuple(tuple(RootOfUnity(N, t) for t in row) for row in rows)
 
 
+@lru_cache(maxsize=None)
+def _row_characters(P0: Subgroup) -> tuple[int, ...]:
+    """Indices into ``_character_table(P0)`` of the least character in each
+    orbit of the normalizer N of P0, acting by α ↦ α∘``pullback_map(P0, n,
+    P0)``.  The mark is constant on these orbits (the fixed cosets Q·g and
+    Q·g·n correspond), and N has as many orbits on the characters as on the
+    classes (Brauer's permutation lemma), so one row per orbit makes the
+    table of marks square."""
+    chars = _character_table(P0)
+    index = {char: ci for ci, char in enumerate(chars)}
+    maps = [pullback_map(P0, n, P0) for n in normalizer(P0.parent, P0).elements]
+    return tuple(
+        ci for ci, char in enumerate(chars)
+        if all(index[tuple(char[j] for j in pi)] >= ci for pi in maps)
+    )
+
+
 def mark_matrix(G: FiniteGroup):
     """Rows: (class-representative subgroup P, character α of its linear
-    classes); columns: basis pairs; entries: exact mark values."""
+    classes), one α per orbit of the normalizer of P; columns: basis pairs;
+    entries: exact mark values."""
     cols = basis(G)
     rows = []
     labels = []
     for P0 in subgroup_class_representatives(G):
-        for ci, char in enumerate(_character_table(P0)):
-            row = [mark(P0, char, basis_element(G, pair)) for pair in cols]
+        chars = _character_table(P0)
+        for ci in _row_characters(P0):
+            row = [mark(P0, chars[ci], basis_element(G, pair)) for pair in cols]
             rows.append(row)
             labels.append((P0, ci))
     return labels, cols, rows

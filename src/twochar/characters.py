@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .burnside import BurnsideElement, basis, basis_element, mark
-from .cochains import Cochain, GModule, cohomologous_over_Cx, differential, is_cocycle
+from .cochains import Cochain, GModule, _cx_coords, differential, is_cocycle
 from .crossed import CrossedModule
 from .cyclo import CycloInt, CycloRat, RootOfUnity, raise_root_level, root_to_cyclo
 from .errors import (
@@ -36,6 +36,7 @@ from .errors import (
     NotNormalized,
     NotScalarMultiple,
     TripleNotInG,
+    TwistMismatch,
 )
 from .groups import (
     FiniteGroup,
@@ -144,7 +145,7 @@ def gk_linear(mu: Cochain, a: int, b: int) -> RootOfUnity:
 def twisted_regular(mu: Cochain):
     """Left multiplication in the μ-twisted group algebra, as monomial
     matrices on the group basis, together with the measured projective
-    cocycle ν (asserted to be a cocycle equivalent to μ over ℂ^×)."""
+    cocycle ν (checked to be a cocycle equivalent to μ over ℂ^×)."""
     _require_normalized(mu)
     if not mu.module.is_trivial:
         raise ValueError("the twisting cocycle must take scalar values")
@@ -166,8 +167,13 @@ def twisted_regular(mu: Cochain):
             lam = rho[G.mul(g, h)].scalar_ratio(rho[g] * rho[h])
             nu_values[g, h, 0] = raise_root_level(lam, L).exponent
     nu = Cochain(GModule.trivial(G, L), 2, nu_values)
-    assert is_cocycle(nu), "measured projective factor must be a cocycle"
-    assert cohomologous_over_Cx(nu, mu), "measured factor must match the twist"
+    bad = np.argwhere(differential(nu).values)
+    if len(bad):
+        g, h, k = (int(v) for v in bad[0][:3])
+        raise NotACocycle(f"measured projective factor is not a cocycle at ({g}, {h}, {k})", witness=(g, h, k))
+    got, want = _cx_coords(nu), _cx_coords(mu)
+    if got != want:
+        raise TwistMismatch("measured projective factor is not the twist over ℂ^×", witness=(got, want))
     return rho, nu
 
 

@@ -71,24 +71,14 @@ class GModule:
         if action.shape[0] != group.order or action.ndim != 2:
             raise ValueError("action must have one row per group element")
         X = action.shape[1]
-        rng = np.arange(X)
-        if not np.array_equal(action[0], rng):
-            raise ValueError("identity must act as the identity permutation")
-        for g in group.elements:
-            if not np.array_equal(np.sort(action[g]), rng):
-                raise ValueError(f"element {g} does not act by a permutation")
-        # left action: (gh)·x = g·(h·x)
-        composed = action[:, action]          # composed[g, h, x] = g·(h·x)
-        expected = action[group.table]        # expected[g, h, x] = (gh)·x
-        if not np.array_equal(composed, expected):
-            g, h, x = (int(v) for v in np.argwhere(composed != expected)[0])
-            raise ValueError(f"not a left action at (g={g}, h={h}, x={x})")
+        data = action.tobytes()
+        _check_action(group, X, data)
         action.setflags(write=False)
         self.group = group
         self.level = level
         self.size = X
         self.action = action
-        self._hash = hash((group, level, action.tobytes()))
+        self._hash = hash((group, level, data))
 
     @staticmethod
     def trivial(group: FiniteGroup, level: int) -> "GModule":
@@ -126,6 +116,30 @@ class GModule:
     def __repr__(self) -> str:
         kind = "trivial" if self.is_trivial else f"perm[{self.size}]"
         return f"GModule({self.group.name}, Z/{self.level}, {kind})"
+
+
+@lru_cache(maxsize=None)
+def _check_action(group: FiniteGroup, X: int, data: bytes) -> None:
+    """Raise ``ValueError`` unless the m×X table in ``data`` is a left action
+    of the group by permutations.  Cached on success, keyed on the group's
+    table and the action's bytes: every distinct module is checked on its
+    first build, and the many modules that ``conjugate_pullback`` and
+    ``GModule.at_level`` rebuild are not checked again.  Only the check is
+    cached; each module keeps its own group, whose ``origin`` can differ
+    between equal tables."""
+    action = np.frombuffer(data, dtype=np.int64).reshape(group.order, X)
+    rng = np.arange(X)
+    if not np.array_equal(action[0], rng):
+        raise ValueError("identity must act as the identity permutation")
+    for g in group.elements:
+        if not np.array_equal(np.sort(action[g]), rng):
+            raise ValueError(f"element {g} does not act by a permutation")
+    # left action: (gh)·x = g·(h·x)
+    composed = action[:, action]          # composed[g, h, x] = g·(h·x)
+    expected = action[group.table]        # expected[g, h, x] = (gh)·x
+    if not np.array_equal(composed, expected):
+        g, h, x = (int(v) for v in np.argwhere(composed != expected)[0])
+        raise ValueError(f"not a left action at (g={g}, h={h}, x={x})")
 
 
 class Cochain:
@@ -531,12 +545,15 @@ class CohomologyClassSet:
         """Index of the class of the given cocycle."""
         return self._index[self._coords_fn(c)]
 
+    def index_of_coords(self, coords) -> int:
+        """Index of the class with the given coordinates, taken mod the orders."""
+        return self._index[tuple(int(c) % o for c, o in zip(coords, self.orders))]
+
     def add(self, i: int, j: int) -> int:
-        a, b = self.coordinates[i], self.coordinates[j]
-        return self._index[tuple((x + y) % o for x, y, o in zip(a, b, self.orders))]
+        return self.index_of_coords(x + y for x, y in zip(self.coordinates[i], self.coordinates[j]))
 
     def neg(self, i: int) -> int:
-        return self._index[tuple((-x) % o for x, o in zip(self.coordinates[i], self.orders))]
+        return self.index_of_coords(-x for x in self.coordinates[i])
 
     def __repr__(self) -> str:
         shape = " ⊕ ".join(f"Z/{d}" for d in self.invariant_factors) or "trivial"

@@ -22,7 +22,10 @@ from .errors import (
     EquivarianceFailure,
     NotAHomomorphism,
     NotAnAction,
+    NotCentral,
     NotComposable,
+    NotContained,
+    NotNormal,
     PeifferFailure,
     TooLarge,
 )
@@ -140,7 +143,8 @@ def _pi1_data(K: CrossedModule):
     member = frozenset(image)
     for g in G.elements:
         for x in image:
-            assert G.conj(g, x) in member, "boundary image must be normal"
+            if G.conj(g, x) not in member:
+                raise NotNormal(f"{g}·{x}·{g}⁻¹ is outside the boundary image", witness=(g, x))
     rep_of = np.full(G.order, -1, dtype=np.int64)
     reps = []
     for g in G.elements:
@@ -173,7 +177,9 @@ def pi2(K: CrossedModule) -> Subgroup:
     els = tuple(h for h in K.H.elements if K.boundary[h] == 0)
     sub = Subgroup(K.H, els)
     for h in els:
-        assert all(K.H.commutes(h, x) for x in K.H.elements), "kernel must be central"
+        for x in K.H.elements:
+            if not K.H.commutes(h, x):
+                raise NotCentral(f"kernel element {h} does not commute with {x}", witness=(h, x))
     return sub
 
 
@@ -189,7 +195,10 @@ def restrict(K: CrossedModule, P: Subgroup) -> CrossedModule:
     sub = Subgroup(K.G, pre)
     grp, to_sub, _ = subgroup_group(sub)
     boundary = to_sub[K.boundary]
-    assert boundary.min() >= 0, "boundary image must land in the preimage"
+    outside = np.flatnonzero(boundary < 0)
+    if len(outside):
+        h = int(outside[0])
+        raise NotContained(f"∂{h} = {int(K.boundary[h])} is outside the preimage", witness=h)
     action = K.action[list(pre)]
     return CrossedModule(K.H, grp, boundary, action)
 

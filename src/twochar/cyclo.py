@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotAMultiple
+from .errors import InexactDivision, NotAMultiple, NotMonic
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +52,8 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...]):
     """Division with remainder by a monic integer polynomial."""
-    assert den[-1] == 1, "divisor must be monic"
+    if den[-1] != 1:
+        raise NotMonic(f"divisor {den} is not monic", witness=den)
     rem = list(num)
     d = len(den) - 1
     quo = [0] * max(len(rem) - d, 0)
@@ -87,7 +88,8 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
         if L % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     quo, rem = _poly_divmod(num, den)
-    assert rem == (), "cyclotomic division must be exact"
+    if rem:
+        raise InexactDivision(f"x^{L} − 1 leaves the remainder {rem}", witness=(L, rem))
     return quo
 
 

@@ -47,7 +47,18 @@ class WrongWitness(TwoCharError):
 
 
 class NotContained(TwoCharError):
-    """Conjugated subgroup is not inside the cochain's domain group."""
+    """A conjugated subgroup or an image is not inside the group it must lie
+    in; ``witness`` is an element that falls outside."""
+
+
+class NotNormal(TwoCharError):
+    """A subgroup that must be normal is not; ``witness`` is (g, x) with
+    g·x·g⁻¹ outside it."""
+
+
+class NotCentral(TwoCharError):
+    """A subgroup that must be central is not; ``witness`` is (h, x) with
+    h·x ≠ x·h."""
 
 
 class DegreeZero(TwoCharError):
@@ -109,6 +120,22 @@ class NotNormalized(TwoCharError):
 class FormulasDisagree(TwoCharError):
     """The three 2-character formulas gave different values; ``witness`` is
     (a, b, column, mark value, transversal value, fixed-point value)."""
+
+
+class TwistMismatch(TwoCharError):
+    """The measured projective factor of a twisted representation is not
+    the twist over ℂ^×; ``witness`` is (ℂ^× coordinates of the measured
+    factor, ℂ^× coordinates of the twist)."""
+
+
+class NotMonic(TwoCharError):
+    """Polynomial division by a divisor whose leading coefficient is not 1;
+    ``witness`` is the divisor."""
+
+
+class InexactDivision(TwoCharError):
+    """A polynomial division that must be exact left a remainder; ``witness``
+    is (level, remainder)."""
 
 
 class NotScalarMultiple(TwoCharError):

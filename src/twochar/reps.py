@@ -11,8 +11,14 @@ equivalence invariant, so every constructor canonicalizes:
   normalizer action;
 * the orbit list is sorted.
 
+Pullback along conjugation is a homomorphism of class groups, so
+:func:`pullback_map` pulls back only the generator classes as cochains and
+reads every other image off its Schur coordinates.  The normalizer action and
+the tensor product work on these class coordinates alone; cochains are
+canonicalized only where a caller hands one in.
+
 Constructions: direct sum, tensor product (double-coset decomposition with
-pulled-back cocycle addition), contragradient, induction to a bigger ambient
+pulled-back class addition), contragradient, induction to a bigger ambient
 group, Mackey restriction to a subgroup, and the round trip between decorated
 sets and permutation-valued 2-cocycles via the Shapiro transfer maps.
 """
@@ -34,11 +40,10 @@ from .cochains import (
     differential,
     is_cocycle,
     random_cochain,
-    restrict,
     schur_classes,
     raise_level,
 )
-from .errors import AmbientMismatch, NotACocycle, NotASubgroup
+from .errors import AmbientMismatch, NotACocycle, NotASubgroup, NotContained
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -85,20 +90,40 @@ def _class_reps(G: FiniteGroup) -> dict:
 
 
 @lru_cache(maxsize=None)
+def pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
+    """For subgroups A, B with g·B·g⁻¹ ⊆ A: the index in linear_classes(B) of
+    the pullback along conjugation by g of each class of linear_classes(A).
+
+    Pullback is a homomorphism of the class groups, so only the generator
+    classes (coordinates e_k) are pulled back as cochains; the image of the
+    class with coordinates c is Σ c_k·img_k, read off mod the orders of B.
+    Raises :class:`NotContained` with the violating element of B unless
+    g·B·g⁻¹ ⊆ A, also where H²(A) is trivial and no cochain is pulled back."""
+    G, members = A.parent, frozenset(A.elements)
+    outside = [b for b in B.elements if G.conj(g, b) not in members]
+    if outside:
+        raise NotContained(f"{g}·{outside[0]}·{g}⁻¹ is outside the target subgroup", witness=outside[0])
+    sa, sb = linear_classes(A), linear_classes(B)
+    n, m = len(sa.orders), len(sb.orders)
+    imgs = []  # imgs[k]: the coordinates over B of the pullback of e_k
+    for k in range(n):
+        e_k = sa.representatives[sa.index_of_coords(int(t == k) for t in range(n))]
+        imgs.append(sb.coordinates[sb.index_of(conjugate_pullback(e_k, g, B))])
+    return tuple(
+        sb.index_of_coords(sum(c * img[t] for c, img in zip(coords, imgs)) for t in range(m))
+        for coords in sa.coordinates
+    )
+
+
+@lru_cache(maxsize=None)
 def _normalizer_min(P0: Subgroup) -> tuple[int, ...]:
     """Map each class index of linear_classes(P0) to the least index in its
     orbit under pullback along the normalizer of P0."""
-    sc = linear_classes(P0)
-    G = P0.parent
-    k = len(sc)
     # pullbacks along a subgroup compose within themselves, so one sweep over
     # the normalizer covers each full orbit
-    best = list(range(k))
-    for n in normalizer(G, P0).elements:
-        for i in range(k):
-            j = sc.index_of(conjugate_pullback(sc.representatives[i], n, P0))
-            if j < best[i]:
-                best[i] = j
+    best = list(range(len(linear_classes(P0))))
+    for n in normalizer(P0.parent, P0).elements:
+        best = [min(b, j) for b, j in zip(best, pullback_map(P0, n, P0))]
     return tuple(best)
 
 
@@ -208,25 +233,31 @@ def _intersection(P: Subgroup, other_elements) -> Subgroup:
 
 
 def tensor(r: Rep2, s: Rep2) -> Rep2:
-    """Orbit-pairwise double-coset decomposition; decorations restrict, pull
-    back, and add at a common level."""
+    """Orbit-pairwise double-coset decomposition, on class coordinates.
+
+    For a double coset PxQ the orbit has stabilizer J = P ∩ xQx⁻¹ = c·P₀·c⁻¹,
+    P₀ its class representative.  Restriction to J followed by conjugation
+    onto P₀ is the one conjugation by c (for P) or by x⁻¹c (for Q), and the
+    ℂ^× class of a sum is the sum of the classes at any level, so the
+    decoration is the sum of two ``pullback_map`` images, minimized over the
+    normalizer of P₀; no cochain is built."""
     if r.group != s.group:
         raise AmbientMismatch("factors live over different groups")
     G = r.group
-    terms = []
+    reps = _class_reps(G)
+    orbits = []
     for o1 in r.orbits:
-        P, mu = o1.subgroup, o1.cocycle
+        P, i = o1.subgroup, o1.schur_index
         for o2 in s.orbits:
-            Q, nu = o2.subgroup, o2.cocycle
-            M = math.lcm(mu.level, nu.level)
-            mu_M, nu_M = raise_level(mu, M), raise_level(nu, M)
+            Q, j = o2.subgroup, o2.schur_index
             for coset in double_cosets(G, P, Q):
                 x = coset[0]
-                conj_Q = {G.conj(x, q) for q in Q.elements}
-                J = _intersection(P, conj_Q)
-                t = restrict(mu_M, J) + conjugate_pullback(nu_M, G.inv(x), J)
-                terms.append((J, t))
-    return rep2(G, terms)
+                J = _intersection(P, {G.conj(x, q) for q in Q.elements})
+                P0, c = reps[J]
+                sc = linear_classes(P0)
+                k = sc.add(pullback_map(P, c, P0)[i], pullback_map(Q, G.mul(G.inv(x), c), P0)[j])
+                orbits.append(Orbit(P0, _normalizer_min(P0)[k]))
+    return Rep2(G, tuple(sorted(orbits, key=_orbit_key)))
 
 
 def contragradient(r: Rep2) -> Rep2:

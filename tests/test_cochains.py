@@ -97,6 +97,21 @@ def test_module_action_shapes(s3):
     assert is_cocycle(differential(random_cochain(module, 1, random.Random(1))))
 
 
+def test_each_distinct_module_action_is_checked_once(s3):
+    cochains._check_action.cache_clear()
+    module = GModule.permutation(s3, s3.table, 4)
+    assert GModule.permutation(s3, s3.table, 8).at_level(4) == module
+    GModule.trivial(s3, 6).at_level(12)
+    assert cochains._check_action.cache_info().misses == 2
+    # a failed check is not cached: a bad action is refused on every build
+    bad = s3.table.copy()
+    bad[1, :2] = 0
+    for n in range(2):
+        with pytest.raises(ValueError, match="element 1 does not act by a permutation"):
+            GModule.permutation(s3, bad, 4)
+        assert cochains._check_action.cache_info().misses == 3 + n
+
+
 def test_coboundaries_are_cocycles(v4):
     module = GModule.trivial(v4, 8)
     for seed in range(5):

@@ -1,0 +1,118 @@
+"""Checks that guard a result raise typed errors with a witness, so that they
+still fire under ``python -O``, which strips ``assert`` statements.
+
+Each guard is tripped in a ``python -O`` subprocess: by a bad input where
+the public entry points refuse to build one, or by patching the step the
+guard checks.  The subprocess prints one JSON line per guard: the exception
+type and its witness.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_TRIP = r"""
+import json, sys, types
+import numpy as np
+from twochar import characters, crossed, cyclo
+from twochar.cyclo import RootOfUnity
+from twochar.groups import Subgroup, from_cayley_table, from_permutation_generators, full_subgroup
+from twochar.reps import linear_classes
+
+V4 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)], name="V4")
+Z4 = from_cayley_table([[(i + j) % 4 for j in range(4)] for i in range(4)], name="Z4")
+S3 = from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], name="S3")
+MU = linear_classes(full_subgroup(V4)).representatives[1]
+
+
+def measured_factor_not_a_cocycle():
+    original, calls = characters.raise_root_level, []
+
+    def shifted(lam, level):
+        calls.append(lam)
+        root = original(lam, level)
+        return RootOfUnity(level, root.exponent + 1) if len(calls) == 1 else root
+
+    characters.raise_root_level = shifted
+    characters.twisted_regular(MU)
+
+
+def measured_factor_not_the_twist():
+    original = characters._cx_coords
+    characters._cx_coords = lambda c: original(c) + ((1,) if c is MU else (0,))
+    characters.twisted_regular.__wrapped__(MU)
+
+
+def boundary_image_not_normal():
+    # a transposition of S3 as the whole boundary image
+    crossed._pi1_data.__wrapped__(types.SimpleNamespace(G=S3, boundary=np.array([0, 1])))
+
+
+def kernel_not_central():
+    crossed.pi2(types.SimpleNamespace(H=S3, boundary=np.zeros(S3.order, dtype=np.int64)))
+
+
+def boundary_outside_the_preimage():
+    # π₁ claimed to be all of Z4, so ∂1 = 2 is outside the preimage of {0}
+    K = types.SimpleNamespace(G=Z4, boundary=np.array([0, 2]))
+    crossed._pi1_data = lambda K: (Z4, np.arange(4), tuple(range(4)))
+    crossed.restrict(K, Subgroup(Z4, (0,)))
+
+
+def divisor_not_monic():
+    cyclo._poly_divmod((1, 0, 1), (1, 2))
+
+
+def cyclotomic_division_not_exact():
+    cyclo.cyclotomic_polynomial.cache_clear()
+    cyclo._poly_mul = lambda a, b: (2, 1)
+    cyclo.cyclotomic_polynomial(2)
+
+
+print(sys.flags.optimize)
+for case in (
+    measured_factor_not_a_cocycle,
+    measured_factor_not_the_twist,
+    boundary_image_not_normal,
+    kernel_not_central,
+    boundary_outside_the_preimage,
+    divisor_not_monic,
+    cyclotomic_division_not_exact,
+):
+    try:
+        case()
+        print(json.dumps([case.__name__, None, None]))
+    except Exception as exc:
+        print(json.dumps([case.__name__, type(exc).__name__, getattr(exc, "witness", None)]))
+"""
+
+EXPECTED = {
+    "measured_factor_not_a_cocycle": ("NotACocycle", [0, 0, 1]),
+    "measured_factor_not_the_twist": ("TwistMismatch", [[1, 0], [1, 1]]),
+    "boundary_image_not_normal": ("NotNormal", [2, 1]),
+    "kernel_not_central": ("NotCentral", [1, 2]),
+    "boundary_outside_the_preimage": ("NotContained", 1),
+    "divisor_not_monic": ("NotMonic", [1, 2]),
+    "cyclotomic_division_not_exact": ("InexactDivision", [2, [3]]),
+}
+
+
+@pytest.fixture(scope="module")
+def tripped():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TRIP], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "1"
+    return {name: (kind, witness) for name, kind, witness in map(json.loads, lines[1:])}
+
+
+@pytest.mark.parametrize("case", EXPECTED)
+def test_guard_raises_a_typed_error_under_optimize_flag(tripped, case):
+    assert tripped[case] == EXPECTED[case]

@@ -1,0 +1,120 @@
+"""Decoration classes moved as Schur coordinates: ``reps.pullback_map``.
+
+The map is checked class by class against the cochain route it replaces
+(conjugate_pullback + index_of), and ``tensor`` against a cochain-level
+reference: the decorated double-coset sum as it was computed before class
+coordinates, with its own normalizer minimum over cochains.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from conftest import dihedral_4, quaternion_8, symmetric_3
+from twochar import cochains, reps
+from twochar.burnside import basis
+from twochar.cochains import conjugate_pullback, raise_level, restrict
+from twochar.errors import NotContained
+from twochar.groups import (
+    Subgroup,
+    all_subgroups,
+    double_cosets,
+    from_permutation_generators,
+    group_from_json,
+    normalizer,
+)
+from twochar.reps import Orbit, Rep2, _class_reps, _orbit_key, linear_classes, pullback_map, tensor
+
+Z4xZ2 = group_from_json({"name": "Z4xZ2", "degree": 6, "generators": [[1, 2, 3, 0, 4, 5], [0, 1, 2, 3, 5, 4]]})
+Z2_3 = group_from_json({"name": "Z2^3", "cayley": [[i ^ j for j in range(8)] for i in range(8)]})
+# the swap of Z3²⋊C2 inverts H²(Z3²; ℂ^×) = ℤ/3, so conjugation moves a class
+Z3SQ_C2 = group_from_json(json.loads((Path(__file__).resolve().parent / "data" / "z3sq_c2.json").read_text()))
+# S4 is the smallest group here where a double coset's conjugator x⁻¹c and
+# its mirror c·x⁻¹ send a stabilizer to different subgroups
+S4 = from_permutation_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="S4")
+GROUPS = [symmetric_3(), dihedral_4(), quaternion_8(), Z4xZ2, Z2_3, Z3SQ_C2, S4]
+
+
+def _conjugators(G, A, B):
+    """Every g with g·B·g⁻¹ ⊆ A."""
+    members = frozenset(A.elements)
+    return [g for g in G.elements if all(G.conj(g, b) in members for b in B.elements)]
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
+def test_pullback_map_matches_the_cochain_pullback_on_every_class(G):
+    checked = 0
+    for A in all_subgroups(G):
+        sa = linear_classes(A)
+        for B in all_subgroups(G):
+            sb = linear_classes(B)
+            for g in _conjugators(G, A, B):
+                expect = tuple(sb.index_of(conjugate_pullback(rep, g, B)) for rep in sa.representatives)
+                assert pullback_map(A, g, B) == expect, (A, g, B)
+                checked += len(expect)
+    assert checked > 0
+
+
+def test_pullback_map_refuses_a_conjugator_that_leaves_the_target():
+    G = symmetric_3()
+    A, B = [P for P in all_subgroups(G) if P.order == 2][:2]
+    assert len(linear_classes(A)) == 1  # no class to pull back as a cochain
+    with pytest.raises(NotContained) as info:
+        pullback_map(A, 0, B)
+    assert info.value.witness == B.elements[1]
+
+
+def _reference_normalizer_min(P0):
+    sc = linear_classes(P0)
+    best = list(range(len(sc)))
+    for n in normalizer(P0.parent, P0).elements:
+        for i, rep in enumerate(sc.representatives):
+            best[i] = min(best[i], sc.index_of(conjugate_pullback(rep, n, P0)))
+    return best
+
+
+def _reference_tensor(r, s):
+    """Restrict, pull back and add the decorations as cochains at a common
+    level, then canonicalize each term through cochains."""
+    G = r.group
+    orbits = []
+    for o1 in r.orbits:
+        P, mu = o1.subgroup, o1.cocycle
+        for o2 in s.orbits:
+            Q, nu = o2.subgroup, o2.cocycle
+            M = math.lcm(mu.level, nu.level)
+            mu_M, nu_M = raise_level(mu, M), raise_level(nu, M)
+            for coset in double_cosets(G, P, Q):
+                x = coset[0]
+                conj_Q = {G.conj(x, q) for q in Q.elements}
+                J = Subgroup(G, tuple(sorted(set(P.elements) & conj_Q)))
+                t = restrict(mu_M, J) + conjugate_pullback(nu_M, G.inv(x), J)
+                P0, c = _class_reps(G)[J]
+                i = linear_classes(P0).index_of(conjugate_pullback(t, c, P0))
+                orbits.append(Orbit(P0, _reference_normalizer_min(P0)[i]))
+    return Rep2(G, tuple(sorted(orbits, key=_orbit_key)))
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
+def test_tensor_matches_the_cochain_reference_on_every_pair_of_basis_pairs(G):
+    pairs = basis(G)
+    for a in pairs:
+        for b in pairs:
+            r, s = Rep2(G, (a,)), Rep2(G, (b,))
+            assert tensor(r, s) == _reference_tensor(r, s), (a, b)
+
+
+def test_warm_tensor_builds_no_cochain(monkeypatch):
+    G = dihedral_4()
+    pairs = basis(G)
+    products = {(a, b): tensor(Rep2(G, (a,)), Rep2(G, (b,))) for a in pairs for b in pairs}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("conjugate_pullback ran on warm maps")
+
+    monkeypatch.setattr(cochains, "conjugate_pullback", refuse)
+    monkeypatch.setattr(reps, "conjugate_pullback", refuse)
+    for (a, b), product in products.items():
+        assert tensor(Rep2(G, (a,)), Rep2(G, (b,))) == product

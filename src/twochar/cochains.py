@@ -159,7 +159,7 @@ class Cochain:
         self.module = module
         self.degree = degree
         self.values = arr
-        self._hash = hash((module, degree, arr.tobytes()))
+        self._hash = None
 
     @staticmethod
     def zero(module: GModule, degree: int) -> "Cochain":
@@ -193,6 +193,9 @@ class Cochain:
         )
 
     def __hash__(self) -> int:
+        # computed on first use: most cochains are compared, never hashed
+        if self._hash is None:
+            self._hash = hash((self.module, self.degree, self.values.tobytes()))
         return self._hash
 
     def __add__(self, other: "Cochain") -> "Cochain":
@@ -238,16 +241,14 @@ def differential(c: Cochain) -> Cochain:
     """
     G, module, n = c.group, c.module, c.degree
     v = c.values
-    # first term: act on the module point, new g₁ axis in front
-    first = np.moveaxis(np.take(v, module.inverse_action, axis=-1), -2, 0)
-    out = first.astype(np.int64)
+    # first term: act on the module point, then move the new g₁ axis in front
+    out = v[..., module.inverse_action].transpose((n, *range(n), n + 1))
     sign = -1
     for k in range(1, n + 1):
         # merge arguments k and k+1 through the multiplication table
-        term = np.take(v, G.table, axis=k - 1)
-        out = out + sign * term
+        out = out + sign * v[(slice(None),) * (k - 1) + (G.table,)]
         sign = -sign
-    out = out + sign * np.expand_dims(v, axis=n)
+    out = out + sign * v.reshape(v.shape[:n] + (1,) + v.shape[n:])
     return Cochain(module, n + 1, out)
 
 
@@ -634,11 +635,35 @@ def schur_classes(G: FiniteGroup) -> CohomologyClassSet:
 # Random cochains/cocycles (deterministic given an RNG)
 
 
+# Below this many missing entries one ``randrange`` per entry is cheaper than
+# a bulk round of numpy calls.
+_LOOP_DRAWS = 16
+
+
 def random_cochain(module: GModule, degree: int, rng) -> Cochain:
+    """Uniform cochain drawn from ``rng`` (a ``random.Random``): the entries,
+    in C order, and the generator's final state are exactly those of
+    ``[rng.randrange(L) for _ in range(n)]``.
+
+    ``randrange(L)`` draws 32-bit words w and keeps the first w >> (32 − k)
+    below L, with k = L.bit_length(); ``getrandbits(32·r)`` returns the next
+    r such words, least significant first.  Each round draws one word per
+    missing entry, which the loop would draw too, and keeps the accepted
+    ones; the last few entries, where a round costs more than the loop, are
+    drawn by ``randrange`` itself.  Levels need k ≤ 32: a level of 2³² or
+    more raises :class:`TooLarge` before any draw."""
     m, X, L = module.group.order, module.size, module.level
+    k = L.bit_length()
+    if k > 32:
+        raise TooLarge(f"level {L} exceeds the random-draw bound 2^32 − 1")
     shape = (m,) * degree + (X,)
-    flat = [rng.randrange(L) for _ in range(int(np.prod(shape, dtype=np.int64)))]
-    return Cochain(module, degree, np.array(flat, dtype=np.int64).reshape(shape))
+    parts, r = [], prod(shape)
+    while r > _LOOP_DRAWS:
+        words = np.frombuffer(rng.getrandbits(32 * r).to_bytes(4 * r, "little"), dtype="<u4") >> (32 - k)
+        parts.append(words[words < L])
+        r -= len(parts[-1])
+    parts.append(np.array([rng.randrange(L) for _ in range(r)], dtype=np.int64))
+    return Cochain(module, degree, np.concatenate(parts).reshape(shape))
 
 
 def random_cocycle(module: GModule, rng) -> Cochain:

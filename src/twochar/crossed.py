@@ -43,7 +43,7 @@ from .groups import (
 class CrossedModule:
     """Validated crossed module: boundary[h] = ∂h, action[g][h] = ᵍh."""
 
-    __slots__ = ("H", "G", "boundary", "action", "_hash")
+    __slots__ = ("H", "G", "boundary", "action", "_hash", "_boundary", "_action")
 
     def __init__(self, H: FiniteGroup, G: FiniteGroup, boundary, action):
         boundary = np.ascontiguousarray(boundary, dtype=np.int64)
@@ -59,9 +59,12 @@ class CrossedModule:
         self.boundary = boundary
         self.action = action
         self._hash = hash((H, G, boundary.tobytes(), action.tobytes()))
+        # list copies for the scalar lookups of ``act`` and ``TwoMorphism``
+        self._boundary = boundary.tolist()
+        self._action = action.tolist()
 
     def act(self, g: int, h: int) -> int:
-        return int(self.action[g, h])
+        return self._action[g][h]
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -218,7 +221,7 @@ class TwoMorphism:
 
     @property
     def target(self) -> int:
-        return self.K.G.mul(int(self.K.boundary[self.label]), self.source)
+        return self.K.G.mul(self.K._boundary[self.label], self.source)
 
 
 def vertical_compose(f: TwoMorphism, e: TwoMorphism) -> TwoMorphism:

@@ -89,7 +89,6 @@ def _class_reps(G: FiniteGroup) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
     """For subgroups A, B with g·B·g⁻¹ ⊆ A: the index in linear_classes(B) of
     the pullback along conjugation by g of each class of linear_classes(A).
@@ -98,7 +97,19 @@ def pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
     classes (coordinates e_k) are pulled back as cochains; the image of the
     class with coordinates c is Σ c_k·img_k, read off mod the orders of B.
     Raises :class:`NotContained` with the violating element of B unless
-    g·B·g⁻¹ ⊆ A, also where H²(A) is trivial and no cochain is pulled back."""
+    g·B·g⁻¹ ⊆ A, also where H²(A) is trivial and no cochain is pulled back.
+
+    The map depends on the coset A·g alone: conjugation by a ∈ A is inner on
+    A, so it fixes every class of H²(A), and a·g·b·g⁻¹·a⁻¹ lies in A exactly
+    when g·b·g⁻¹ does.  So g is replaced by the least element of A·g before
+    the cached lookup, and the witness is the same b."""
+    G = A.parent
+    return _pullback_map(A, min(G.mul(a, g) for a in A.elements), B)
+
+
+@lru_cache(maxsize=None)
+def _pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
+    """``pullback_map`` for the least element g of its coset A·g."""
     G, members = A.parent, frozenset(A.elements)
     outside = [b for b in B.elements if G.conj(g, b) not in members]
     if outside:

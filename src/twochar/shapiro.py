@@ -57,7 +57,8 @@ def factorize(G: FiniteGroup, Q: Subgroup, t: int, gs) -> Factorization:
 
 
 class ShapiroContext:
-    """Precomputed tables for one (G, Q, M) triple."""
+    """Precomputed tables for one (G, Q, M) triple, and the flat gather
+    indices of ψ, φ and ϖ, built per degree on first use."""
 
     def __init__(self, G: FiniteGroup, Q: Subgroup, M: GModule):
         if Q.parent != G:
@@ -94,24 +95,74 @@ class ShapiroContext:
                 for y in range(Y):
                     act[g, ti * Y + y] = t2 * Y + row[y]
         self.coinduced = GModule.permutation(G, act, M.level)
-        self._tables: dict[int, tuple] = {}
+        self._indices: dict[tuple, np.ndarray] = {}
 
     def _chain_tables(self, n: int):
         """Arrays over (T, g₁, …, gₙ): subgroup parts (both labelings) and
         running representatives of the prefix factorizations."""
-        if n not in self._tables:
-            G = self.G
-            m = G.order
-            Spar = [np.array(self.transversal, dtype=np.int64).reshape(self.nT, *([1] * n))]
-            Hq, Hpar = [], []
-            for k in range(1, n + 1):
-                g_axis = np.arange(m).reshape(*([1] * k), m, *([1] * (n - k)))
-                x = G.table[Spar[-1], g_axis]          # s_{k−1}·g_k, broadcast
-                Hq.append(self.hq_of[x])
-                Hpar.append(self.hpar_of[x])
-                Spar.append(self.spar_of[x])
-            self._tables[n] = (Hq, Hpar, Spar)
-        return self._tables[n]
+        G = self.G
+        m = G.order
+        Spar = [np.array(self.transversal, dtype=np.int64).reshape(self.nT, *([1] * n))]
+        Hq, Hpar = [], []
+        for k in range(1, n + 1):
+            g_axis = np.arange(m).reshape(*([1] * k), m, *([1] * (n - k)))
+            x = G.table[Spar[-1], g_axis]          # s_{k−1}·g_k, broadcast
+            Hq.append(self.hq_of[x])
+            Hpar.append(self.hpar_of[x])
+            Spar.append(self.spar_of[x])
+        return Hq, Hpar, Spar
+
+    def _to_cochain_shape(self, idx: np.ndarray) -> np.ndarray:
+        """Base positions over (T, g₁..gₙ), plus the module slot y < Y, laid
+        out as a cochain over the coinduced module: axes (g₁..gₙ, T·Y + y)."""
+        n = idx.ndim - 1
+        idx = np.moveaxis(idx[..., None] + np.arange(self.Y), 0, n)
+        return np.ascontiguousarray(idx).reshape((self.G.order,) * n + (self.X,))
+
+    def gather_index(self, kind: str, n: int) -> np.ndarray:
+        """Flat index into a cochain's values for ``psi``, ``phi`` or
+        ``homotopy_varpi`` in degree n, built once per kind and degree."""
+        key = (kind, n)
+        if key not in self._indices:
+            build = {"psi": self._psi_index, "phi": self._phi_index, "varpi": self._varpi_index}[kind]
+            idx = build(n)
+            idx.setflags(write=False)
+            self._indices[key] = idx
+        return self._indices[key]
+
+    def _psi_index(self, n: int) -> np.ndarray:
+        """ψμ(g₁..gₙ)(t, y) = μ(h₁..hₙ)(y): positions in μ's values."""
+        q, m = self.qgrp.order, self.G.order
+        idx = np.zeros((self.nT,) + (m,) * n, dtype=np.int64)
+        for h in self._chain_tables(n)[0]:
+            idx = idx * q + h
+        return self._to_cochain_shape(idx * self.Y)
+
+    def _phi_index(self, n: int) -> np.ndarray:
+        """φθ(q₁..qₙ)(y) = θ(q₁..qₙ)(identity coset, y): positions in θ's values."""
+        els = np.array(self.Q.elements, dtype=np.int64)
+        idx = np.zeros((), dtype=np.int64)
+        for _ in range(n):
+            idx = idx[..., None] * self.G.order + els
+        return idx[..., None] * self.X + np.arange(self.Y)
+
+    def _varpi_index(self, n: int) -> np.ndarray:
+        """The n terms of ϖθ in degree n (j = 0..n−1, stacked on a leading
+        axis): positions in θ's values of θ(h₁..h_j, s_j, g_{j+1}..g_{n−1})(y)
+        at the identity coset."""
+        m = self.G.order
+        _, Hpar, Spar = self._chain_tables(n - 1)
+        shape = (self.nT,) + (m,) * (n - 1)
+        terms = []
+        for j in range(n):
+            idx = np.zeros(shape, dtype=np.int64)
+            for h in Hpar[:j]:
+                idx = idx * m + h
+            idx = idx * m + Spar[j]
+            for k in range(j + 1, n):
+                idx = idx * m + np.arange(m).reshape(*([1] * k), m, *([1] * (n - 1 - k)))
+            terms.append(self._to_cochain_shape(idx * self.X))
+        return np.stack(terms)
 
 
 @lru_cache(maxsize=None)
@@ -124,15 +175,7 @@ def psi(ctx: ShapiroContext, mu: Cochain) -> Cochain:
     if mu.module != ctx.M:
         raise ValueError("cochain is not over the context's subgroup module")
     n = mu.degree
-    q, Y, m = ctx.qgrp.order, ctx.Y, ctx.G.order
-    Hq, _, _ = ctx._chain_tables(n)
-    idx = np.zeros((ctx.nT,) + (m,) * n, dtype=np.int64)
-    for h in Hq:
-        idx = idx * q + h
-    idx = idx[..., None] * Y + np.arange(Y)          # (T, g₁..gₙ, y)
-    vals = mu.values.reshape(-1)[idx]
-    vals = np.moveaxis(vals, 0, n)                   # (g₁..gₙ, T, y)
-    return Cochain(ctx.coinduced, n, vals.reshape((m,) * n + (ctx.X,)))
+    return Cochain(ctx.coinduced, n, mu.values.reshape(-1)[ctx.gather_index("psi", n)])
 
 
 def phi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
@@ -140,9 +183,7 @@ def phi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
     if theta.module != ctx.coinduced:
         raise ValueError("cochain is not over the context's coinduced module")
     n = theta.degree
-    els = np.array(ctx.Q.elements, dtype=np.int64)
-    vals = theta.values[np.ix_(*([els] * n))][..., 0 : ctx.Y] if n else theta.values[0 : ctx.Y]
-    return Cochain(ctx.M, n, vals)
+    return Cochain(ctx.M, n, theta.values.reshape(-1)[ctx.gather_index("phi", n)])
 
 
 def homotopy_varpi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
@@ -159,22 +200,5 @@ def homotopy_varpi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
     n = theta.degree
     if n == 0:
         raise DegreeZero("the homotopy lowers degree; degree 0 has no target")
-    m, Y = ctx.G.order, ctx.Y
-    _, Hpar, Spar = ctx._chain_tables(n - 1)
-    theta_flat = theta.values.reshape(-1)
-    shape = (ctx.nT,) + (m,) * (n - 1)
-    out = np.zeros(shape + (Y,), dtype=np.int64)
-    sign = -1
-    for j in range(n):
-        idx = np.zeros(shape, dtype=np.int64)
-        for h in Hpar[:j]:
-            idx = idx * m + h
-        idx = idx * m + np.broadcast_to(Spar[j], shape)
-        for k in range(j + 1, n):
-            g_axis = np.arange(m).reshape(*([1] * k), m, *([1] * (n - 1 - k)))
-            idx = idx * m + g_axis
-        idx = idx[..., None] * ctx.X + np.arange(Y)
-        out = out + sign * theta_flat[idx]
-        sign = -sign
-    out = np.moveaxis(out, 0, n - 1)                 # (g₁..g_{n−1}, T, y)
-    return Cochain(ctx.coinduced, n - 1, out.reshape((m,) * (n - 1) + (ctx.X,)))
+    terms = theta.values.reshape(-1)[ctx.gather_index("varpi", n)]
+    return Cochain(ctx.coinduced, n - 1, terms[1::2].sum(axis=0) - terms[0::2].sum(axis=0))

@@ -1,0 +1,193 @@
+"""The cochain, transfer and group kernels against reference copies of the
+numpy-call formulations they replaced: ``np.take``/``np.moveaxis`` for the
+differential, per-call index arithmetic for ψ, φ and ϖ, and numpy scalar
+lookups for the group operations.  Values must agree byte for byte."""
+
+import numpy as np
+import pytest
+
+from twochar.cochains import Cochain, GModule, differential
+from twochar.crossed import TwoMorphism, load_crossed
+from twochar.groups import all_subgroups, load_group, subgroup_group
+from twochar.shapiro import homotopy_varpi, phi, psi, shapiro_context
+
+BUNDLED = ("z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "v4", "s3", "d4", "q8")
+GROUPS = [load_group(name) for name in BUNDLED]
+
+
+def _modules(G):
+    """A trivial and a permutation module (left translation) over G."""
+    return [GModule.trivial(G, 6), GModule.permutation(G, G.table, 4)]
+
+
+def _random_values(module, degree, seed):
+    m, X, L = module.group.order, module.size, module.level
+    return np.random.default_rng(seed).integers(0, L, size=(m,) * degree + (X,))
+
+
+def _same(new: Cochain, ref: Cochain):
+    assert new.module == ref.module and new.degree == ref.degree
+    assert new.values.dtype == ref.values.dtype and new.values.shape == ref.values.shape
+    assert new.values.tobytes() == ref.values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels
+
+
+def _ref_differential(c):
+    G, module, n = c.group, c.module, c.degree
+    v = c.values
+    first = np.moveaxis(np.take(v, module.inverse_action, axis=-1), -2, 0)
+    out = first.astype(np.int64)
+    sign = -1
+    for k in range(1, n + 1):
+        out = out + sign * np.take(v, G.table, axis=k - 1)
+        sign = -sign
+    out = out + sign * np.expand_dims(v, axis=n)
+    return Cochain(module, n + 1, out)
+
+
+def _ref_chain_tables(ctx, n):
+    G = ctx.G
+    m = G.order
+    Spar = [np.array(ctx.transversal, dtype=np.int64).reshape(ctx.nT, *([1] * n))]
+    Hq, Hpar = [], []
+    for k in range(1, n + 1):
+        g_axis = np.arange(m).reshape(*([1] * k), m, *([1] * (n - k)))
+        x = G.table[Spar[-1], g_axis]
+        Hq.append(ctx.hq_of[x])
+        Hpar.append(ctx.hpar_of[x])
+        Spar.append(ctx.spar_of[x])
+    return Hq, Hpar, Spar
+
+
+def _ref_psi(ctx, mu):
+    n = mu.degree
+    q, Y, m = ctx.qgrp.order, ctx.Y, ctx.G.order
+    Hq, _, _ = _ref_chain_tables(ctx, n)
+    idx = np.zeros((ctx.nT,) + (m,) * n, dtype=np.int64)
+    for h in Hq:
+        idx = idx * q + h
+    idx = idx[..., None] * Y + np.arange(Y)
+    vals = np.moveaxis(mu.values.reshape(-1)[idx], 0, n)
+    return Cochain(ctx.coinduced, n, vals.reshape((m,) * n + (ctx.X,)))
+
+
+def _ref_phi(ctx, theta):
+    n = theta.degree
+    els = np.array(ctx.Q.elements, dtype=np.int64)
+    vals = theta.values[np.ix_(*([els] * n))][..., 0 : ctx.Y] if n else theta.values[0 : ctx.Y]
+    return Cochain(ctx.M, n, vals)
+
+
+def _ref_varpi(ctx, theta):
+    n = theta.degree
+    m, Y = ctx.G.order, ctx.Y
+    _, Hpar, Spar = _ref_chain_tables(ctx, n - 1)
+    theta_flat = theta.values.reshape(-1)
+    shape = (ctx.nT,) + (m,) * (n - 1)
+    out = np.zeros(shape + (Y,), dtype=np.int64)
+    sign = -1
+    for j in range(n):
+        idx = np.zeros(shape, dtype=np.int64)
+        for h in Hpar[:j]:
+            idx = idx * m + h
+        idx = idx * m + np.broadcast_to(Spar[j], shape)
+        for k in range(j + 1, n):
+            g_axis = np.arange(m).reshape(*([1] * k), m, *([1] * (n - 1 - k)))
+            idx = idx * m + g_axis
+        idx = idx[..., None] * ctx.X + np.arange(Y)
+        out = out + sign * theta_flat[idx]
+        sign = -sign
+    out = np.moveaxis(out, 0, n - 1)
+    return Cochain(ctx.coinduced, n - 1, out.reshape((m,) * (n - 1) + (ctx.X,)))
+
+
+# ---------------------------------------------------------------------------
+# Contexts: every subgroup of every bundled group, and the four pairs of
+# ``verify shapiro`` (Z3 and Z2 in S3, the rotations in D4, Z2 in Z4)
+
+
+def _shapiro_pairs():
+    s3, d4, z4 = load_group("s3"), load_group("d4"), load_group("z4")
+    return [
+        (s3, next(P for P in all_subgroups(s3) if P.order == 3)),
+        (s3, next(P for P in all_subgroups(s3) if P.order == 2)),
+        (d4, next(P for P in all_subgroups(d4) if P.order == 4 and max(d4.order_of(g) for g in P.elements) == 4)),
+        (z4, next(P for P in all_subgroups(z4) if P.order == 2)),
+    ]
+
+
+def _contexts(pairs):
+    out = []
+    for G, Q in pairs:
+        qgrp, _, _ = subgroup_group(Q)
+        out += [shapiro_context(G, Q, module) for module in _modules(qgrp)]
+    return out
+
+
+ALL_PAIRS = [(G, Q) for G in GROUPS for Q in all_subgroups(G)]
+SHAPIRO_CONTEXTS = _contexts(_shapiro_pairs())
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=BUNDLED)
+def test_differential_matches_the_reference_on_trivial_and_permutation_modules(G):
+    for module in _modules(G):
+        for degree in (0, 1, 2):
+            c = Cochain(module, degree, _random_values(module, degree, G.order + degree))
+            _same(differential(c), _ref_differential(c))
+
+
+@pytest.mark.parametrize("ctx", SHAPIRO_CONTEXTS, ids=lambda ctx: f"{ctx.G.name}{list(ctx.Q.elements)}/{ctx.M.size}")
+def test_differential_matches_the_reference_on_the_coinduced_modules(ctx):
+    for degree in (0, 1, 2):
+        c = Cochain(ctx.coinduced, degree, _random_values(ctx.coinduced, degree, degree))
+        _same(differential(c), _ref_differential(c))
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=BUNDLED)
+def test_transfer_kernels_match_the_reference_on_every_subgroup(G):
+    for ctx in _contexts((G, Q) for Q in all_subgroups(G)) + [c for c in SHAPIRO_CONTEXTS if c.G == G]:
+        for degree in (0, 1, 2):
+            mu = Cochain(ctx.M, degree, _random_values(ctx.M, degree, degree))
+            _same(psi(ctx, mu), _ref_psi(ctx, mu))
+            theta = Cochain(ctx.coinduced, degree, _random_values(ctx.coinduced, degree, 10 + degree))
+            _same(phi(ctx, theta), _ref_phi(ctx, theta))
+        for degree in (1, 2, 3):
+            theta = Cochain(ctx.coinduced, degree, _random_values(ctx.coinduced, degree, 20 + degree))
+            _same(homotopy_varpi(ctx, theta), _ref_varpi(ctx, theta))
+
+
+# ---------------------------------------------------------------------------
+# Scalar group and crossed-module lookups
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=BUNDLED)
+def test_group_operations_match_the_numpy_table(G):
+    t, inv = G.table, G.inverse
+    for a in G.elements:
+        assert G.inv(a) == int(inv[a])
+        for b in G.elements:
+            assert G.mul(a, b) == int(t[a, b])
+            assert G.conj(a, b) == int(t[t[a, b], inv[a]])
+            commutes = G.commutes(a, b)
+            assert type(commutes) is bool and commutes == bool(t[a, b] == t[b, a])
+        power = 0
+        for k in range(2 * G.order + 1):
+            assert G.power(a, k) == power
+            assert G.power(G.inv(a), k) == G.power(a, -k)
+            power = int(t[power, a])
+        n, x = 1, a
+        while x != 0:
+            x, n = int(t[x, a]), n + 1
+        assert G.order_of(a) == n
+
+
+@pytest.mark.parametrize("name", ["crossed_z2_z4", "crossed_inner_s3"])
+def test_crossed_lookups_match_the_numpy_tables(name):
+    K = load_crossed(name)
+    for g in K.G.elements:
+        for h in K.H.elements:
+            assert K.act(g, h) == int(K.action[g, h])
+            assert TwoMorphism(K, g, h).target == int(K.G.table[K.boundary[h], g])

@@ -8,6 +8,9 @@ coordinates, with its own normalizer minimum over cochains.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,33 @@ def test_warm_tensor_builds_no_cochain(monkeypatch):
     monkeypatch.setattr(reps, "conjugate_pullback", refuse)
     for (a, b), product in products.items():
         assert tensor(Rep2(G, (a,)), Rep2(G, (b,))) == product
+
+
+_MISSES = (
+    "import json, sys\n"
+    "from twochar import burnside, reps\n"
+    "from twochar.characters import char_table, char_table_to_json\n"
+    "from twochar.groups import group_from_json\n"
+    "if sys.argv[1] == 'keyed-on-g':\n"
+    "    reps.pullback_map = burnside.pullback_map = reps._pullback_map\n"
+    "G = group_from_json({'name': 'Z2^3', 'cayley': [[i ^ j for j in range(8)] for i in range(8)]})\n"
+    "table = char_table_to_json(char_table(G, verify=True))\n"
+    "print(json.dumps([reps._pullback_map.cache_info().misses, table]))\n"
+)
+
+
+def test_pullback_map_is_cached_per_coset_with_the_same_char_table():
+    """Keyed on the least element of A·g, a cold char_table(Z2³) computes
+    fewer maps than keyed on g itself, and prints the same table."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = {}
+    for key in ("coset", "keyed-on-g"):
+        out = subprocess.run(
+            [sys.executable, "-c", _MISSES, key], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        runs[key] = json.loads(out.stdout)
+    (coset_misses, coset_table), (g_misses, g_table) = runs["coset"], runs["keyed-on-g"]
+    assert coset_table == g_table
+    assert coset_misses < g_misses
+    assert coset_misses == 150

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .cyclo import CycloInt, CycloRat, RootOfUnity, root_to_cyclo
+from .cyclo import CycloInt, CycloRat, RootOfUnity, sum_roots
 from .errors import AlphaNotHomomorphism, GroupMismatch
 from .groups import (
     FiniteGroup,
@@ -172,11 +172,14 @@ def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloRat:
     _check_alpha(P, tuple(alpha))
     total = CycloRat.zero()
     for pair, coeff in u.coefficients.items():
-        acc = CycloInt.zero()
-        for idx in _mark_pullback_classes(P, pair):
-            acc = acc + root_to_cyclo(alpha[idx])
-        total = total + coeff * acc
+        total = total + coeff * _pair_mark(P, alpha, pair)
     return total
+
+
+def _pair_mark(P: Subgroup, alpha, pair: BasisPair) -> CycloInt:
+    """The mark at (P, α) of one basis pair, with no check on α (callers
+    check each row's α once): α summed over the pulled-back classes."""
+    return sum_roots(alpha[idx] for idx in _mark_pullback_classes(P, pair))
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +230,8 @@ def mark_matrix(G: FiniteGroup):
     for P0 in subgroup_class_representatives(G):
         chars = _character_table(P0)
         for ci in _row_characters(P0):
-            row = [mark(P0, chars[ci], basis_element(G, pair)) for pair in cols]
+            _check_alpha(P0, chars[ci])
+            row = [CycloRat(_pair_mark(P0, chars[ci], pair)) for pair in cols]
             rows.append(row)
             labels.append((P0, ci))
     return labels, cols, rows

@@ -23,10 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .burnside import BurnsideElement, basis, basis_element, mark
+from .burnside import BurnsideElement, _check_alpha, _pair_mark, basis, mark
 from .cochains import Cochain, GModule, _cx_coords, differential, is_cocycle
 from .crossed import CrossedModule
-from .cyclo import CycloInt, CycloRat, RootOfUnity, raise_root_level, root_to_cyclo
+from .cyclo import CycloInt, CycloRat, RootOfUnity, raise_root_level, sum_roots
 from .errors import (
     AlphaIllDefined,
     FormulasDisagree,
@@ -283,7 +283,7 @@ def gk_rep(r: Rep2, a: int, b: int) -> CycloInt:
     G = r.group
     if not G.commutes(a, b):
         raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
-    total = CycloInt.zero()
+    roots = []
     for o in r.orbits:
         P = o.subgroup
         mu = o.cocycle
@@ -291,9 +291,8 @@ def gk_rep(r: Rep2, a: int, b: int) -> CycloInt:
         for t in right_transversal(G, P):
             at, bt = G.conj(t, a), G.conj(t, b)
             if to_sub[at] >= 0 and to_sub[bt] >= 0:
-                root = gk_linear(mu, int(to_sub[at]), int(to_sub[bt]))
-                total = total + root_to_cyclo(root)
-    return total
+                roots.append(gk_linear(mu, int(to_sub[at]), int(to_sub[bt])))
+    return sum_roots(roots)
 
 
 def gk_osorno(p: PermCocycleRep, a: int, b: int) -> CycloInt:
@@ -306,12 +305,13 @@ def gk_osorno(p: PermCocycleRep, a: int, b: int) -> CycloInt:
     vals = p.theta.values
     L = p.theta.level
     ainv = G.inv(a)
-    total = CycloInt.zero()
-    for x in range(p.size):
-        if act[a, x] == x and act[b, x] == x:
-            e = (int(vals[b, ainv, x]) - int(vals[ainv, b, x])) % L
-            total = total + root_to_cyclo(RootOfUnity(L, e))
-    return total
+    # Python ints from here on: .tolist() of the int64 rows
+    plus, minus = vals[b, ainv].tolist(), vals[ainv, b].tolist()
+    return sum_roots(
+        RootOfUnity(L, (plus[x] - minus[x]) % L)
+        for x, (xa, xb) in enumerate(zip(act[a].tolist(), act[b].tolist()))
+        if xa == x == xb
+    )
 
 
 def _as_cyclo_int(v: CycloRat) -> CycloInt:
@@ -364,8 +364,10 @@ def char_table(G: FiniteGroup, verify: bool = True) -> CharTable:
     :func:`verify_char_table`."""
     pairs = tuple(cls.representative for cls in commuting_pair_classes(G))
     cols = basis(G)
-    rows = [_gk_mark(G, a, b) for a, b in pairs]  # one α per row
-    entries = tuple(tuple(_as_cyclo_int(mark(P, alpha, basis_element(G, c))) for c in cols) for P, alpha in rows)
+    rows = [_gk_mark(G, a, b) for a, b in pairs]  # one α per row, checked once
+    for P, alpha in rows:
+        _check_alpha(P, alpha)
+    entries = tuple(tuple(_pair_mark(P, alpha, c) for c in cols) for P, alpha in rows)
     table = CharTable(G, pairs, cols, entries)
     if verify:
         verify_char_table(table)

@@ -7,9 +7,17 @@ Three value types, all exact:
   the power basis 1, ζ, …, ζ^(φ(L)−1) modulo the L-th cyclotomic polynomial;
 * :class:`CycloRat` — a CycloInt divided by a positive integer, kept reduced.
 
-All arithmetic is on integers.  A nonzero x ∈ ℚ(ζ_L) is inverted by its
-Galois norm: x⁻¹ = ∏_{σ≠1} σ(x) / N(x), where σ runs over ζ ↦ ζ^k with k
-prime to L and the norm N(x) = ∏_σ σ(x) is a nonzero rational number.
+All arithmetic is on Python integers and runs through one table per level:
+``_powers(L)`` holds the coordinates of ζ_L^k for k = 0 … L−1, built once
+from Φ_L.  Since ζ^L = 1, any integer combination of powers of ζ reduces by
+folding the exponent k onto row k mod L, so a root of unity is a table row,
+and raising the level, a Galois conjugate and a product are each one fold.
+A sum of roots of unity (every mark and character value) is one exponent
+histogram at the lcm of their levels, folded once (:func:`sum_roots`).
+
+A nonzero x ∈ ℚ(ζ_L) is inverted by its Galois norm: x⁻¹ = ∏_{σ≠1} σ(x) /
+N(x), where σ runs over ζ ↦ ζ^k with k prime to L and the norm N(x) =
+∏_σ σ(x) is a nonzero rational number.
 
 Equality on every type means equality of the complex numbers denoted, so
 values at different levels compare correctly (ζ₄² == −1).
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InexactDivision, NotAMultiple, NotMonic
 
@@ -93,10 +101,42 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     return quo
 
 
+@lru_cache(maxsize=None)
+def _powers(L: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis coordinates of ζ_L^k for k = 0 … L−1: unit vectors below
+    φ(L), then each row is ζ times the one before, with ζ^φ(L) rewritten as
+    −Σ Φ_L[i]·ζ^i (Φ_L is monic)."""
+    phi_poly = cyclotomic_polynomial(L)
+    d = len(phi_poly) - 1
+    rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    while len(rows) < L:
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple(s - top * c for s, c in zip((0,) + prev[:-1], phi_poly)))
+    return tuple(rows)
+
+
+def _fold(hist: list[int], L: int) -> tuple[int, ...]:
+    """Σ_k hist[k]·ζ_L^k in power-basis coordinates, for a list of L
+    integers indexed by exponent."""
+    rows = _powers(L)
+    d = len(rows[0])
+    out = hist[:d]
+    for k in range(d, L):
+        c = hist[k]
+        if c:
+            out = [o + c * r for o, r in zip(out, rows[k])]
+    return tuple(out)
+
+
 def _reduce_mod_cyclotomic(coeffs, L: int) -> tuple[int, ...]:
-    phi = euler_phi(L)
-    _, rem = _poly_divmod(tuple(coeffs), cyclotomic_polynomial(L))
-    return tuple(rem) + (0,) * (phi - len(rem))
+    """Power-basis coordinates of Σ_i coeffs[i]·ζ_L^i, i.e. the remainder of
+    the polynomial modulo Φ_L, padded to φ(L) entries."""
+    hist = [0] * L
+    for i, c in enumerate(coeffs):
+        if c:
+            hist[i % L] += c
+    return _fold(hist, L)
 
 
 @dataclass(frozen=True)
@@ -162,6 +202,15 @@ class CycloInt:
         self.level = level
         self.coeffs = coeffs
 
+    @classmethod
+    def _make(cls, level: int, coeffs: tuple[int, ...]) -> "CycloInt":
+        """Wrap coordinates that are already reduced: a tuple of φ(level)
+        Python ints."""
+        x = object.__new__(cls)
+        x.level = level
+        x.coeffs = coeffs
+        return x
+
     @staticmethod
     def from_int(n: int, level: int = 1) -> "CycloInt":
         return CycloInt(level, (n,) + (0,) * (euler_phi(level) - 1))
@@ -209,12 +258,12 @@ class CycloInt:
         if not isinstance(other, CycloInt):
             return NotImplemented
         a, b = self._unify(other)
-        return CycloInt(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return CycloInt._make(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloInt(self.level, tuple(-c for c in self.coeffs))
+        return CycloInt._make(self.level, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, (CycloInt, int, RootOfUnity)):
@@ -230,13 +279,13 @@ class CycloInt:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycloInt(self.level, tuple(c * other for c in self.coeffs))
+            return CycloInt._make(self.level, tuple(c * other for c in self.coeffs))
         if isinstance(other, RootOfUnity):
             other = root_to_cyclo(other)
         if not isinstance(other, CycloInt):
             return NotImplemented
         a, b = self._unify(other)
-        return CycloInt(a.level, _reduce_mod_cyclotomic(_poly_mul(a.coeffs, b.coeffs), a.level))
+        return CycloInt._make(a.level, _reduce_mod_cyclotomic(_poly_mul(a.coeffs, b.coeffs), a.level))
 
     __rmul__ = __mul__
 
@@ -249,12 +298,13 @@ def raise_cyclo_level(x: CycloInt, L: int) -> CycloInt:
     """Embed Z[ζ_l] into Z[ζ_L] via ζ_l ↦ ζ_L^(L/l)."""
     if L % x.level:
         raise NotAMultiple(f"{L} is not a multiple of level {x.level}")
+    if L == x.level:
+        return x
     step = L // x.level
-    out = [0] * (euler_phi(x.level) * step)
+    hist = [0] * L
     for k, c in enumerate(x.coeffs):
-        if c:
-            out[k * step] = c
-    return CycloInt(L, _reduce_mod_cyclotomic(tuple(out), L))
+        hist[k * step] = c
+    return CycloInt._make(L, _fold(hist, L))
 
 
 def root_to_cyclo(r: RootOfUnity) -> CycloInt:
@@ -263,18 +313,31 @@ def root_to_cyclo(r: RootOfUnity) -> CycloInt:
     >>> root_to_cyclo(RootOfUnity(4, 2)) == -1
     True
     """
-    mono = [0] * (r.exponent + 1)
-    mono[r.exponent] = 1
-    return CycloInt(r.level, _reduce_mod_cyclotomic(tuple(mono), r.level))
+    return CycloInt._make(r.level, _powers(r.level)[r.exponent])
+
+
+def sum_roots(roots) -> CycloInt:
+    """Σ roots as one element of Z[ζ_L], L the lcm of their levels (1 for no
+    roots): one histogram of exponents at level L, folded once.
+
+    >>> sum_roots([RootOfUnity(2, 1), RootOfUnity(4, 1), RootOfUnity(4, 1)])
+    CycloInt(4, (-1, 2))
+    """
+    roots = list(roots)
+    L = lcm(*{r.level for r in roots})
+    hist = [0] * L
+    for r in roots:
+        hist[r.exponent * (L // r.level)] += 1
+    return CycloInt._make(L, _fold(hist, L))
 
 
 def _galois_conjugate(x: CycloInt, k: int) -> CycloInt:
     """The image of x under the automorphism ζ ↦ ζ^k of Q(ζ_L)."""
     L = x.level
-    out = [0] * L
+    hist = [0] * L
     for i, c in enumerate(x.coeffs):
-        out[i * k % L] += c
-    return CycloInt(L, _reduce_mod_cyclotomic(tuple(out), L))
+        hist[i * k % L] += c
+    return CycloInt._make(L, _fold(hist, L))
 
 
 def _content(coeffs: tuple[int, ...]) -> int:
@@ -290,14 +353,15 @@ class CycloRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num: CycloInt, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("denominator must be nonzero")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(_content(num.coeffs), den)
-        if g > 1:
-            num = CycloInt(num.level, tuple(c // g for c in num.coeffs))
-            den //= g
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("denominator must be nonzero")
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(_content(num.coeffs), den)
+            if g > 1:
+                num = CycloInt._make(num.level, tuple(c // g for c in num.coeffs))
+                den //= g
         self.num = num
         self.den = den
 
@@ -345,7 +409,9 @@ class CycloRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
+        # num/den is reduced (den > 0, content of num prime to den), and the
+        # content does not depend on the level, so equal values share den
+        return self.den == o.den and self.num == o.num
 
     __hash__ = None
 
@@ -353,6 +419,8 @@ class CycloRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den == 1:
+            return CycloRat(self.num + o.num)
         return CycloRat(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__

@@ -189,10 +189,23 @@ def test_mark_keeps_the_level_of_its_own_alpha(v4, levels):
 
 
 def test_law_check_runs_once_per_mark_matrix_row(d4):
+    # one check per (P, α) row, then no per-entry cache lookup that hashes α
     burnside._check_alpha.cache_clear()
     labels, cols, rows = mark_matrix(d4)
     assert burnside._check_alpha.cache_info().misses == len(rows)
-    assert burnside._check_alpha.cache_info().hits == len(rows) * (len(cols) - 1)
+    assert burnside._check_alpha.cache_info().hits == 0
+
+
+def test_mark_checks_alpha_on_every_call(v4):
+    # the law check of a bad α is never cached, so each call raises again
+    P = full_subgroup(v4)
+    bad = (RootOfUnity(1, 0), RootOfUnity(4, 1))
+    for _ in range(2):
+        with pytest.raises(AlphaNotHomomorphism):
+            mark(P, bad, identity_element(v4))
+    mark_matrix(v4)
+    with pytest.raises(AlphaNotHomomorphism):
+        mark(P, bad, identity_element(v4))
 
 
 def test_mark_is_multiplicative(s3):

@@ -26,7 +26,7 @@ from twochar.characters import (
     oracle_twisted_regular,
     twisted_regular,
 )
-from twochar.burnside import from_rep2, identity_element, scale
+from twochar.burnside import basis, basis_element, from_rep2, identity_element, mark_matrix, scale
 from twochar.cochains import schur_classes
 from twochar.crossed import crossed_module, triples
 from twochar.cyclo import CycloInt, CycloRat, RootOfUnity, root_to_cyclo
@@ -38,8 +38,8 @@ from twochar.errors import (
     NotScalarMultiple,
     TripleNotInG,
 )
-from twochar.groups import commuting_pair_classes
-from twochar.reps import direct_sum, random_rep2, regular_rep2, tensor, to_perm_cocycle, trivial_rep2
+from twochar.groups import commuting_pair_classes, load_group
+from twochar.reps import Rep2, direct_sum, random_rep2, regular_rep2, tensor, to_perm_cocycle, trivial_rep2
 
 GROUPS = [klein_four(), cyclic(4), dihedral_4(), quaternion_8()]
 
@@ -141,6 +141,22 @@ def test_three_formulas_agree_on_random_reps():
                 v = gk_rep(r, a, b)
                 assert v == gk_osorno(p, a, b)
                 assert v == gk_as_mark(a, b, from_rep2(r))
+
+
+@pytest.mark.parametrize("name", ["z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "v4", "s3", "d4", "q8"])
+def test_mark_and_character_coefficients_are_python_ints(name):
+    # never a numpy scalar, so no value can wrap around at 2^63
+    G = load_group(name)
+    pairs = [cls.representative for cls in commuting_pair_classes(G)]
+    for pair in basis(G):
+        r = Rep2(G, (pair,))
+        p = to_perm_cocycle(r)
+        u = basis_element(G, pair)
+        for a, b in pairs:
+            for v in (gk_as_mark(a, b, u), gk_rep(r, a, b), gk_osorno(p, a, b)):
+                assert all(type(c) is int for c in v.coeffs), (a, b, v)
+    for row in mark_matrix(G)[2]:
+        assert all(type(c) is int for v in row for c in v.num.coeffs + (v.den,))
 
 
 def test_character_laws(v4):

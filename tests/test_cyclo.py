@@ -1,6 +1,8 @@
 """Exact cyclotomic arithmetic: roots of unity, integer and rational combos."""
 
 import cmath
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from twochar.cyclo import (
     CycloInt,
     CycloRat,
     RootOfUnity,
+    _galois_conjugate,
+    _reduce_mod_cyclotomic,
     cyclo_from_json,
     cyclo_to_json,
     cyclotomic_polynomial,
@@ -22,6 +26,7 @@ from twochar.cyclo import (
     root_from_json,
     root_to_cyclo,
     root_to_json,
+    sum_roots,
 )
 
 
@@ -152,3 +157,179 @@ def test_json_roundtrips():
     assert cyclo_from_json(cyclo_to_json(x)) == x
     q = CycloRat.from_cyclo(x) / 3
     assert rat_from_json(rat_to_json(q)) == q
+
+
+# ---------------------------------------------------------------------------
+# The table-driven kernel against the polynomial-division kernel it replaced.
+# The reference works on plain (level, coeffs) and (level, coeffs, den) tuples
+# and divides by Φ_L at every step; results are compared as exact tuples, not
+# by cross-level ==, since the printed output shows the level.
+
+LEVELS = range(1, 65)
+
+
+def _old_divmod(num, den):
+    rem = list(num)
+    d = len(den) - 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            for j, dj in enumerate(den):
+                rem[i - d + j] -= c * dj
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
+def _old_reduce(coeffs, L):
+    rem = _old_divmod(tuple(coeffs), cyclotomic_polynomial(L))
+    return tuple(rem) + (0,) * (euler_phi(L) - len(rem))
+
+
+def _old_raise(x, L):
+    level, coeffs = x
+    step = L // level
+    out = [0] * (euler_phi(level) * step)
+    for k, c in enumerate(coeffs):
+        out[k * step] = c
+    return (L, _old_reduce(out, L))
+
+
+def _old_root(L, e):
+    return (L, _old_reduce([0] * e + [1], L))
+
+
+def _old_conjugate(x, k):
+    L, coeffs = x
+    out = [0] * L
+    for i, c in enumerate(coeffs):
+        out[i * k % L] += c
+    return (L, _old_reduce(out, L))
+
+
+def _old_unify(x, y):
+    L = math.lcm(x[0], y[0])
+    return _old_raise(x, L), _old_raise(y, L)
+
+
+def _old_add(x, y):
+    (L, a), (_, b) = _old_unify(x, y)
+    return (L, tuple(p + q for p, q in zip(a, b)))
+
+
+def _old_mul(x, y):
+    (L, a), (_, b) = _old_unify(x, y)
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            prod[i + j] += p * q
+    return (L, _old_reduce(prod, L))
+
+
+def _old_rat(num, den=1):
+    if den < 0:
+        num, den = (num[0], tuple(-c for c in num[1])), -den
+    g = math.gcd(math.gcd(*num[1]), den)
+    if g > 1:
+        num, den = (num[0], tuple(c // g for c in num[1])), den // g
+    return num[0], num[1], den
+
+
+def _scaled(x, n):
+    return (x[0], tuple(c * n for c in x[1]))
+
+
+def _old_rat_add(x, y):
+    return _old_rat(_old_add(_scaled(x[:2], y[2]), _scaled(y[:2], x[2])), x[2] * y[2])
+
+
+def _old_rat_mul(x, y):
+    return _old_rat(_old_mul(x[:2], y[:2]), x[2] * y[2])
+
+
+def _old_rat_eq(x, y):
+    diff = _old_add(_scaled(x[:2], y[2]), _scaled(y[:2], -x[2]))
+    return not any(diff[1])
+
+
+def _old_rat_inverse(x):
+    L = x[0]
+    conj = (L, (1,) + (0,) * (euler_phi(L) - 1))
+    for k in range(2, L):
+        if math.gcd(k, L) == 1:
+            conj = _old_mul(conj, _old_conjugate(x[:2], k))
+    return _old_rat(_scaled(conj, x[2]), _old_mul(x[:2], conj)[1][0])
+
+
+def _as_tuple(x):
+    if isinstance(x, CycloRat):
+        return (x.num.level, x.num.coeffs, x.den)
+    return (x.level, x.coeffs)
+
+
+def _draw(rng, level, size=None, bound=3):
+    n = euler_phi(level) if size is None else size
+    return tuple(rng.randint(-bound, bound) for _ in range(n))
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_reduce_and_roots_match_polynomial_division(L):
+    rng = random.Random(L)
+    for size in (0, 1, euler_phi(L), L, 2 * L + 3):
+        coeffs = _draw(rng, L, size)
+        assert _reduce_mod_cyclotomic(coeffs, L) == _old_reduce(coeffs, L)
+    for e in range(L):
+        got = root_to_cyclo(RootOfUnity(L, e))
+        assert _as_tuple(got) == _old_root(L, e)
+        assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_raise_and_conjugate_match_polynomial_division(L):
+    rng = random.Random(100 + L)
+    for l in range(1, L + 1):
+        if L % l == 0:
+            x = _draw(rng, l)
+            assert _as_tuple(raise_cyclo_level(CycloInt(l, x), L)) == _old_raise((l, x), L)
+    x = _draw(rng, L)
+    for k in range(L):
+        assert _as_tuple(_galois_conjugate(CycloInt(L, x), k)) == _old_conjugate((L, x), k)
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_rational_arithmetic_matches_polynomial_division(L):
+    rng = random.Random(200 + L)
+    sub = rng.choice([l for l in range(1, L + 1) if L % l == 0])
+    for x_level, y_level in ((L, L), (L, sub), (sub, L), (1, L)):
+        x = _old_rat((x_level, _draw(rng, x_level)), rng.choice([1, 1, 2, 3, -4, 6]))
+        y = _old_rat((y_level, _draw(rng, y_level)), rng.choice([1, 1, 2, 5, -6]))
+        X, Y = CycloRat(CycloInt(*x[:2]), x[2]), CycloRat(CycloInt(*y[:2]), y[2])
+        assert _as_tuple(X) == x and _as_tuple(Y) == y
+        assert _as_tuple(X + Y) == _old_rat_add(x, y)
+        assert _as_tuple(X * Y) == _old_rat_mul(x, y)
+        assert (X == Y) == _old_rat_eq(x, y)
+        raised = _old_rat(_old_raise(x[:2], L), x[2])  # x again, at level L
+        assert _old_rat_eq(x, raised) and X == CycloRat(CycloInt(*raised[:2]), raised[2])
+        if any(y[1]):
+            assert _as_tuple(X / Y) == _old_rat_mul(x, _old_rat_inverse(y))
+
+
+def _old_sum(roots):
+    acc = (1, (0,))
+    for r in roots:
+        acc = _old_add(acc, _old_root(r.level, r.exponent))
+    return acc
+
+
+def test_sum_roots_matches_the_add_one_root_loop():
+    rng = random.Random(7)
+    assert _as_tuple(sum_roots([])) == _old_sum([]) == (1, (0,))
+    for L in (1, 2, 3, 4, 8, 12, 15, 16):
+        roots = [RootOfUnity(L, rng.randrange(L)) for _ in range(rng.randint(1, 40))]
+        assert _as_tuple(sum_roots(roots)) == _old_sum(roots)
+    for levels in ((1, 2), (2, 3), (4, 6, 9), (1, 1, 8), (5, 7), (16, 2, 4)):
+        roots = [RootOfUnity(level, rng.randrange(level)) for level in levels for _ in range(5)]
+        rng.shuffle(roots)
+        got = sum_roots(iter(roots))
+        assert _as_tuple(got) == _old_sum(roots)
+        assert all(type(c) is int for c in got.coeffs)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import NotACocycle, NotAMultiple, NotContained, TooLarge, WrongWitness
 from .groups import FiniteGroup, Subgroup, full_subgroup, generated_subgroup, subgroup_group
-from .snf import hermite_mod, hermite_reduce, smith_normal_form, solve_mod
+from .snf import hermite_mod, hermite_reduce, recent_level, smith_normal_form, solve_mod
 
 
 class GModule:
@@ -161,6 +161,16 @@ class Cochain:
         self.values = arr
         self._hash = None
 
+    @classmethod
+    def _make(cls, module: GModule, degree: int, arr: np.ndarray) -> "Cochain":
+        """A cochain on ``arr`` itself, for a fresh int64 array that the
+        caller has already given the right shape and reduced mod the level:
+        no copy, no reduction and no shape check."""
+        arr.setflags(write=False)
+        c = object.__new__(cls)
+        c.module, c.degree, c.values, c._hash = module, degree, arr, None
+        return c
+
     @staticmethod
     def zero(module: GModule, degree: int) -> "Cochain":
         m, X = module.group.order, module.size
@@ -249,7 +259,8 @@ def differential(c: Cochain) -> Cochain:
         out = out + sign * v[(slice(None),) * (k - 1) + (G.table,)]
         sign = -sign
     out = out + sign * v.reshape(v.shape[:n] + (1,) + v.shape[n:])
-    return Cochain(module, n + 1, out)
+    out %= module.level         # a fresh array: reduce it in place
+    return Cochain._make(module, n + 1, out)
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -330,22 +341,27 @@ def restrict(c: Cochain, P: Subgroup) -> Cochain:
 # Normalized-subcomplex coordinates
 
 
+@lru_cache(maxsize=None)
+def _norm_index(m: int, degree: int, X: int) -> np.ndarray:
+    """C-order flat positions, in an (m,)*degree + (X,) array, of the block
+    whose arguments are all non-identity, in the block's own C order."""
+    idx = np.arange(m**degree * X).reshape((m,) * degree + (X,))[(slice(1, None),) * degree].reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
 def _norm_flat(c: Cochain) -> np.ndarray:
     """Flatten the non-identity block of a normalized cochain (C order)."""
-    n = c.degree
-    block = c.values[np.ix_(*([range(1, c.group.order)] * n))] if n else c.values
-    return block.reshape(-1)
+    return c.values.reshape(-1).take(_norm_index(c.group.order, c.degree, c.module.size))
 
 
 def _embed_norm(module: GModule, degree: int, flat) -> Cochain:
+    """The normalized cochain with the non-identity block ``flat`` (C order),
+    whose values are already reduced mod the level."""
     m, X = module.group.order, module.size
-    out = np.zeros((m,) * degree + (X,), dtype=np.int64)
-    if degree:
-        block = np.asarray(flat, dtype=np.int64).reshape((m - 1,) * degree + (X,))
-        out[np.ix_(*([range(1, m)] * degree))] = block
-    else:
-        out[:] = np.asarray(flat, dtype=np.int64).reshape(X)
-    return Cochain(module, degree, out)
+    out = np.zeros(m**degree * X, dtype=np.int64)
+    out[_norm_index(m, degree, X)] = flat
+    return Cochain._make(module, degree, out.reshape((m,) * degree + (X,)))
 
 
 def _normalized_boundary(module: GModule, degree: int, first=None) -> np.ndarray:
@@ -407,6 +423,8 @@ class _H2Machine:
             )
         self.D1 = _normalized_boundary(module, 1)
         self.snf1 = smith_normal_form(self.D1, want_u=True, want_v=True)
+        self._classes: dict = {}      # level → level_classes(level), see there
+        self._schur: dict = {}        # (origin, name) → schur_classes of a group with this table
 
     @cached_property
     def snf2(self):
@@ -455,17 +473,27 @@ class _H2Machine:
         w, d = self._w(flat, L), self._diag2
         return tuple(int(v) for v in (d * w[: len(d)])[d > 1] // L % d[d > 1])
 
-    def level_classes(self, L: int) -> tuple[list[int], list[int], np.ndarray]:
-        """The indices k, orders and generators (rows) of the cyclic factors
-        of H²(G; ℤ/L[X]) of order > 1; k < r indexes d_k, k ≥ r e_{k−r}."""
+    def level_classes(self, L: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+        """The indices k, orders and generators (rows, read-only) of the
+        cyclic factors of H²(G; ℤ/L[X]) of order > 1; k < r indexes d_k,
+        k ≥ r e_{k−r}.  Kept for the ``MOD_LEVELS`` most recently used
+        levels, like the transform copies they are read from."""
         self._check_level(L)
+        return recent_level(self._classes, L, lambda: self._level_classes(L))
+
+    def _level_classes(self, L: int):
         d, e, r = self._diag2, self.snfB.diag, len(self._diag2)
         orders = [gcd(int(v), L) for v in d] + [gcd(v, L) for v in e] + [L] * (self.m2 - r - len(e))
-        ks = [k for k, o in enumerate(orders) if o > 1]
+        ks = tuple(k for k, o in enumerate(orders) if o > 1)
         V = self.snf2._mod("V", L)
-        tail = V[:, r:] @ self.snfB._mod("Uinv", L) % L
-        gens = [V[:, k] * (L // orders[k]) % L if k < r else tail[:, k - r] for k in ks]
-        return ks, [orders[k] for k in ks], np.array(gens, dtype=np.int64).reshape(len(ks), self.m2)
+        gens = np.empty((len(ks), self.m2), dtype=np.int64)
+        head = [k for k in ks if k < r]
+        gens[: len(head)] = (V[:, head] * [L // orders[k] for k in head] % L).T
+        # only the tail columns of U_B⁻¹ that name a kept factor
+        tail = [k - r for k in ks[len(head):]]
+        gens[len(head):] = (V[:, r:] @ self.snfB._mod("Uinv", L)[:, tail] % L).T
+        gens.setflags(write=False)
+        return ks, tuple(orders[k] for k in ks), gens
 
     def level_coords(self, flat, L: int) -> np.ndarray:
         """The m₂ coordinates of a normalized cocycle's level-L class."""
@@ -488,9 +516,9 @@ def _machine(module: GModule) -> _H2Machine:
 # checked before any matrix is built; the columns are bounded too because V₂
 # and V₂⁻¹ are dense m₂×m₂.  Every group of order 64 has m₂ = 3969 and is
 # refused.  The worst case within them is Z2⁵ (5 generators, 4805×961):
-# ``schur_classes`` takes 8.0 s at 129 MB peak RSS, against 1.6 s at 86 MB for
-# D16 (1922×961) and 0.6 s at 47 MB for S4 (1058×529), single runs on a
-# 2-core Xeon under Python 3.11.
+# a cold ``schur_classes`` takes 6.1 s at 129 MB peak RSS, against 1.9 s at
+# 86 MB for D16 (1922×961) and 0.6 s at 46 MB for S4 (1058×529), single runs
+# taken back to back on a 2-core Xeon under Python 3.11.
 D2_MAX_ROWS = 5000
 D2_MAX_COLS = 1024
 
@@ -585,7 +613,7 @@ def h2(G: FiniteGroup, module: GModule) -> CohomologyClassSet:
     def coords_fn(c: Cochain) -> tuple[int, ...]:
         if c.module != module:
             raise ValueError("cochain is not over this module")
-        y = machine.level_coords(_norm_flat(_normalize(c)), L)[ks]
+        y = machine.level_coords(_norm_flat(_normalize(c)), L)[list(ks)]
         return tuple(int(v) for v in y % orders)
 
     return CohomologyClassSet(module, machine.D1.T, gens, orders, _invariant_factors(tuple(orders)), coords_fn)
@@ -614,10 +642,21 @@ def schur_classes(G: FiniteGroup) -> CohomologyClassSet:
     """ℂ^×-cohomology classes of G (the Schur multiplier H²(G; ℂ^×)) at
     level |G|: the class with coordinates c in ``cx_factors`` is
     Σ c_i·(|G|/d_i)·V₂e_i (|G| annihilates H³(G; ℤ), so d_i | |G|).
-    ``index_of`` accepts a trivial-module cocycle over G at any level."""
-    L = G.order
-    module = GModule.trivial(G, L)
+    ``index_of`` accepts a trivial-module cocycle over G at any level.
+
+    Built once and kept on the machine.  Groups with equal tables share a
+    machine but may differ in ``origin`` and name, which the representatives
+    carry, so those two are part of the key."""
+    module = GModule.trivial(G, G.order)
     machine = _machine(module)
+    key = (G.origin, G.name)
+    if key not in machine._schur:
+        machine._schur[key] = _schur_classes(G, module, machine)
+    return machine._schur[key]
+
+
+def _schur_classes(G: FiniteGroup, module: GModule, machine: _H2Machine) -> CohomologyClassSet:
+    L = G.order
     machine._check_level(L)
     d, r, V = machine._diag2, len(machine._diag2), machine.snf2._mod("V", L)
     gens = (V[:, :r][:, d > 1] * (L // d[d > 1])).T % L
@@ -663,18 +702,17 @@ def random_cochain(module: GModule, degree: int, rng) -> Cochain:
         parts.append(words[words < L])
         r -= len(parts[-1])
     parts.append(np.array([rng.randrange(L) for _ in range(r)], dtype=np.int64))
-    return Cochain(module, degree, np.concatenate(parts).reshape(shape))
+    return Cochain._make(module, degree, np.concatenate(parts).reshape(shape))
 
 
 def random_cocycle(module: GModule, rng) -> Cochain:
-    """Uniform-ish random 2-cocycle: random coboundary plus a random class."""
-    _, _, gens = _machine(module).level_classes(module.level)
+    """Uniform-ish random 2-cocycle: random coboundary plus a random class
+    Σ k·gen, one k = ``rng.randrange(L)`` per class generator, in order."""
+    L = module.level
+    _, _, gens = _machine(module).level_classes(L)
     pi = random_cochain(module, 1, rng)
-    out = differential(pi)
-    for gen in gens:
-        k = rng.randrange(module.level)
-        out = out + _embed_norm(module, 2, (k * gen) % module.level)
-    return out
+    coeffs = np.array([rng.randrange(L) for _ in range(len(gens))], dtype=np.int64)
+    return differential(pi) + _embed_norm(module, 2, coeffs @ gens % L)
 
 
 # ---------------------------------------------------------------------------

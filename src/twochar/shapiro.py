@@ -175,7 +175,7 @@ def psi(ctx: ShapiroContext, mu: Cochain) -> Cochain:
     if mu.module != ctx.M:
         raise ValueError("cochain is not over the context's subgroup module")
     n = mu.degree
-    return Cochain(ctx.coinduced, n, mu.values.reshape(-1)[ctx.gather_index("psi", n)])
+    return Cochain._make(ctx.coinduced, n, mu.values.reshape(-1)[ctx.gather_index("psi", n)])
 
 
 def phi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
@@ -183,7 +183,7 @@ def phi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
     if theta.module != ctx.coinduced:
         raise ValueError("cochain is not over the context's coinduced module")
     n = theta.degree
-    return Cochain(ctx.M, n, theta.values.reshape(-1)[ctx.gather_index("phi", n)])
+    return Cochain._make(ctx.M, n, theta.values.reshape(-1)[ctx.gather_index("phi", n)])
 
 
 def homotopy_varpi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
@@ -201,4 +201,6 @@ def homotopy_varpi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
     if n == 0:
         raise DegreeZero("the homotopy lowers degree; degree 0 has no target")
     terms = theta.values.reshape(-1)[ctx.gather_index("varpi", n)]
-    return Cochain(ctx.coinduced, n - 1, terms[1::2].sum(axis=0) - terms[0::2].sum(axis=0))
+    out = terms[1::2].sum(axis=0) - terms[0::2].sum(axis=0)
+    out %= theta.level
+    return Cochain._make(ctx.coinduced, n - 1, out)

@@ -10,9 +10,16 @@ All arithmetic is plain Python integers, so nothing overflows.  The matrices
 the cohomology code reduces are sparse (a bar-complex boundary row has at
 most four nonzeros), so each elementary operation touches only the nonzero
 entries of its source row or column, and the divisor-chain scan is skipped
-for a pivot of ±1, which divides everything.  Neither shortcut changes which
-operations run or in what order, so the diagonal and the transforms are the
-same as those of the plain dense elimination.
+for a pivot of ±1, which divides everything.  Once step t is reached, the
+rows and columns before t hold only their pivots, so column swaps and sweeps
+start at row t.  A row whose block S[t:, t:] is zero when the pivot search
+reaches it is then zero as a whole; it is marked dead and skipped by the
+pivot search, column swaps, the column sweep and the divisor-chain scan.  A
+zero row stays zero: row operations only touch rows that are nonzero in the
+pivot column, and column operations add zeros to it; a row swap moves the
+mark with the row.  None of these shortcuts changes which operations run or
+in what order, so the diagonal and the transforms are the same as those of
+the plain dense elimination.
 """
 
 from __future__ import annotations
@@ -43,11 +50,7 @@ class SNFResult:
         ``MOD_LEVELS`` most recently used levels only."""
         if self._mod_cache is None:
             self._mod_cache = {}
-        # level → {which: copy}, least recently used first
-        copies = self._mod_cache.pop(L, {})
-        self._mod_cache[L] = copies
-        if len(self._mod_cache) > MOD_LEVELS:
-            del self._mod_cache[next(iter(self._mod_cache))]
+        copies = recent_level(self._mod_cache, L, dict)    # {which: copy}
         if which not in copies:
             mat = {"U": self.U, "Uinv": self.Uinv, "V": self.V, "Vinv": self.Vinv}[which]
             size = self.rows if which.startswith("U") else self.cols
@@ -62,8 +65,21 @@ class SNFResult:
 MOD_LEVELS = 4
 
 
+def recent_level(cache: dict, L: int, build):
+    """``cache[L]``, made by ``build()`` on a miss.  The dict holds levels
+    least recently used first, and keeps the ``MOD_LEVELS`` most recent."""
+    value = cache.pop(L) if L in cache else build()
+    cache[L] = value
+    if len(cache) > MOD_LEVELS:
+        del cache[next(iter(cache))]
+    return value
+
+
 def _eye(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _nonzero(row: list[int]) -> list[int]:
@@ -76,12 +92,16 @@ def _sub(dst: list[int], src: list[int], q: int, nz: list[int]):
         dst[k] -= q * src[k]
 
 
-def _pivot(S: list[list[int]], t: int, m: int, n: int):
-    """Row-major first entry of least absolute value in the block S[t:, t:]."""
+def _pivot(S: list[list[int]], t: int, m: int, n: int, dead: set[int]):
+    """Row-major first entry of least absolute value in the block S[t:, t:].
+    Rows of the block found zero are added to ``dead``."""
     best, piv = 0, None
     for i in range(t, m):
+        if i in dead:
+            continue
         row = S[i]
         if not any(row[t:]):
+            dead.add(i)
             continue
         for j in range(t, n):
             v = row[j]
@@ -110,6 +130,7 @@ def smith_normal_form(
     # column operations on V and U⁻¹ are row operations on their transposes
     VT = _eye(n) if want_v else None
     UinvT = _eye(m) if want_uinv else None
+    dead: set[int] = set()      # rows known to be zero (module docstring)
 
     def row_sub(i: int, j: int, q: int, nz_s=None, nz_u=None):
         # S_i ← S_i − q·S_j; nz_* are the nonzero positions of row j, if known
@@ -121,6 +142,8 @@ def smith_normal_form(
 
     def swap_rows(i: int, j: int):
         S[i], S[j] = S[j], S[i]
+        if (i in dead) != (j in dead):
+            dead.symmetric_difference_update((i, j))
         if U is not None:
             U[i], U[j] = U[j], U[i]
         if UinvT is not None:
@@ -144,10 +167,13 @@ def smith_normal_form(
             _sub(Vinv[i], Vinv[j], -q, _nonzero(Vinv[j]))
 
     def swap_cols(i: int, j: int):
+        # rows before t are zero past their pivots, and dead rows are zero
         if i == j:
             return
-        for r in S:
-            r[i], r[j] = r[j], r[i]
+        for k in range(t, m):
+            if k not in dead:
+                r = S[k]
+                r[i], r[j] = r[j], r[i]
         if VT is not None:
             VT[i], VT[j] = VT[j], VT[i]
         if Vinv is not None:
@@ -156,7 +182,7 @@ def smith_normal_form(
     t = 0
     R = min(m, n)
     while t < R:
-        piv = _pivot(S, t, m, n)
+        piv = _pivot(S, t, m, n, dead)
         if piv is None:
             break
         swap_rows(t, piv[0])
@@ -165,8 +191,8 @@ def smith_normal_form(
             again = False
             nz_s = _nonzero(S[t])
             nz_u = _nonzero(U[t]) if U is not None else None
-            for i in range(m):
-                if i != t and S[i][t]:
+            for i in range(t + 1, m):
+                if i not in dead and S[i][t]:
                     q = S[i][t] // S[t][t]
                     if q:
                         row_sub(i, t, q, nz_s, nz_u)
@@ -188,7 +214,7 @@ def smith_normal_form(
                     if S[t][j]:
                         swap_cols(j, t)
                         again = True
-                        rows = [r for r in range(m) if S[r][t]]
+                        rows = [r for r in range(t, m) if r not in dead and S[r][t]]
                         nz_v = _nonzero(VT[t]) if VT is not None else None
             if again:
                 continue
@@ -198,7 +224,7 @@ def smith_normal_form(
             if p == 1 or p == -1:
                 break
             viol = next(
-                (i for i in range(t + 1, m) if any(v % p for v in S[i][t + 1:])), None
+                (i for i in range(t + 1, m) if i not in dead and any(v % p for v in S[i][t + 1:])), None
             )
             if viol is None:
                 break

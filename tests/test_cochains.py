@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from math import lcm, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -703,3 +703,145 @@ def test_transform_copies_are_kept_for_a_few_levels(d4):
     assert len(cache) <= MOD_LEVELS
     assert sum(len(copies) for copies in cache.values()) <= 2 * MOD_LEVELS    # V and V⁻¹
     assert [sc.index_of(raise_level(rep, 8)) for rep in sc.representatives] == answers[0]
+
+
+# ---------------------------------------------------------------------------
+# The degree-2 path without repeated work: level classes kept per level, one
+# flat index for normalized coordinates, trusted constructions, and one
+# Schur class set per group
+
+
+CORPUS = ("Z2^3", "Z4xZ2", "A4", "D6", "D8")
+
+
+def _uncached_level_classes(machine, L):
+    """``level_classes`` recomputed from scratch, with the full tail product."""
+    d, e, r = machine._diag2, machine.snfB.diag, len(machine._diag2)
+    orders = [gcd(int(v), L) for v in d] + [gcd(v, L) for v in e] + [L] * (machine.m2 - r - len(e))
+    ks = [k for k, o in enumerate(orders) if o > 1]
+    V = machine.snf2._mod("V", L)
+    tail = V[:, r:] @ machine.snfB._mod("Uinv", L) % L
+    gens = [V[:, k] * (L // orders[k]) % L if k < r else tail[:, k - r] for k in ks]
+    return ks, [orders[k] for k in ks], np.array(gens, dtype=np.int64).reshape(len(ks), machine.m2)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_level_classes_are_kept_per_level(name):
+    G = _numbering_free_groups()[name]
+    machine = cochains._machine(GModule.trivial(G, G.order))
+    coprime = next(p for p in (5, 7, 11) if G.order % p)
+    for L in (G.order, 2 * G.order, coprime):
+        got = machine.level_classes(L)
+        ks, orders, gens = got
+        ref_ks, ref_orders, ref_gens = _uncached_level_classes(machine, L)
+        assert (list(ks), list(orders)) == (ref_ks, ref_orders)
+        assert gens.dtype == np.int64 and np.array_equal(gens, ref_gens)
+        assert not gens.flags.writeable
+        assert machine.level_classes(L) is got
+    assert machine.level_classes(coprime)[0] == ()
+    for L in range(2, 3 * MOD_LEVELS):
+        machine.level_classes(L)
+    assert len(machine._classes) == MOD_LEVELS
+
+
+def _ix_norm_flat(c: Cochain) -> np.ndarray:
+    n = c.degree
+    return (c.values[np.ix_(*([range(1, c.group.order)] * n))] if n else c.values).reshape(-1)
+
+
+def _ix_embed_norm(module: GModule, degree: int, flat) -> Cochain:
+    m, X = module.group.order, module.size
+    out = np.zeros((m,) * degree + (X,), dtype=np.int64)
+    if degree:
+        out[np.ix_(*([range(1, m)] * degree))] = np.asarray(flat).reshape((m - 1,) * degree + (X,))
+    else:
+        out[:] = np.asarray(flat).reshape(X)
+    return Cochain(module, degree, out)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_normalized_coordinates_match_the_index_grid(degree, d4):
+    rng = random.Random(degree)
+    for module in (GModule.trivial(d4, 8), GModule.permutation(d4, d4.table, 6), COSET_MODULES["D4/C2"]()):
+        c = random_cochain(module, degree, rng)
+        assert np.array_equal(cochains._norm_flat(c), _ix_norm_flat(c))
+        flat = [rng.randrange(module.level) for _ in range((d4.order - 1) ** degree * module.size)]
+        embedded = cochains._embed_norm(module, degree, flat)
+        assert embedded == _ix_embed_norm(module, degree, flat)
+        assert cochains._norm_flat(embedded).tolist() == flat
+
+
+def _reference_random_cocycle(module: GModule, rng) -> Cochain:
+    """``random_cocycle`` as one embed and one addition per class generator."""
+    _, _, gens = cochains._machine(module).level_classes(module.level)
+    out = differential(random_cochain(module, 1, rng))
+    for gen in gens:
+        k = rng.randrange(module.level)
+        out = out + _ix_embed_norm(module, 2, (k * gen) % module.level)
+    return out
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_random_cocycle_continues_the_reference_stream(name):
+    G = _numbering_free_groups()[name]
+    for L in (G.order, 2 * G.order):
+        module = GModule.trivial(G, L)
+        for seed in range(3):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert random_cocycle(module, rng) == _reference_random_cocycle(module, ref)
+            assert rng.getstate() == ref.getstate()
+
+
+def _assert_as_public(c: Cochain):
+    """Values equal to those the public constructor gives, and its invariants."""
+    assert c == Cochain(c.module, c.degree, c.values)
+    assert c.values.dtype == np.int64 and c.values.flags.c_contiguous and not c.values.flags.writeable
+
+
+def test_trusted_constructions_equal_the_public_constructor(d4):
+    from twochar.shapiro import homotopy_varpi, phi, psi
+
+    rng = random.Random(14)
+    for module in (GModule.trivial(d4, 8), GModule.permutation(d4, d4.table, 6)):
+        for degree in (0, 1, 2):
+            c = random_cochain(module, degree, rng)
+            _assert_as_public(c)
+            _assert_as_public(differential(c))
+            flat = [rng.randrange(module.level) for _ in range((d4.order - 1) ** degree * module.size)]
+            _assert_as_public(cochains._embed_norm(module, degree, flat))
+    for P in all_subgroups(d4):
+        ctx = shapiro_context(d4, P, GModule.trivial(subgroup_group(P)[0], 6))
+        for degree in (0, 1, 2):
+            theta = random_cochain(ctx.coinduced, degree, rng)
+            _assert_as_public(psi(ctx, random_cochain(ctx.M, degree, rng)))
+            _assert_as_public(phi(ctx, theta))
+            if degree:
+                _assert_as_public(homotopy_varpi(ctx, theta))
+
+
+def test_public_constructor_still_reduces_and_checks_the_shape(v4):
+    module = GModule.trivial(v4, 4)
+    assert Cochain(module, 1, [[-1], [5], [4], [7]]).values.reshape(-1).tolist() == [3, 1, 0, 3]
+    with pytest.raises(ValueError):
+        Cochain(module, 2, np.zeros((4, 4), dtype=np.int64))
+
+
+def test_schur_classes_are_built_once_per_group(d4):
+    from twochar.groups import full_subgroup
+
+    sc = schur_classes(d4)
+    assert schur_classes(d4) is sc
+    for rep in sc.representatives:
+        assert not rep.values.flags.writeable
+        with pytest.raises(ValueError):
+            rep.values[1, 1, 0] = 1
+    # equal tables share a machine, but the representatives carry their own group
+    twin = from_cayley_table(d4.table.tolist(), name="twin")
+    relabeled = subgroup_group(full_subgroup(d4))[0]
+    assert twin == d4 == relabeled
+    for H in (twin, relabeled):
+        own = schur_classes(H)
+        assert own is not sc and schur_classes(H) is own
+        assert own.representatives == sc.representatives
+        assert all(rep.group is H for rep in own.representatives)

@@ -239,3 +239,109 @@ def test_solve_mod_bound_survives_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "TooLarge"
+
+
+# ---------------------------------------------------------------------------
+# Dead rows: the kernel skips rows it has found zero.  The reference below is
+# the plain dense elimination with the same operations in the same order,
+# touching every row and every entry.
+
+
+def _reference_snf(A):
+    S = [list(map(int, row)) for row in A]
+    m, n = len(S), len(S[0])
+    U, UinvT = [[int(i == j) for j in range(m)] for i in range(m)], [[int(i == j) for j in range(m)] for i in range(m)]
+    VT, Vinv = [[int(i == j) for j in range(n)] for i in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def axpy(dst, src, q):
+        for k in range(len(dst)):
+            dst[k] -= q * src[k]
+
+    def row_sub(i, j, q):
+        axpy(S[i], S[j], q)
+        axpy(U[i], U[j], q)
+        axpy(UinvT[j], UinvT[i], -q)
+
+    def swap_rows(i, j):
+        for M in (S, U, UinvT):
+            M[i], M[j] = M[j], M[i]
+
+    def col_sub(j, i, q):
+        for r in S:
+            r[j] -= q * r[i]
+        axpy(VT[j], VT[i], q)
+        axpy(Vinv[i], Vinv[j], -q)
+
+    def swap_cols(i, j):
+        for r in S:
+            r[i], r[j] = r[j], r[i]
+        for M in (VT, Vinv):
+            M[i], M[j] = M[j], M[i]
+
+    for t in range(min(m, n)):
+        cells = [(abs(S[i][j]), i, j) for i in range(t, m) for j in range(t, n) if S[i][j]]
+        if not cells:
+            break
+        _, pi, pj = min(cells)             # row-major first of least absolute value
+        swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            again = False
+            for i in range(m):
+                if i != t and S[i][t]:
+                    q = S[i][t] // S[t][t]
+                    if q:
+                        row_sub(i, t, q)
+                    if S[i][t]:
+                        swap_rows(i, t)
+                        again = True
+            if again:
+                continue
+            for j in range(n):
+                if j != t and S[t][j]:
+                    q = S[t][j] // S[t][t]
+                    if q:
+                        col_sub(j, t, q)
+                    if S[t][j]:
+                        swap_cols(j, t)
+                        again = True
+            if again:
+                continue
+            p = S[t][t]
+            viol = next((i for i in range(t + 1, m) if any(v % p for v in S[i][t + 1:])), None)
+            if viol is None:
+                break
+            row_sub(t, viol, -1)
+        if S[t][t] < 0:
+            S[t], U[t], UinvT[t] = ([-v for v in M[t]] for M in (S, U, UinvT))
+    diag = [S[i][i] for i in range(min(m, n))]
+    return diag, U, [list(c) for c in zip(*VT)], [list(c) for c in zip(*UinvT)], Vinv
+
+
+def _rows_that_die(seed: int) -> list[list[int]]:
+    """Sparse rows, zero rows, and integer combinations of earlier rows,
+    which become zero partway through the elimination; shuffled."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    rows = []
+    for _ in range(int(rng.integers(2, 14))):
+        row = [0] * n
+        for j in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False):
+            row[j] = int(rng.choice([1, -1, 2, -2, 3]))
+        rows.append(row)
+    for _ in range(int(rng.integers(1, 4))):
+        rows.append([0] * n)
+    for _ in range(int(rng.integers(2, 10))):
+        picks = rng.choice(len(rows), size=min(3, len(rows)), replace=False)
+        coeffs = rng.integers(-3, 4, size=len(picks))
+        rows.append([int(sum(int(c) * rows[p][j] for c, p in zip(coeffs, picks))) for j in range(n)])
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dead_rows_leave_every_transform_unchanged(seed):
+    A = _rows_that_die(seed)
+    res = smith_normal_form(A, want_u=True, want_v=True, want_uinv=True, want_vinv=True)
+    assert sum(1 for d in res.diag if d) < len(A)           # some rows die
+    assert (res.diag, res.U, res.V, res.Uinv, res.Vinv) == _reference_snf(A)

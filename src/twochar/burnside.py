@@ -30,6 +30,7 @@ from .groups import (
     Subgroup,
     full_subgroup,
     normalizer,
+    orbit_partition,
     right_transversal,
     subgroup_class_representatives,
 )
@@ -153,11 +154,18 @@ def _mark_pullback_classes(P: Subgroup, pair: BasisPair) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _check_alpha(P: Subgroup, alpha: tuple[RootOfUnity, ...]) -> None:
     """Raise :class:`AlphaNotHomomorphism` unless α respects the class group
-    law.  Cached on success only: it returns nothing a caller could reuse."""
+    law.  Cached on success only: it returns nothing a caller could reuse.
+
+    Only the pairs (i, e_k) are tested, e_k the class with coordinates the
+    k-th unit vector: i = 0 gives α(0) = 1, and induction on the coordinates
+    gives the law on every pair.  A trivial class group tests (0, 0)."""
     sc = linear_classes(P)
-    for i, j in product(range(len(sc)), repeat=2):
-        if alpha[sc.add(i, j)] != alpha[i] * alpha[j]:
-            raise AlphaNotHomomorphism(f"α breaks the class group law at ({i}, {j})", witness=(i, j))
+    rank = len(sc.orders)
+    gens = [sc.index_of_coords(int(t == k) for t in range(rank)) for k in range(rank)] or [0]
+    for i in range(len(sc)):
+        for j in gens:
+            if alpha[sc.add(i, j)] != alpha[i] * alpha[j]:
+                raise AlphaNotHomomorphism(f"α breaks the class group law at ({i}, {j})", witness=(i, j))
 
 
 def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloRat:
@@ -214,10 +222,8 @@ def _row_characters(P0: Subgroup) -> tuple[int, ...]:
     chars = _character_table(P0)
     index = {char: ci for ci, char in enumerate(chars)}
     maps = [pullback_map(P0, n, P0) for n in normalizer(P0.parent, P0).elements]
-    return tuple(
-        ci for ci, char in enumerate(chars)
-        if all(index[tuple(char[j] for j in pi)] >= ci for pi in maps)
-    )
+    orbits = orbit_partition(range(len(chars)), lambda ci: (index[tuple(chars[ci][j] for j in pi)] for pi in maps))
+    return tuple(orbit[0] for orbit in orbits)
 
 
 def mark_matrix(G: FiniteGroup):

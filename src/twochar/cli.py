@@ -5,7 +5,9 @@ table, mark matrix), ``char-table``, ``verify`` (the invariant suites in
 ``twochar.verify``, with fault injection), and ``crossed`` (crossed-module
 reports).  Inputs are JSON files or names from the bundled corpus.  The
 handlers only format what the library computes.  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 bound exceeded.
+1 verification failure, 2 input error, 3 bound exceeded, 4 internal fault (an
+:class:`~twochar.errors.InternalFault`, or any other exception that escapes a
+handler).
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .burnside import basis, basis_element, determinant, mark_matrix, mul, pretty_element
 from .characters import char_table, char_table_to_csv, char_table_to_json, verify_char_table
 from .cochains import GModule, h2, schur_classes
 from .crossed import load_crossed, pi1, pi2, triple_classes, triples
-from .errors import ClosureTooLarge, FormulasDisagree, TooLarge, TwoCharError
+from .errors import ClosureTooLarge, FormulasDisagree, InternalFault, TooLarge, TwoCharError
 from .groups import DEFAULT_MAX_ORDER, load_group
 from .reps import Orbit
 from .verify import SUITES
@@ -234,10 +237,14 @@ def main(argv=None) -> int:
     except TwoCharError as exc:
         witness = f" (witness: {exc.witness})" if exc.witness is not None else ""
         print(f"error: {type(exc).__name__}: {exc}{witness}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, InternalFault) else 2
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .groups import (
     group_from_json,
     group_to_json,
     load_json,
+    orbit_partition,
 )
 
 
@@ -148,21 +149,14 @@ def _pi1_data(K: CrossedModule):
         for x in image:
             if G.conj(g, x) not in member:
                 raise NotNormal(f"{g}·{x}·{g}⁻¹ is outside the boundary image", witness=(g, x))
-    rep_of = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for g in G.elements:
-        if rep_of[g] >= 0:
-            continue
-        coset = sorted(G.mul(x, g) for x in image)
-        reps.append(coset[0])
-        for y in coset:
-            rep_of[y] = coset[0]
-    idx_of_rep = {r: i for i, r in enumerate(reps)}
-    table = [[idx_of_rep[int(rep_of[G.mul(a, b)])] for b in reps] for a in reps]
+    cosets = orbit_partition(G.elements, lambda g: (G.mul(x, g) for x in image))
+    reps = tuple(c[0] for c in cosets)
+    coset_of = {y: i for i, c in enumerate(cosets) for y in c}
+    table = [[coset_of[G.mul(a, b)] for b in reps] for a in reps]
     quotient = from_cayley_table(table, name=f"{G.name}/∂")
-    proj = np.array([idx_of_rep[int(rep_of[g])] for g in G.elements], dtype=np.int64)
+    proj = np.array([coset_of[g] for g in G.elements], dtype=np.int64)
     proj.setflags(write=False)
-    return quotient, proj, tuple(reps)
+    return quotient, proj, reps
 
 
 def pi1(K: CrossedModule) -> FiniteGroup:
@@ -274,19 +268,9 @@ def triple_classes(
     """Conjugation orbits on the commuting triples, each orbit sorted, listed
     by least representative."""
     G = K.G
-    all_triples = triples(K, bound)
-    seen = set()
-    classes = []
-    for tr in all_triples:
-        if tr in seen:
-            continue
-        a, b, h = tr
-        orbit = sorted(
-            {(G.conj(g, a), G.conj(g, b), K.act(g, h)) for g in G.elements}
-        )
-        seen.update(orbit)
-        classes.append(tuple(orbit))
-    return tuple(classes)
+    return orbit_partition(
+        triples(K, bound), lambda t: ((G.conj(g, t[0]), G.conj(g, t[1]), K.act(g, t[2])) for g in G.elements)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +286,14 @@ def crossed_to_json(K: CrossedModule) -> dict:
     }
 
 
-def crossed_from_json(doc: dict) -> CrossedModule:
+def crossed_from_json(doc: dict, max_order: int = 10000) -> CrossedModule:
     return CrossedModule(
-        group_from_json(doc["H"]),
-        group_from_json(doc["G"]),
+        group_from_json(doc["H"], max_order),
+        group_from_json(doc["G"], max_order),
         doc["boundary"],
         doc["action"],
     )
 
 
 def load_crossed(source: str, max_order: int = DEFAULT_MAX_ORDER) -> CrossedModule:
-    K = crossed_from_json(load_json(source, "crossed module"))
-    if K.G.order > max_order or K.H.order > max_order:
-        raise TooLarge(f"crossed module exceeds the order bound {max_order}")
-    return K
+    return crossed_from_json(load_json(source, "crossed module"), max_order)

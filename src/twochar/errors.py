@@ -41,7 +41,12 @@ class TooLarge(TwoCharError):
     """Cohomology computation exceeded its size bound."""
 
 
-class WrongWitness(TwoCharError):
+class InternalFault(TwoCharError):
+    """A result failed the check that guards it: a fault in the library, not
+    in its input.  The command line exits with code 4 on these."""
+
+
+class WrongWitness(InternalFault):
     """A computed witness fails the check it was computed to pass (an
     internal fault); ``witness`` is where it fails, e.g. (g, h, x)."""
 
@@ -122,18 +127,18 @@ class FormulasDisagree(TwoCharError):
     (a, b, column, mark value, transversal value, fixed-point value)."""
 
 
-class TwistMismatch(TwoCharError):
+class TwistMismatch(InternalFault):
     """The measured projective factor of a twisted representation is not
     the twist over ℂ^×; ``witness`` is (ℂ^× coordinates of the measured
     factor, ℂ^× coordinates of the twist)."""
 
 
-class NotMonic(TwoCharError):
+class NotMonic(InternalFault):
     """Polynomial division by a divisor whose leading coefficient is not 1;
     ``witness`` is the divisor."""
 
 
-class InexactDivision(TwoCharError):
+class InexactDivision(InternalFault):
     """A polynomial division that must be exact left a remainder; ``witness``
     is (level, remainder)."""
 

@@ -8,7 +8,8 @@ Conventions, fixed once and relied on for byte-deterministic output:
 * ``table[a][b]`` is the product ``a * b``;
 * every representative (conjugacy classes, subgroup classes, double cosets,
   transversals, commuting pairs) is the lexicographically least member of its
-  orbit, and orbit listings are sorted.
+  orbit, and orbit listings are sorted.  :func:`orbit_partition` is the one
+  engine for this rule, for every listing up to conjugacy in the package.
 """
 
 from __future__ import annotations
@@ -160,7 +161,9 @@ def from_permutation_generators(
 
     Permutations compose as functions: ``(p * q)(x) = p(q(x))``.  Element 0 is
     the identity; the rest follow breadth-first discovery order, which makes
-    the labeling deterministic for a fixed generator list.
+    the labeling deterministic for a fixed generator list.  The closure stops
+    at the first element past ``max_order`` with :class:`ClosureTooLarge`,
+    whose witness is the count reached, ``max_order + 1``.
     """
     gens = []
     for i, g in enumerate(generators):
@@ -179,7 +182,7 @@ def from_permutation_generators(
                 q = tuple(p[g[x]] for x in range(degree))    # p∘g
                 if q not in index:
                     if len(elems) >= max_order:
-                        raise ClosureTooLarge(f"closure exceeded {max_order} elements")
+                        raise ClosureTooLarge(f"closure exceeded {max_order} elements", witness=len(elems) + 1)
                     index[q] = len(elems)
                     elems.append(q)
                     nxt.append(q)
@@ -190,6 +193,26 @@ def from_permutation_generators(
         for j, q in enumerate(elems):
             table[i, j] = index[tuple(p[q[x]] for x in range(degree))]
     return _finish(table, name)
+
+
+# ---------------------------------------------------------------------------
+# Orbits
+
+
+def orbit_partition(items, orbit_of) -> tuple[tuple, ...]:
+    """The orbits on ``items``, each a sorted tuple, listed by least member.
+
+    ``items`` lists every point in ascending order (or any order that meets
+    each orbit at its least member first); ``orbit_of(x)`` yields x's orbit,
+    repeats allowed.  Each orbit is built once, from its least member."""
+    seen = set()
+    out = []
+    for x in items:
+        if x not in seen:
+            orbit = tuple(sorted(set(orbit_of(x))))
+            seen.update(orbit)
+            out.append(orbit)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +334,11 @@ def all_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 def subgroup_conjugacy_classes(G: FiniteGroup) -> tuple[tuple[Subgroup, ...], ...]:
     """Conjugacy classes of subgroups; each class sorted, classes ordered by
     (order, representative elements) with the representative = least member."""
-    remaining = {s.elements for s in all_subgroups(G)}
-    classes = []
-    for sub in all_subgroups(G):
-        if sub.elements not in remaining:
-            continue
-        orbit = set()
-        for g in G.elements:
-            orbit.add(conjugate_subgroup(G, g, sub).elements)
-        remaining -= orbit
-        classes.append(tuple(Subgroup(G, els) for els in sorted(orbit)))
-    classes.sort(key=lambda c: (c[0].order, c[0].elements))
-    return tuple(classes)
+    # by (order, elements): conjugates share an order, so each class is met
+    # at its least member first
+    subs = {s.elements: s for s in all_subgroups(G)}
+    classes = orbit_partition(subs, lambda els: (tuple(sorted(G.conj(g, x) for x in els)) for g in G.elements))
+    return tuple(tuple(subs[els] for els in c) for c in classes)
 
 
 def subgroup_class_representatives(G: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -346,44 +362,21 @@ def normalizer(G: FiniteGroup, sub: Subgroup) -> Subgroup:
 @lru_cache(maxsize=None)
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Element conjugacy classes as sorted tuples, ordered by least member."""
-    seen = set()
-    classes = []
-    for a in G.elements:
-        if a in seen:
-            continue
-        orbit = sorted({G.conj(g, a) for g in G.elements})
-        seen.update(orbit)
-        classes.append(tuple(orbit))
-    return tuple(classes)
+    return orbit_partition(G.elements, lambda a: (G.conj(g, a) for g in G.elements))
 
 
 def double_cosets(G: FiniteGroup, P: Subgroup, Q: Subgroup) -> tuple[tuple[int, ...], ...]:
     """P\\x/Q double cosets as sorted element tuples; representative = least
     member = first entry, and the list is ordered by representative."""
     t = G._rows
-    seen = set()
-    out = []
-    for g in G.elements:
-        if g in seen:
-            continue
-        coset = sorted({t[t[p][g]][q] for p in P.elements for q in Q.elements})
-        seen.update(coset)
-        out.append(tuple(coset))
-    return tuple(out)
+    return orbit_partition(G.elements, lambda g: (t[t[p][g]][q] for p in P.elements for q in Q.elements))
 
 
 @lru_cache(maxsize=None)
 def right_transversal(G: FiniteGroup, Q: Subgroup) -> tuple[int, ...]:
     """Lex-least representatives for the right cosets Q·g, identity first."""
     t = G._rows
-    seen = set()
-    reps = []
-    for g in G.elements:
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.update(t[q][g] for q in Q.elements)
-    return tuple(reps)
+    return tuple(c[0] for c in orbit_partition(G.elements, lambda g: (t[q][g] for q in Q.elements)))
 
 
 @lru_cache(maxsize=None)
@@ -410,16 +403,8 @@ class CommutingPairClass:
 @lru_cache(maxsize=None)
 def commuting_pair_classes(G: FiniteGroup) -> tuple[CommutingPairClass, ...]:
     pairs = [(a, b) for a in G.elements for b in G.elements if G.commutes(a, b)]
-    seen = set()
-    classes = []
-    for pair in pairs:
-        if pair in seen:
-            continue
-        orbit = sorted({(G.conj(g, pair[0]), G.conj(g, pair[1])) for g in G.elements})
-        seen.update(orbit)
-        classes.append(CommutingPairClass(orbit[0], tuple(orbit)))
-    classes.sort(key=lambda c: c.representative)
-    return tuple(classes)
+    classes = orbit_partition(pairs, lambda p: ((G.conj(g, p[0]), G.conj(g, p[1])) for g in G.elements))
+    return tuple(CommutingPairClass(c[0], c) for c in classes)
 
 
 def exponent(G: FiniteGroup) -> int:
@@ -439,19 +424,23 @@ def group_to_json(G: FiniteGroup) -> dict:
     return {"name": G.name, "order": G.order, "cayley": [[int(v) for v in row] for row in G.table]}
 
 
-def group_from_json(doc: dict) -> FiniteGroup:
+def group_from_json(doc: dict, max_order: int = 10000) -> FiniteGroup:
     """Accepts either the Cayley form or a permutation-generator form
-    ``{"name", "degree", "generators"}``."""
+    ``{"name", "degree", "generators"}``.  More than ``max_order`` elements
+    is refused before the group is built: by the table's row count
+    (:class:`TooLarge`) or by stopping the closure (:class:`ClosureTooLarge`)."""
     if not isinstance(doc, dict):
         raise ValueError("group document must be a JSON object")
     name = doc.get("name", "G")
     if "cayley" in doc:
+        if len(doc["cayley"]) > max_order:
+            raise TooLarge(f"group order {len(doc['cayley'])} exceeds the bound {max_order}")
         G = from_cayley_table(doc["cayley"], name=name)
         if "order" in doc and doc["order"] != G.order:
             raise ValueError(f"declared order {doc['order']} != table size {G.order}")
         return G
     if "generators" in doc:
-        return from_permutation_generators(int(doc["degree"]), doc["generators"], name=name)
+        return from_permutation_generators(int(doc["degree"]), doc["generators"], name=name, max_order=max_order)
     raise ValueError("group document needs either 'cayley' or 'generators'")
 
 
@@ -468,7 +457,4 @@ def load_json(source: str, kind: str = "group"):
 
 
 def load_group(source: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    G = group_from_json(load_json(source))
-    if G.order > max_order:
-        raise TooLarge(f"group order {G.order} exceeds the bound {max_order}")
-    return G
+    return group_from_json(load_json(source), max_order)

@@ -5,17 +5,18 @@ an (up-to-conjugacy) subgroup P ≤ G decorated with a cocycle class over P
 (one of :func:`linear_classes`).  This classified form is a complete
 equivalence invariant, so every constructor canonicalizes:
 
+* the cocycle is identified with its class index over its own subgroup;
 * the subgroup is replaced by its conjugacy-class representative via a fixed
-  least conjugator, pulling the cocycle back along the conjugation;
-* the cocycle is identified with its class index, minimized over the residual
-  normalizer action;
+  least conjugator, and the class index moves along the conjugation;
+* the index is minimized over the residual normalizer action;
 * the orbit list is sorted.
 
 Pullback along conjugation is a homomorphism of class groups, so
 :func:`pullback_map` pulls back only the generator classes as cochains and
-reads every other image off its Schur coordinates.  The normalizer action and
-the tensor product work on these class coordinates alone; cochains are
-canonicalized only where a caller hands one in.
+reads every other image off its Schur coordinates.  It is the one way a
+decoration moves between subgroups: canonicalization, the normalizer action,
+tensor product, induction and restriction all work on class indices, and a
+cochain is indexed only where a caller hands one in.
 
 Constructions: direct sum, tensor product (double-coset decomposition with
 pulled-back class addition), contragradient, induction to a bigger ambient
@@ -52,6 +53,7 @@ from .groups import (
     double_cosets,
     full_subgroup,
     normalizer,
+    orbit_partition,
     subgroup_conjugacy_classes,
     subgroup_group,
     trivial_subgroup,
@@ -79,13 +81,17 @@ def trivial_decoration(P: Subgroup) -> Cochain:
 @lru_cache(maxsize=None)
 def _class_reps(G: FiniteGroup) -> dict:
     """For every subgroup P ≤ G: (class representative P₀, least conjugator c
-    with c·P₀·c⁻¹ = P)."""
+    with c·P₀·c⁻¹ = P), found in one ascending sweep over G per class."""
     out = {}
     for cls in subgroup_conjugacy_classes(G):
         rep = cls[0]
-        for P in cls:
-            c = next(g for g in G.elements if conjugate_subgroup(G, g, rep) == P)
-            out[P] = (rep, c)
+        todo = {P.elements: P for P in cls}
+        for g in G.elements:
+            P = todo.pop(tuple(sorted(G.conj(g, x) for x in rep.elements)), None)
+            if P is not None:
+                out[P] = (rep, g)
+                if not todo:
+                    break
     return out
 
 
@@ -130,11 +136,13 @@ def _pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
 def _normalizer_min(P0: Subgroup) -> tuple[int, ...]:
     """Map each class index of linear_classes(P0) to the least index in its
     orbit under pullback along the normalizer of P0."""
-    # pullbacks along a subgroup compose within themselves, so one sweep over
-    # the normalizer covers each full orbit
-    best = list(range(len(linear_classes(P0))))
-    for n in normalizer(P0.parent, P0).elements:
-        best = [min(b, j) for b, j in zip(best, pullback_map(P0, n, P0))]
+    # the normalizer is a group, so the images of i under its pullbacks are
+    # the whole orbit of i
+    maps = [pullback_map(P0, n, P0) for n in normalizer(P0.parent, P0).elements]
+    best = [0] * len(linear_classes(P0))
+    for orbit in orbit_partition(range(len(best)), lambda i: (pi[i] for pi in maps)):
+        for i in orbit:
+            best[i] = orbit[0]
     return tuple(best)
 
 
@@ -159,12 +167,17 @@ def _orbit_key(o: Orbit):
     return (o.subgroup.order, o.subgroup.elements, o.schur_index)
 
 
+def _canonical(G: FiniteGroup, P: Subgroup, i: int) -> Orbit:
+    """The canonical orbit of P ≤ G decorated by class i of linear_classes(P):
+    the class moves to the class representative P₀ along the least conjugator
+    and is minimized over the normalizer of P₀."""
+    P0, c = _class_reps(G)[P]
+    return Orbit(P0, _normalizer_min(P0)[pullback_map(P, c, P0)[i]])
+
+
 def canonical_orbit(G: FiniteGroup, P: Subgroup, mu: Cochain) -> Orbit:
     """Canonicalize one decorated orbit (P ≤ G, cocycle over P)."""
-    P0, c = _class_reps(G)[P]
-    mu0 = conjugate_pullback(mu, c, P0)
-    i = linear_classes(P0).index_of(mu0)
-    return Orbit(P0, _normalizer_min(P0)[i])
+    return _canonical(G, P, linear_classes(P).index_of(mu))
 
 
 class Rep2:
@@ -290,35 +303,32 @@ def induce(r: Rep2, G: FiniteGroup) -> Rep2:
     if origin is None or origin.parent != G:
         raise NotASubgroup("the representation's group is not a relabeled subgroup of G")
     lift = origin.elements
-    terms = []
-    for o in r.orbits:
-        Q_els = tuple(lift[q] for q in o.subgroup.elements)
-        Q = Subgroup(G, Q_els)
-        # the relabeling is monotone, so the subgroup tables and hence the
-        # class indexing agree verbatim
-        terms.append((Q, linear_classes(Q).representatives[o.schur_index]))
-    return rep2(G, terms)
+    # the relabeling is monotone, so the subgroup tables and hence the class
+    # indexing agree verbatim
+    orbits = [
+        _canonical(G, Subgroup(G, tuple(lift[q] for q in o.subgroup.elements)), o.schur_index)
+        for o in r.orbits
+    ]
+    return Rep2(G, tuple(sorted(orbits, key=_orbit_key)))
 
 
 def mackey_restrict(r: Rep2, P: Subgroup) -> Rep2:
-    """Restrict to P ≤ G by double-coset decomposition of each orbit."""
+    """Restrict to P ≤ G by double-coset decomposition of each orbit: PxQ
+    gives J = P ∩ xQx⁻¹ with the class pulled back along x⁻¹, whose index
+    carries over to J inside P, since the relabeled tables agree."""
     G = r.group
     if P.parent != G:
         raise NotASubgroup("P is not a subgroup of the representation's group")
     p_grp, to_sub, _ = subgroup_group(P)
-    terms = []
+    orbits = []
     for o in r.orbits:
-        Q, mu = o.subgroup, o.cocycle
+        Q, i = o.subgroup, o.schur_index
         for coset in double_cosets(G, P, Q):
             x = coset[0]
-            conj_Q = {G.conj(x, q) for q in Q.elements}
-            J = _intersection(P, conj_Q)
-            t = conjugate_pullback(mu, G.inv(x), J)
+            J = _intersection(P, {G.conj(x, q) for q in Q.elements})
             J_sub = Subgroup(p_grp, tuple(int(to_sub[j]) for j in J.elements))
-            grp_J, _, _ = subgroup_group(J_sub)
-            mod = GModule.trivial(grp_J, t.level)
-            terms.append((J_sub, Cochain(mod, 2, t.values)))
-    return rep2(p_grp, terms)
+            orbits.append(_canonical(p_grp, J_sub, pullback_map(Q, G.inv(x), J)[i]))
+    return Rep2(p_grp, tuple(sorted(orbits, key=_orbit_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +393,9 @@ def from_perm_cocycle(p: PermCocycleRep) -> Rep2:
     decorated by the cocycle's values at the least point of the orbit."""
     G = p.group
     act = p.point_action
-    unseen = set(range(p.size))
     terms = []
-    while unseen:
-        x0 = min(unseen)
-        orbit = sorted({int(act[g, x0]) for g in G.elements})
-        unseen.difference_update(orbit)
+    for orbit in orbit_partition(range(p.size), lambda x: (int(act[g, x]) for g in G.elements)):
+        x0 = orbit[0]
         P = Subgroup(G, tuple(g for g in G.elements if act[g, x0] == x0))
         grp, _, els = subgroup_group(P)
         vals = p.theta.values[np.ix_(els, els, [x0])]

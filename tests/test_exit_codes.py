@@ -1,0 +1,111 @@
+"""Exit codes for faults and bounds: an internal fault exits 4, a bound
+exits 3 before the group is built, and input errors keep exit 2.
+
+Each internal fault is raised by patching the library call behind
+``twochar h2``, in-process and in a ``python -O`` subprocess, which strips
+``assert`` statements.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from twochar import cli, crossed, groups
+from twochar.cli import main
+from twochar.crossed import crossed_from_json, load_json
+from twochar.errors import (
+    ClosureTooLarge,
+    InexactDivision,
+    InternalFault,
+    NotMonic,
+    TooLarge,
+    TwistMismatch,
+    WrongWitness,
+)
+from twochar.groups import group_from_json
+
+FAULTS = [WrongWitness, TwistMismatch, InexactDivision, NotMonic]
+S7 = {"degree": 7, "generators": [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]}
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    return raise_it
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__)
+def test_internal_fault_exits_4_with_its_witness(fault, monkeypatch, capsys):
+    assert issubclass(fault, InternalFault)
+    monkeypatch.setattr(cli, "schur_classes", _raiser(fault("injected", witness=(1, 2))))
+    assert main(["h2", "v4"]) == 4
+    err = capsys.readouterr().err
+    assert f"{fault.__name__}: injected (witness: (1, 2))" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("boom"), ZeroDivisionError("boom")])
+def test_any_other_escaping_exception_exits_4(exc, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "schur_classes", _raiser(exc))
+    assert main(["h2", "v4"]) == 4
+    assert f"internal fault: {type(exc).__name__}: boom" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad"), KeyError("bad"), TypeError("bad"), OSError("bad")])
+def test_input_errors_keep_exit_2(exc, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "schur_classes", _raiser(exc))
+    assert main(["h2", "v4"]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+_UNDER_O = """
+from twochar import cli, errors
+
+def raise_it(exc):
+    def f(*args, **kwargs):
+        raise exc
+    return f
+
+for exc in (errors.WrongWitness("x"), errors.TwistMismatch("x"), errors.InexactDivision("x"),
+            errors.NotMonic("x"), AssertionError("x"), ValueError("x")):
+    cli.schur_classes = raise_it(exc)
+    print(cli.main(["h2", "v4"]))
+"""
+
+
+def test_exit_codes_hold_under_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["4", "4", "4", "4", "4", "2"]
+
+
+def test_generator_closure_stops_one_past_the_bound():
+    with pytest.raises(ClosureTooLarge) as info:
+        group_from_json(S7, 64)
+    assert info.value.witness == 65
+
+
+def test_s7_generators_exit_3(tmp_path, capsys):
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(S7))
+    assert main(["h2", str(path), "--max-order", "64"]) == 3
+    assert "bound exceeded: closure exceeded 64 elements" in capsys.readouterr().err
+
+
+def test_cayley_table_over_the_bound_is_refused_before_validation(monkeypatch):
+    monkeypatch.setattr(groups, "_validate_table", _raiser(AssertionError("table validated")))
+    doc = {"cayley": [[(i + j) % 65 for j in range(65)] for i in range(65)]}
+    with pytest.raises(TooLarge):
+        group_from_json(doc, 64)
+
+
+def test_crossed_module_over_the_bound_is_refused_before_validation(monkeypatch):
+    monkeypatch.setattr(crossed, "_validate", _raiser(AssertionError("crossed module validated")))
+    doc = load_json("crossed_inner_s3", "crossed module")  # S3 → S3
+    with pytest.raises(TooLarge):
+        crossed_from_json(doc, 4)

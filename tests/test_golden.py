@@ -168,6 +168,25 @@ def test_z2_4_mark_matrix_and_determinant_match_golden_digest():
     assert hashlib.sha256(str(determinant(rows)).encode()).hexdigest() == Z2_4_DETERMINANT
 
 
+# The whole ``burnside`` report on Z2^4, all 270² products included.  The text
+# report prints its input path, so the group file has a fixed relative name.
+Z2_4_BURNSIDE = {
+    "json": "d0857168381d2e79065b253cd3ac3a3c679a0b5c082164aed461022ff838b3e4",
+    "text": "40829ec8d867b165b68e5738096e404f31cb026c1cdc3f8ff2dfa22ced397d4e",
+}
+
+
+@pytest.mark.parametrize("fmt, digest", sorted(Z2_4_BURNSIDE.items()))
+def test_z2_4_burnside_report_matches_golden_digest(tmp_path, monkeypatch, fmt, digest):
+    monkeypatch.chdir(tmp_path)
+    Path("z2_4.json").write_text(json.dumps(EXTRA_GROUPS["Z2^4"]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exit_code = main(["burnside", "z2_4.json", "--format", fmt])
+    assert exit_code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 # S4 is the group whose d₂ reduction shrinks the most when only the rows whose
 # first argument is a generator are kept.  Digests of repr(invariant factors)
 # followed by the ``values.tobytes()`` of every representative, in order.

@@ -3,7 +3,11 @@
 Elements are cyclotomic-rational combinations of canonical basis pairs — one
 pair per conjugation orbit of (subgroup P, linear class over P); the basis
 pair is exactly a canonical :class:`~twochar.reps.Orbit`.  Multiplication is
-the bilinear extension of the orbit tensor product (a double-coset sum).
+the bilinear extension of the orbit tensor product (a double-coset sum).  The
+double-coset data of a subgroup pair (P, Q) are built once
+(``reps._double_coset_table``), so the product of two basis pairs is one
+class addition per double coset, kept as integer multiplicities, and a
+product of elements sums ca·cb·n into one coefficient dict.
 
 Mark homomorphisms evaluate an element against (P, α), α a tuple of roots of
 unity (a character of the linear classes of P): a basis pair ⟨Θ, Q⟩ maps to
@@ -13,9 +17,11 @@ ring homomorphism to ℚ(ζ).  The pulled-back classes are read from
 mark at (P, α) equals the mark at (P, α∘n*) for n in the normalizer of P, so
 the rows of the table of marks are the pairs (P, α) up to G-conjugacy: one
 least α per normalizer orbit.  The table is then square and invertible over
-ℚ(ζ); its exact determinant is computed by Gaussian elimination, dividing by
-each pivot through its exact inverse
-(:meth:`~twochar.cyclo.CycloRat.inverse`).
+ℚ(ζ).  Rows and columns are sorted by subgroup class, and the mark at (P, α)
+on ⟨Θ, Q⟩ is 0 unless P is conjugate into Q, so the table is block upper
+triangular: its exact determinant is the product of the diagonal blocks',
+each found by Gaussian elimination, dividing by each pivot through its exact
+inverse (:meth:`~twochar.cyclo.CycloRat.inverse`).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .groups import (
     right_transversal,
     subgroup_class_representatives,
 )
-from .reps import Orbit, Rep2, _normalizer_min, _orbit_key, linear_classes, pullback_map, tensor
+from .reps import Orbit, Rep2, _normalizer_min, _orbit_key, _orbit_product, linear_classes, pullback_map
 
 BasisPair = Orbit
 
@@ -117,19 +123,57 @@ def from_rep2(r: Rep2) -> BurnsideElement:
 
 
 @lru_cache(maxsize=None)
-def _pair_product(G: FiniteGroup, a: BasisPair, b: BasisPair) -> BurnsideElement:
-    return from_rep2(tensor(Rep2(G, (a,)), Rep2(G, (b,))))
+def _pair_product(G: FiniteGroup, a: BasisPair, b: BasisPair) -> tuple[tuple[BasisPair, int], ...]:
+    """The product of two basis pairs as (pair, multiplicity) terms, sorted:
+    one class addition per double coset of the pair's subgroups
+    (``reps._orbit_product``).  The ring is commutative, so (b, a) is served
+    from (a, b)."""
+    if _orbit_key(b) < _orbit_key(a):
+        return _pair_product(G, b, a)
+    counts: dict = {}
+    for o in _orbit_product(a, b):
+        counts[o] = counts.get(o, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda t: _orbit_key(t[0])))
+
+
+def _int_terms(u: BurnsideElement):
+    """u's (pair, ``int``) terms when every coefficient is an integer at
+    level 1, as a basis element's is; else None."""
+    terms = []
+    for pair, c in u.coefficients.items():
+        if c.den != 1 or c.num.level != 1:
+            return None
+        terms.append((pair, c.num.coeffs[0]))
+    return terms
 
 
 def mul(u: BurnsideElement, v: BurnsideElement) -> BurnsideElement:
+    """Σ ca·cb·n over the terms n·p of each basis product a·b, summed into
+    one coefficient dict.  Integer coefficients are summed as ``int``s;
+    otherwise each term is added as a :class:`CycloRat` in the bilinear
+    order, and a coefficient that sums to zero is dropped at once."""
     if u.group != v.group:
         raise GroupMismatch("elements live over different groups")
     G = u.group
-    out = zero_element(G)
+    ints_u, ints_v = _int_terms(u), _int_terms(v)
+    if ints_u is not None and ints_v is not None:
+        counts: dict = {}
+        for a, ca in ints_u:
+            for b, cb in ints_v:
+                for p, n in _pair_product(G, a, b):
+                    counts[p] = counts.get(p, 0) + ca * cb * n
+        return BurnsideElement(G, {p: CycloRat.from_int(n) for p, n in counts.items()})
+    coeffs: dict = {}
     for a, ca in u.coefficients.items():
         for b, cb in v.coefficients.items():
-            out = add(out, scale(ca * cb, _pair_product(G, a, b)))
-    return out
+            cab = ca * cb
+            for p, n in _pair_product(G, a, b):
+                c = coeffs.get(p, CycloRat.zero()) + cab * n
+                if c.is_zero():
+                    coeffs.pop(p, None)
+                else:
+                    coeffs[p] = c
+    return BurnsideElement(G, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +288,37 @@ def mark_matrix(G: FiniteGroup):
 
 
 def determinant(rows: list[list[CycloRat]]) -> CycloRat:
-    """Exact determinant by Gaussian elimination over ℚ(ζ)."""
+    """Exact determinant over ℚ(ζ), block by block.
+
+    The matrix splits at k when every entry in rows k.. and columns ..k-1 is
+    zero; a table of marks splits at each change of subgroup class, since the
+    mark at (P, α) on ⟨Θ, Q⟩ is 0 unless P is conjugate into Q.  The
+    determinant is then the product of the diagonal blocks' determinants,
+    found at the finest split, each by Gaussian elimination."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    a = [list(r) for r in rows]
+    # low[k]: the least first-nonzero column over rows k.. (n for zero rows)
+    low = [n] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        first = next((j for j, x in enumerate(rows[i]) if not x.is_zero()), n)
+        low[i] = min(low[i + 1], first)
+    cuts = [k for k in range(1, n) if low[k] >= k] + [n]
+    det = CycloRat.one()
+    start = 0
+    for end in cuts:
+        block = _eliminate([r[start:end] for r in rows[start:end]])
+        if block.is_zero():
+            return block
+        det = det * block
+        start = end
+    return det
+
+
+def _eliminate(a: list[list[CycloRat]]) -> CycloRat:
+    """Exact determinant of a square matrix by Gaussian elimination, dividing
+    by each pivot through its exact inverse; the rows are overwritten."""
+    n = len(a)
     det = CycloRat.one()
     for k in range(n):
         pivot = next((i for i in range(k, n) if not a[i][k].is_zero()), None)

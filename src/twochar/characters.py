@@ -129,10 +129,14 @@ def gk_linear(mu: Cochain, a: int, b: int) -> RootOfUnity:
     """Character of one linear decoration at a commuting pair:
     exponent μ(b, a⁻¹) − μ(a⁻¹, b)."""
     _require_normalized(mu)
-    G = mu.group
-    if not G.commutes(a, b):
+    if not mu.group.commutes(a, b):
         raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
-    ainv = G.inv(a)
+    return _gk_linear(mu, a, b)
+
+
+def _gk_linear(mu: Cochain, a: int, b: int) -> RootOfUnity:
+    """``gk_linear`` for a normalized μ and a commuting pair, unchecked."""
+    ainv = mu.group.inv(a)
     e = (mu.val(b, ainv) - mu.val(ainv, b)) % mu.level
     return RootOfUnity(mu.level, e)
 
@@ -287,11 +291,13 @@ def gk_rep(r: Rep2, a: int, b: int) -> CycloInt:
     for o in r.orbits:
         P = o.subgroup
         mu = o.cocycle
+        _require_normalized(mu)
         _, to_sub, _ = subgroup_group(P)
         for t in right_transversal(G, P):
             at, bt = G.conj(t, a), G.conj(t, b)
             if to_sub[at] >= 0 and to_sub[bt] >= 0:
-                roots.append(gk_linear(mu, int(to_sub[at]), int(to_sub[bt])))
+                # conjugates of a commuting pair commute
+                roots.append(_gk_linear(mu, int(to_sub[at]), int(to_sub[bt])))
     return sum_roots(roots)
 
 

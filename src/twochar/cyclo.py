@@ -213,7 +213,9 @@ class CycloInt:
 
     @staticmethod
     def from_int(n: int, level: int = 1) -> "CycloInt":
-        return CycloInt(level, (n,) + (0,) * (euler_phi(level) - 1))
+        if level < 1:
+            raise ValueError("level must be positive")
+        return CycloInt._make(level, (int(n),) + (0,) * (euler_phi(level) - 1))
 
     @staticmethod
     def zero(level: int = 1) -> "CycloInt":
@@ -224,7 +226,7 @@ class CycloInt:
         return CycloInt.from_int(1, level)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __repr__(self) -> str:
         return f"CycloInt({self.level}, {self.coeffs})"

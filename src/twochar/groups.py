@@ -240,6 +240,12 @@ class Subgroup:
             for b in els:
                 if t[a][b] not in member:
                     raise ValueError(f"subgroup not closed under product at ({a}, {b})")
+        # the dataclass hash of the fields, computed once: subgroups key many
+        # caches; kept off the fields, so ``repr`` and ``==`` do not see it
+        object.__setattr__(self, "_hash", hash((self.parent, els)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

@@ -154,6 +154,13 @@ class Orbit:
     subgroup: Subgroup
     schur_index: int
 
+    def __post_init__(self):
+        # the dataclass hash of the fields, computed once, as for Subgroup
+        object.__setattr__(self, "_hash", hash((self.subgroup, self.schur_index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def cocycle(self) -> Cochain:
         return linear_classes(self.subgroup).representatives[self.schur_index]
@@ -227,11 +234,6 @@ def regular_rep2(G: FiniteGroup) -> Rep2:
     return rep2(G, [(P, trivial_decoration(P))])
 
 
-def linear_rep2(G: FiniteGroup, mu: Cochain) -> Rep2:
-    """Single-point 2-representation decorated by a cocycle over all of G."""
-    return rep2(G, [(full_subgroup(G), mu)])
-
-
 def degree(r: Rep2) -> int:
     return sum(o.index_in_group for o in r.orbits)
 
@@ -256,32 +258,44 @@ def _intersection(P: Subgroup, other_elements) -> Subgroup:
     return Subgroup(P.parent, els)
 
 
-def tensor(r: Rep2, s: Rep2) -> Rep2:
-    """Orbit-pairwise double-coset decomposition, on class coordinates.
+@lru_cache(maxsize=None)
+def _double_coset_table(P: Subgroup, Q: Subgroup) -> tuple:
+    """The double-coset decomposition of the orbits with stabilizers P and Q,
+    one entry per P\\x/Q double coset in ``double_cosets`` order.
 
-    For a double coset PxQ the orbit has stabilizer J = P ∩ xQx⁻¹ = c·P₀·c⁻¹,
-    P₀ its class representative.  Restriction to J followed by conjugation
-    onto P₀ is the one conjugation by c (for P) or by x⁻¹c (for Q), and the
-    ℂ^× class of a sum is the sum of the classes at any level, so the
-    decoration is the sum of two ``pullback_map`` images, minimized over the
-    normalizer of P₀; no cochain is built."""
+    For the double coset PxQ the stabilizer is J = P ∩ xQx⁻¹ = c·P₀·c⁻¹, P₀
+    its class representative.  Restriction to J followed by conjugation onto
+    P₀ is the one conjugation by c (for P) or by x⁻¹c (for Q).  Each entry is
+    (P₀, ``linear_classes(P₀)``, ``_normalizer_min(P₀)``, the pullback map
+    from P onto P₀, the pullback map from Q onto P₀): the data depend on P
+    and Q alone, so each pair is decomposed once."""
+    G = P.parent
+    reps = _class_reps(G)
+    out = []
+    for coset in double_cosets(G, P, Q):
+        x = coset[0]
+        P0, c = reps[_intersection(P, {G.conj(x, q) for q in Q.elements})]
+        maps = (pullback_map(P, c, P0), pullback_map(Q, G.mul(G.inv(x), c), P0))
+        out.append((P0, linear_classes(P0), _normalizer_min(P0), *maps))
+    return tuple(out)
+
+
+def _orbit_product(o1: Orbit, o2: Orbit):
+    """The canonical orbits of the tensor product of two orbits, one per
+    double coset: the ℂ^× class of a sum is the sum of the classes at any
+    level, so the decoration is the sum of the two pulled-back classes,
+    minimized over the normalizer of P₀; no cochain is built."""
+    i, j = o1.schur_index, o2.schur_index
+    for P0, sc, nmin, pa, qa in _double_coset_table(o1.subgroup, o2.subgroup):
+        yield Orbit(P0, nmin[sc.add(pa[i], qa[j])])
+
+
+def tensor(r: Rep2, s: Rep2) -> Rep2:
+    """Orbit-pairwise double-coset decomposition (``_orbit_product``)."""
     if r.group != s.group:
         raise AmbientMismatch("factors live over different groups")
-    G = r.group
-    reps = _class_reps(G)
-    orbits = []
-    for o1 in r.orbits:
-        P, i = o1.subgroup, o1.schur_index
-        for o2 in s.orbits:
-            Q, j = o2.subgroup, o2.schur_index
-            for coset in double_cosets(G, P, Q):
-                x = coset[0]
-                J = _intersection(P, {G.conj(x, q) for q in Q.elements})
-                P0, c = reps[J]
-                sc = linear_classes(P0)
-                k = sc.add(pullback_map(P, c, P0)[i], pullback_map(Q, G.mul(G.inv(x), c), P0)[j])
-                orbits.append(Orbit(P0, _normalizer_min(P0)[k]))
-    return Rep2(G, tuple(sorted(orbits, key=_orbit_key)))
+    orbits = [o for o1 in r.orbits for o2 in s.orbits for o in _orbit_product(o1, o2)]
+    return Rep2(r.group, tuple(sorted(orbits, key=_orbit_key)))
 
 
 def contragradient(r: Rep2) -> Rep2:

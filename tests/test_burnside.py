@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +26,8 @@ from twochar.burnside import (
 from twochar.cyclo import CycloRat, RootOfUnity, root_to_cyclo
 from twochar.errors import AlphaNotHomomorphism, GroupMismatch
 from twochar.cochains import conjugate_pullback
-from twochar.groups import from_permutation_generators, full_subgroup, trivial_subgroup
-from twochar.reps import Orbit, linear_classes, random_rep2, tensor
+from twochar.groups import from_permutation_generators, full_subgroup, group_from_json, trivial_subgroup
+from twochar.reps import Orbit, Rep2, linear_classes, random_rep2, tensor
 
 GROUPS = [klein_four(), cyclic(4), symmetric_3(), dihedral_4(), quaternion_8()]
 
@@ -268,3 +269,129 @@ def test_element_json_and_pretty(s3):
     assert "coefficients" in doc or isinstance(doc, (list, dict))
     assert isinstance(pretty_element(u), str)
     assert pretty_element(zero_element(s3)) == "0"
+
+
+S4 = from_permutation_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="S4")
+Z2_3 = group_from_json({"name": "Z2^3", "cayley": [[i ^ j for j in range(8)] for i in range(8)]})
+Z3SQ_C2 = group_from_json(json.loads((Path(__file__).resolve().parent / "data" / "z3sq_c2.json").read_text()))
+
+
+@pytest.mark.parametrize("G", [dihedral_4(), Z2_3, S4, Z3SQ_C2], ids=lambda G: G.name)
+def test_pair_products_equal_the_orbit_tensor_and_commute(G):
+    pairs = basis(G)
+    for a in pairs:
+        for b in pairs:
+            ab = mul(basis_element(G, a), basis_element(G, b))
+            assert ab == from_rep2(tensor(Rep2(G, (a,)), Rep2(G, (b,))))
+            assert ab == mul(basis_element(G, b), basis_element(G, a))
+
+
+@pytest.mark.parametrize("G", [dihedral_4(), Z3SQ_C2], ids=lambda G: G.name)
+def test_pair_products_are_mark_multiplicative(G):
+    # the marks do not read the double cosets, and the table of marks is
+    # invertible, so they pin every product
+    labels, cols, rows = mark_matrix(G)
+    where = {pair: k for k, pair in enumerate(cols)}
+    for a in cols:
+        for b in cols:
+            ab = mul(basis_element(G, a), basis_element(G, b))
+            for row in rows:
+                value = sum((c * row[where[p]] for p, c in ab.coefficients.items()), CycloRat.zero())
+                assert value == row[where[a]] * row[where[b]]
+
+
+def _bilinear_reference(u, v):
+    out = zero_element(u.group)
+    for a, ca in u.coefficients.items():
+        for b, cb in v.coefficients.items():
+            prod = from_rep2(tensor(Rep2(u.group, (a,)), Rep2(u.group, (b,))))
+            out = add(out, scale(ca * cb, prod))
+    return out
+
+
+def test_mul_with_cyclotomic_coefficients_equals_the_bilinear_reference(d4):
+    zeta8 = CycloRat.from_cyclo(root_to_cyclo(RootOfUnity(8, 1)))
+    zeta3 = CycloRat.from_cyclo(root_to_cyclo(RootOfUnity(3, 1)))
+    half = CycloRat.from_int(1, 2)
+    rng = random.Random(4)
+    pairs = basis(d4)
+    scalars = [zeta8, zeta3, half, zeta8 * half + 3, CycloRat.from_int(-1), CycloRat.from_int(2)]
+    for _ in range(30):
+        terms = [{pairs[rng.randrange(len(pairs))]: rng.choice(scalars) for _ in range(3)} for _ in range(2)]
+        u, v = (burnside.BurnsideElement(d4, t) for t in terms)
+        got, want = mul(u, v), _bilinear_reference(u, v)
+        assert got == want
+        assert pretty_element(got) == pretty_element(want)
+        assert [c.level for c in got.coefficients.values()] == [want.coefficients[p].level for p in got.coefficients]
+    # a coefficient that sums to zero is dropped at once, so the next term
+    # starts again from zero: pt·pt = 8·pt cancels e·pt = ζ8·pt, then pt·e
+    # leaves −1/8 at level 1, as in the reference
+    e, pt = Orbit(full_subgroup(d4), 0), Orbit(trivial_subgroup(d4), 0)
+    u = burnside.BurnsideElement(d4, {e: CycloRat.one(), pt: CycloRat.from_int(-1, 8)})
+    v = burnside.BurnsideElement(d4, {pt: zeta8, e: CycloRat.one()})
+    got = mul(u, v)
+    assert got == _bilinear_reference(u, v) == u
+    assert got.coefficients[pt].level == 1
+    assert mul(u, zero_element(d4)) == zero_element(d4)
+
+
+def _cofactor_det(m):
+    if not m:
+        return CycloRat.one()
+    total = CycloRat.zero()
+    for j, x in enumerate(m[0]):
+        if not x.is_zero():
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = x * _cofactor_det(minor)
+            total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _matrix(values):
+    def entry(v):
+        if isinstance(v, tuple):            # (level, exponent): a root of unity
+            return CycloRat.from_cyclo(root_to_cyclo(RootOfUnity(*v)))
+        return CycloRat.from_int(v)
+
+    return [[entry(v) for v in row] for row in values]
+
+
+def test_determinant_of_block_triangular_matrix_equals_the_cofactor_reference():
+    # blocks [0, 2), [2, 5), [5, 6); the middle block needs a row swap (its
+    # first row is zero in its first column), and the entries above the
+    # blocks are arbitrary
+    m = _matrix([
+        [2, (4, 1), 7, -1, 3, 5],
+        [1, 3, (3, 1), 0, 2, (8, 3)],
+        [0, 0, 0, 4, (3, 2), 1],
+        [0, 0, 5, 1, 1, -2],
+        [0, 0, 2, (4, 1), 6, 9],
+        [0, 0, 0, 0, 0, (8, 1)],
+    ])
+    want = _cofactor_det(m)
+    assert determinant(m) == want
+    assert repr(determinant(m)) == repr(burnside._eliminate([list(r) for r in m]))
+    assert determinant(m) == _cofactor_det([r[:2] for r in m[:2]]) * _cofactor_det(
+        [r[2:5] for r in m[2:5]]
+    ) * m[5][5]
+
+
+def test_determinant_without_a_block_split_equals_the_cofactor_reference():
+    # nonzero entries in the first column of every row: no split
+    m = _matrix([
+        [0, 1, 2, (4, 1)],
+        [3, (3, 1), 0, 1],
+        [1, 0, 5, 2],
+        [(8, 3), 2, 1, 0],
+    ])
+    assert determinant(m) == _cofactor_det(m)
+    # a zero row inside a block gives zero
+    m[2] = [CycloRat.zero()] * 4
+    assert determinant(m).is_zero() and _cofactor_det(m).is_zero()
+
+
+@pytest.mark.parametrize("G", GROUPS + [S4, Z3SQ_C2], ids=lambda G: G.name)
+def test_block_determinant_prints_as_the_full_elimination(G):
+    rows = mark_matrix(G)[2]
+    det = determinant(rows)
+    assert repr(det) == repr(burnside._eliminate([list(r) for r in rows]))

@@ -290,12 +290,14 @@ def gk_rep(r: Rep2, a: int, b: int) -> CycloInt:
     roots = []
     for o in r.orbits:
         P = o.subgroup
-        mu = o.cocycle
-        _require_normalized(mu)
+        mu = None
         _, to_sub, _ = subgroup_group(P)
         for t in right_transversal(G, P):
             at, bt = G.conj(t, a), G.conj(t, b)
             if to_sub[at] >= 0 and to_sub[bt] >= 0:
+                if mu is None:              # checked once, at its first use
+                    mu = o.cocycle
+                    _require_normalized(mu)
                 # conjugates of a commuting pair commute
                 roots.append(_gk_linear(mu, int(to_sub[at]), int(to_sub[bt])))
     return sum_roots(roots)

@@ -74,6 +74,8 @@ def cmd_burnside(args: argparse.Namespace) -> int:
     pairs = basis(G)
     labels, cols, rows = mark_matrix(G)
     det = determinant(rows)
+    elements = [basis_element(G, p) for p in pairs]
+    products = [[pretty_element(mul(a, b)) for b in elements] for a in elements]
     if args.fmt == "json":
         doc = {
             "command": "burnside",
@@ -83,24 +85,21 @@ def cmd_burnside(args: argparse.Namespace) -> int:
                 {"subgroup": list(p.subgroup.elements), "class": p.schur_index}
                 for p in pairs
             ],
-            "products": [
-                [pretty_element(mul(basis_element(G, a), basis_element(G, b))) for b in pairs]
-                for a in pairs
-            ],
+            "products": products,
             "marks": [[str(v) for v in row] for row in rows],
             "determinant": str(det),
         }
         _emit(args, json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
         return 0
     lines = [f"command: burnside", f"input: {args.group}", f"seed: {args.seed}", f"group: {G.name}"]
+    names = [_pair_label(p) for p in pairs]
     lines.append(f"basis pairs: {len(pairs)}")
-    for p in pairs:
-        lines.append(f"  {_pair_label(p)}")
+    for name in names:
+        lines.append(f"  {name}")
     lines.append("multiplication table:")
-    for a in pairs:
-        for b in pairs:
-            prod = mul(basis_element(G, a), basis_element(G, b))
-            lines.append(f"  {_pair_label(a)} * {_pair_label(b)} = {pretty_element(prod)}")
+    for a, row in zip(names, products):
+        for b, prod in zip(names, row):
+            lines.append(f"  {a} * {b} = {prod}")
     lines.append("mark matrix (rows = (subgroup, character), columns = basis):")
     header = ["row"] + [_pair_label(c) for c in cols]
     lines.append(",".join(header))

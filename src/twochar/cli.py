@@ -72,7 +72,7 @@ def _pair_label(pair: Orbit) -> str:
 def cmd_burnside(args: argparse.Namespace) -> int:
     G = load_group(args.group, args.max_order)
     pairs = basis(G)
-    labels, cols, rows = mark_matrix(G)
+    labels, _, rows = mark_matrix(G)
     det = determinant(rows)
     elements = [basis_element(G, p) for p in pairs]
     products = [[pretty_element(mul(a, b)) for b in elements] for a in elements]
@@ -101,7 +101,7 @@ def cmd_burnside(args: argparse.Namespace) -> int:
         for b, prod in zip(names, row):
             lines.append(f"  {a} * {b} = {prod}")
     lines.append("mark matrix (rows = (subgroup, character), columns = basis):")
-    header = ["row"] + [_pair_label(c) for c in cols]
+    header = ["row"] + names
     lines.append(",".join(header))
     for (P, ci), row in zip(labels, rows):
         tag = f"({','.join(map(str, P.elements))};chi{ci})"

@@ -6,10 +6,12 @@ here as a reference: element classes, subgroup classes, commuting pairs,
 double cosets, transversals, the commuting triples of a crossed module and
 its π₁ cosets.  ``canonical_orbit``, ``induce`` and ``mackey_restrict`` are
 compared with the cochain route (``conjugate_pullback`` + ``index_of``) on
-every subgroup.
+every subgroup, and ``mackey_restrict`` with its per-orbit loop on seeded
+random representations.
 """
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from twochar.groups import (
     conjugacy_classes,
     conjugate_subgroup,
     double_cosets,
+    from_cayley_table,
     from_permutation_generators,
     group_from_json,
     normalizer,
@@ -45,6 +48,7 @@ from twochar.reps import (
     induce,
     linear_classes,
     mackey_restrict,
+    random_rep2,
 )
 
 S4 = from_permutation_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="S4")
@@ -285,6 +289,35 @@ def test_mackey_restrict_matches_the_cochain_route_to_every_subgroup(G):
         for o in pairs:
             r = Rep2(G, (o,))
             assert mackey_restrict(r, P) == _ref_mackey_restrict(r, P), (P, o)
+
+
+def _ref_mackey_loop(r, P):
+    """``mackey_restrict`` as a per-orbit loop: the double cosets and each
+    stabilizer J = P ∩ xQx⁻¹ are found afresh for every orbit."""
+    G = r.group
+    p_grp, to_sub, _ = subgroup_group(P)
+    orbits = []
+    for o in r.orbits:
+        Q, i = o.subgroup, o.schur_index
+        for coset in double_cosets(G, P, Q):
+            x = coset[0]
+            J = Subgroup(G, tuple(sorted(set(P.elements) & {G.conj(x, q) for q in Q.elements})))
+            J_sub = Subgroup(p_grp, tuple(int(to_sub[j]) for j in J.elements))
+            orbits.append(reps._canonical(p_grp, J_sub, reps.pullback_map(Q, G.inv(x), J)[i]))
+    return Rep2(p_grp, tuple(sorted(orbits, key=_orbit_key)))
+
+
+A4 = from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
+Z2_3 = from_cayley_table([[i ^ j for j in range(8)] for i in range(8)], name="Z2^3")
+
+
+@pytest.mark.parametrize("G", [symmetric_3(), dihedral_4(), A4, Z2_3], ids=lambda G: G.name)
+def test_mackey_restrict_matches_the_per_orbit_loop_on_random_reps(G):
+    rng = random.Random(7)
+    for _ in range(6):
+        r = random_rep2(G, rng, max_orbits=4)
+        for P in all_subgroups(G):
+            assert mackey_restrict(r, P) == _ref_mackey_loop(r, P), (r, P)
 
 
 def test_warm_induce_and_restrict_build_no_cochain(monkeypatch):

@@ -35,18 +35,15 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     full_subgroup,
-    normalizer,
     orbit_partition,
     right_transversal,
     subgroup_class_representatives,
 )
-from .reps import Orbit, Rep2, _normalizer_min, _orbit_key, _orbit_product, linear_classes, pullback_map
-
-BasisPair = Orbit
+from .reps import Orbit, Rep2, _normalizer_maps, _normalizer_min, _orbit_key, _orbit_product, linear_classes, pullback_map
 
 
 @lru_cache(maxsize=None)
-def basis(G: FiniteGroup) -> tuple[BasisPair, ...]:
+def basis(G: FiniteGroup) -> tuple[Orbit, ...]:
     """Canonical basis pairs: one per conjugation orbit of (subgroup,
     linear class)."""
     out = []
@@ -86,7 +83,7 @@ def zero_element(G: FiniteGroup) -> BurnsideElement:
     return BurnsideElement(G, {})
 
 
-def basis_element(G: FiniteGroup, pair: BasisPair) -> BurnsideElement:
+def basis_element(G: FiniteGroup, pair: Orbit) -> BurnsideElement:
     return BurnsideElement(G, {pair: CycloRat.one()})
 
 
@@ -123,7 +120,7 @@ def from_rep2(r: Rep2) -> BurnsideElement:
 
 
 @lru_cache(maxsize=None)
-def _pair_product(G: FiniteGroup, a: BasisPair, b: BasisPair) -> tuple[tuple[BasisPair, int], ...]:
+def _pair_product(G: FiniteGroup, a: Orbit, b: Orbit) -> tuple[tuple[Orbit, int], ...]:
     """The product of two basis pairs as (pair, multiplicity) terms, sorted:
     one class addition per double coset of the pair's subgroups
     (``reps._orbit_product``).  The ring is commutative, so (b, a) is served
@@ -181,7 +178,7 @@ def mul(u: BurnsideElement, v: BurnsideElement) -> BurnsideElement:
 
 
 @lru_cache(maxsize=None)
-def _mark_pullback_classes(P: Subgroup, pair: BasisPair) -> tuple[int, ...]:
+def _mark_pullback_classes(P: Subgroup, pair: Orbit) -> tuple[int, ...]:
     """For each coset Q·g with g·P·g⁻¹ ⊆ Q = pair.subgroup: the linear class
     over P of the decoration pulled back along conjugation by g (the same for
     all of Q·g, since inner automorphisms act trivially on H²)."""
@@ -204,10 +201,8 @@ def _check_alpha(P: Subgroup, alpha: tuple[RootOfUnity, ...]) -> None:
     k-th unit vector: i = 0 gives α(0) = 1, and induction on the coordinates
     gives the law on every pair.  A trivial class group tests (0, 0)."""
     sc = linear_classes(P)
-    rank = len(sc.orders)
-    gens = [sc.index_of_coords(int(t == k) for t in range(rank)) for k in range(rank)] or [0]
     for i in range(len(sc)):
-        for j in gens:
+        for j in sc.generator_classes or (0,):
             if alpha[sc.add(i, j)] != alpha[i] * alpha[j]:
                 raise AlphaNotHomomorphism(f"α breaks the class group law at ({i}, {j})", witness=(i, j))
 
@@ -228,7 +223,7 @@ def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloRat:
     return total
 
 
-def _pair_mark(P: Subgroup, alpha, pair: BasisPair) -> CycloInt:
+def _pair_mark(P: Subgroup, alpha, pair: Orbit) -> CycloInt:
     """The mark at (P, α) of one basis pair, with no check on α (callers
     check each row's α once): α summed over the pulled-back classes."""
     return sum_roots(alpha[idx] for idx in _mark_pullback_classes(P, pair))
@@ -259,13 +254,13 @@ def _character_table(P: Subgroup):
 def _row_characters(P0: Subgroup) -> tuple[int, ...]:
     """Indices into ``_character_table(P0)`` of the least character in each
     orbit of the normalizer N of P0, acting by α ↦ α∘``pullback_map(P0, n,
-    P0)``.  The mark is constant on these orbits (the fixed cosets Q·g and
-    Q·g·n correspond), and N has as many orbits on the characters as on the
+    P0)`` (``reps._normalizer_maps``).  The mark is constant on these orbits
+    (the fixed cosets Q·g and Q·g·n correspond), and N has as many orbits on the characters as on the
     classes (Brauer's permutation lemma), so one row per orbit makes the
     table of marks square."""
     chars = _character_table(P0)
     index = {char: ci for ci, char in enumerate(chars)}
-    maps = [pullback_map(P0, n, P0) for n in normalizer(P0.parent, P0).elements]
+    maps = _normalizer_maps(P0)
     orbits = orbit_partition(range(len(chars)), lambda ci: (index[tuple(chars[ci][j] for j in pi)] for pi in maps))
     return tuple(orbit[0] for orbit in orbits)
 

@@ -332,11 +332,6 @@ def conjugate_pullback(c: Cochain, x: int, P: Subgroup) -> Cochain:
     return Cochain(new_mod, n, vals)
 
 
-def restrict(c: Cochain, P: Subgroup) -> Cochain:
-    """Restriction to a subgroup (conjugation pullback along x = identity)."""
-    return conjugate_pullback(c, 0, P)
-
-
 # ---------------------------------------------------------------------------
 # Normalized-subcomplex coordinates
 
@@ -552,7 +547,9 @@ class CohomologyClassSet:
     isomorphic to ⊕ ℤ/f over ``invariant_factors`` (ascending divisibility).
     Class c has the coordinates c; its representative is reduced modulo the
     rows of ``lattice`` plus Lℤ^{m₂}, and classes are sorted by it, so class
-    0 is zero.  ``coords_fn`` maps a cocycle to the coordinates of its class."""
+    0 is zero.  ``generator_classes[k]`` is the index of the class with
+    coordinates e_k.  ``coords_fn`` maps a cocycle to the coordinates of its
+    class."""
 
     def __init__(self, module, lattice, gens, orders, invariant_factors, coords_fn):
         L, n = module.level, len(orders)
@@ -566,6 +563,7 @@ class CohomologyClassSet:
         self.coordinates = tuple(tuple(map(int, combos[i])) for i in order)
         self._coords_fn = coords_fn
         self._index = {c: i for i, c in enumerate(self.coordinates)}
+        self.generator_classes = tuple(self.index_of_coords(int(t == k) for t in range(n)) for k in range(n))
 
     def __len__(self) -> int:
         return len(self.representatives)

@@ -131,10 +131,6 @@ def _validate(H: FiniteGroup, G: FiniteGroup, boundary: np.ndarray, action: np.n
                 )
 
 
-def crossed_module(H: FiniteGroup, G: FiniteGroup, boundary, action) -> CrossedModule:
-    return CrossedModule(H, G, boundary, action)
-
-
 # ---------------------------------------------------------------------------
 # π₁ and π₂
 
@@ -286,7 +282,7 @@ def crossed_to_json(K: CrossedModule) -> dict:
     }
 
 
-def crossed_from_json(doc: dict, max_order: int = 10000) -> CrossedModule:
+def crossed_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> CrossedModule:
     return CrossedModule(
         group_from_json(doc["H"], max_order),
         group_from_json(doc["G"], max_order),

@@ -154,7 +154,7 @@ def from_cayley_table(table, name: str = "G") -> FiniteGroup:
 
 
 def from_permutation_generators(
-    degree: int, generators, name: str = "G", max_order: int = 10000
+    degree: int, generators, name: str = "G", max_order: int = DEFAULT_MAX_ORDER
 ) -> FiniteGroup:
     """Close a generating set of permutations of ``range(degree)`` and build
     the Cayley table of the generated group.
@@ -430,7 +430,7 @@ def group_to_json(G: FiniteGroup) -> dict:
     return {"name": G.name, "order": G.order, "cayley": [[int(v) for v in row] for row in G.table]}
 
 
-def group_from_json(doc: dict, max_order: int = 10000) -> FiniteGroup:
+def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Accepts either the Cayley form or a permutation-generator form
     ``{"name", "degree", "generators"}``.  More than ``max_order`` elements
     is refused before the group is built: by the table's row count

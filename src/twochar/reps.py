@@ -121,15 +121,23 @@ def _pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
     if outside:
         raise NotContained(f"{g}·{outside[0]}·{g}⁻¹ is outside the target subgroup", witness=outside[0])
     sa, sb = linear_classes(A), linear_classes(B)
-    n, m = len(sa.orders), len(sb.orders)
+    m = len(sb.orders)
     imgs = []  # imgs[k]: the coordinates over B of the pullback of e_k
-    for k in range(n):
-        e_k = sa.representatives[sa.index_of_coords(int(t == k) for t in range(n))]
-        imgs.append(sb.coordinates[sb.index_of(conjugate_pullback(e_k, g, B))])
+    for e_k in sa.generator_classes:
+        imgs.append(sb.coordinates[sb.index_of(conjugate_pullback(sa.representatives[e_k], g, B))])
     return tuple(
         sb.index_of_coords(sum(c * img[t] for c, img in zip(coords, imgs)) for t in range(m))
         for coords in sa.coordinates
     )
+
+
+@lru_cache(maxsize=None)
+def _normalizer_maps(P0: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The distinct maps ``pullback_map(P0, n, P0)``, n in the normalizer of
+    P0, in order of first n: at most one per coset P0·n, since the map
+    depends on the coset alone.  The normalizer acts on the classes of P0,
+    and on their characters, through these maps."""
+    return tuple(dict.fromkeys(pullback_map(P0, n, P0) for n in normalizer(P0.parent, P0).elements))
 
 
 @lru_cache(maxsize=None)
@@ -138,9 +146,8 @@ def _normalizer_min(P0: Subgroup) -> tuple[int, ...]:
     orbit under pullback along the normalizer of P0."""
     # the normalizer is a group, so the images of i under its pullbacks are
     # the whole orbit of i
-    maps = [pullback_map(P0, n, P0) for n in normalizer(P0.parent, P0).elements]
     best = [0] * len(linear_classes(P0))
-    for orbit in orbit_partition(range(len(best)), lambda i: (pi[i] for pi in maps)):
+    for orbit in orbit_partition(range(len(best)), lambda i: (pi[i] for pi in _normalizer_maps(P0))):
         for i in orbit:
             best[i] = orbit[0]
     return tuple(best)
@@ -164,10 +171,6 @@ class Orbit:
     @property
     def cocycle(self) -> Cochain:
         return linear_classes(self.subgroup).representatives[self.schur_index]
-
-    @property
-    def index_in_group(self) -> int:
-        return self.subgroup.index
 
 
 def _orbit_key(o: Orbit):
@@ -235,12 +238,7 @@ def regular_rep2(G: FiniteGroup) -> Rep2:
 
 
 def degree(r: Rep2) -> int:
-    return sum(o.index_in_group for o in r.orbits)
-
-
-def equivalent(r: Rep2, s: Rep2) -> bool:
-    """Equality of canonical forms (complete equivalence invariant)."""
-    return r == s
+    return sum(o.subgroup.index for o in r.orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +251,18 @@ def direct_sum(r: Rep2, s: Rep2) -> Rep2:
     return Rep2(r.group, tuple(sorted(r.orbits + s.orbits, key=_orbit_key)))
 
 
-def _intersection(P: Subgroup, other_elements) -> Subgroup:
-    els = tuple(sorted(set(P.elements) & set(other_elements)))
-    return Subgroup(P.parent, els)
+@lru_cache(maxsize=None)
+def _double_coset_stabilizers(P: Subgroup, Q: Subgroup) -> tuple[tuple[int, Subgroup], ...]:
+    """(x, J = P ∩ xQx⁻¹) for each P\\x/Q double coset, x its least element,
+    in ``double_cosets`` order: J is the stabilizer of the point x·Q of G/Q
+    under P."""
+    G = P.parent
+    out = []
+    for coset in double_cosets(G, P, Q):
+        x = coset[0]
+        xQx = {G.conj(x, q) for q in Q.elements}
+        out.append((x, Subgroup(G, tuple(p for p in P.elements if p in xQx))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -272,9 +279,8 @@ def _double_coset_table(P: Subgroup, Q: Subgroup) -> tuple:
     G = P.parent
     reps = _class_reps(G)
     out = []
-    for coset in double_cosets(G, P, Q):
-        x = coset[0]
-        P0, c = reps[_intersection(P, {G.conj(x, q) for q in Q.elements})]
+    for x, J in _double_coset_stabilizers(P, Q):
+        P0, c = reps[J]
         maps = (pullback_map(P, c, P0), pullback_map(Q, G.mul(G.inv(x), c), P0))
         out.append((P0, linear_classes(P0), _normalizer_min(P0), *maps))
     return tuple(out)
@@ -337,9 +343,7 @@ def mackey_restrict(r: Rep2, P: Subgroup) -> Rep2:
     orbits = []
     for o in r.orbits:
         Q, i = o.subgroup, o.schur_index
-        for coset in double_cosets(G, P, Q):
-            x = coset[0]
-            J = _intersection(P, {G.conj(x, q) for q in Q.elements})
+        for x, J in _double_coset_stabilizers(P, Q):
             J_sub = Subgroup(p_grp, tuple(int(to_sub[j]) for j in J.elements))
             orbits.append(_canonical(p_grp, J_sub, pullback_map(Q, G.inv(x), J)[i]))
     return Rep2(p_grp, tuple(sorted(orbits, key=_orbit_key)))

@@ -16,7 +16,6 @@ identities on random cochains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,30 +29,6 @@ from .groups import (
     right_transversal,
     subgroup_group,
 )
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Subgroup parts h₁..hₙ and running representatives s₀..sₙ (parent
-    labels), satisfying t·g₁⋯g_k = h₁⋯h_k·s_k for every prefix."""
-
-    hs: tuple[int, ...]
-    ss: tuple[int, ...]
-
-
-def factorize(G: FiniteGroup, Q: Subgroup, t: int, gs) -> Factorization:
-    """Left-to-right coset factorization: s₀ = t and s_{k−1}·g_k = h_k·s_k,
-    where s_k is the transversal representative of Q·s_{k−1}·g_k."""
-    rep = coset_representative_map(G, Q)
-    s = t
-    hs, ss = [], [s]
-    for g in gs:
-        x = G.mul(s, int(g))
-        s2 = int(rep[x])
-        hs.append(G.mul(x, G.inv(s2)))
-        ss.append(s2)
-        s = s2
-    return Factorization(tuple(hs), tuple(ss))
 
 
 class ShapiroContext:

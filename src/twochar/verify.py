@@ -216,7 +216,7 @@ def crossed(seed=0, iters=200, poison=False, max_order=DEFAULT_MAX_ORDER) -> Sui
             x = rng.randrange(len(doc["action"][0]))
             doc["action"][g][x] = (doc["action"][g][x] + 1) % len(doc["action"][0])
             try:
-                K = crossed_from_json(doc)
+                K = crossed_from_json(doc, max_order)
             except TwoCharError as exc:
                 return _fail(lines, f"{name} rejected: {type(exc).__name__} at {exc.witness} [injected]", checks)
         if pi1(K).order != p1 or pi2(K).order != p2:

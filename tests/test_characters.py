@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,8 @@ from twochar.characters import (
     twisted_regular,
 )
 from twochar.burnside import basis, basis_element, from_rep2, identity_element, mark_matrix, scale
-from twochar.cochains import schur_classes
-from twochar.crossed import crossed_module, triples
+from twochar.cochains import GModule, normalize_cocycle, random_cocycle, schur_classes
+from twochar.crossed import CrossedModule, load_crossed, triples
 from twochar.cyclo import CycloInt, CycloRat, RootOfUnity, root_to_cyclo
 from twochar.errors import (
     FormulasDisagree,
@@ -224,7 +225,7 @@ def test_non_integral_value_is_rejected_under_optimize_flag():
 
 def _zero_boundary_module():
     z2, z4 = cyclic(2), cyclic(4)
-    return crossed_module(z2, z4, [0, 0], [[0, 1]] * 4)
+    return CrossedModule(z2, z4, [0, 0], [[0, 1]] * 4)
 
 
 def test_crossed_oracle_identity_label_matches_plain_oracle():
@@ -237,10 +238,48 @@ def test_crossed_oracle_identity_label_matches_plain_oracle():
         assert oracle_crossed_linear(data, a, b, h) == oracle_twisted_regular(mu, a, b)
 
 
+def _linear_characters(H):
+    """Every homomorphism H → ℂ^×, as one root of unity per element at level |H|."""
+    n = H.order
+    out = []
+    for rest in product(range(n), repeat=n - 1):
+        e = (0,) + rest
+        if all(e[H.mul(x, y)] == (e[x] + e[y]) % n for x in H.elements for y in H.elements):
+            out.append(tuple(RootOfUnity(n, v) for v in e))
+    return out
+
+
+@pytest.mark.parametrize("name, comparisons", [("crossed_z2_z4", 192), ("crossed_inner_s3", 432)])
+def test_crossed_oracle_matches_the_closed_form_of_the_inflation_family(name, comparisons):
+    # τ(h)·ζ_L^{μ(a⁻¹ba, a⁻¹) − μ(a⁻¹, b)} at every triple, ∂ ≠ 0 included;
+    # the value need not be constant on triple classes (μ is not a class
+    # function of the triple: a random coboundary moves it)
+    K = load_crossed(name)
+    G = K.G
+    rng = random.Random(1)
+    mus = list(schur_classes(G).representatives)
+    mus += [normalize_cocycle(random_cocycle(GModule.trivial(G, 12), rng)) for _ in range(3)]
+    taus = [None] + _linear_characters(K.H)
+    assert len(taus) == 3
+    count = 0
+    for mu, tau in product(mus, taus):
+        data = inflation_data(K, mu, tau)
+        L = mu.level
+        for a, b, h in triples(K):
+            ainv = G.inv(a)
+            aba = G.mul(G.mul(ainv, b), a)
+            closed = RootOfUnity(L, mu.val(aba, ainv) - mu.val(ainv, b))
+            if tau is not None:
+                closed = tau[h] * closed
+            assert oracle_crossed_linear(data, a, b, h) == closed, (a, b, h)
+            count += 1
+    assert count == comparisons
+
+
 def test_crossed_oracle_rejects_non_triples():
     # zero boundary over a non-abelian base: the triple condition is ab = ba
     s3 = symmetric_3()
-    K = crossed_module(cyclic(2), s3, [0, 0], [[0, 1]] * 6)
+    K = CrossedModule(cyclic(2), s3, [0, 0], [[0, 1]] * 6)
     data = inflation_data(K, schur_classes(s3).representatives[0])
     a = next(g for g in s3.elements if s3.order_of(g) == 2)
     b = next(g for g in s3.elements if s3.order_of(g) == 3)

@@ -30,7 +30,6 @@ from twochar.cochains import (
     raise_level,
     random_cochain,
     random_cocycle,
-    restrict,
     schur_classes,
 )
 from twochar.errors import NotACocycle, TooLarge, WrongWitness
@@ -200,7 +199,7 @@ def test_restrict_and_pullback(d4):
     classes = schur_classes(d4)
     mu = classes.representatives[-1]
     for P in all_subgroups(d4):
-        sub = restrict(mu, P)
+        sub = conjugate_pullback(mu, 0, P)
         assert is_cocycle(sub)
         assert sub.group.order == P.order
     P = generated_subgroup(d4, (1,))
@@ -208,7 +207,7 @@ def test_restrict_and_pullback(d4):
         from twochar.groups import conjugate_subgroup
 
         Q = conjugate_subgroup(d4, g, P)
-        moved = conjugate_pullback(restrict(mu, Q), g, P)
+        moved = conjugate_pullback(conjugate_pullback(mu, 0, Q), g, P)
         assert is_cocycle(moved)
         assert moved.group.order == P.order
 
@@ -216,7 +215,7 @@ def test_restrict_and_pullback(d4):
 def test_pullback_composes(d4):
     # pulling back along g after k equals pulling back along k·g
     classes = schur_classes(d4)
-    mu = restrict(classes.representatives[-1], generated_subgroup(d4, (1,)))
+    mu = conjugate_pullback(classes.representatives[-1], 0, generated_subgroup(d4, (1,)))
     P = mu.group.origin
     from twochar.groups import conjugate_subgroup
 

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import cyclic, symmetric_3
 from twochar.crossed import (
+    CrossedModule,
     TwoMorphism,
     crossed_from_json,
-    crossed_module,
     crossed_to_json,
     horizontal_compose,
     load_crossed,
@@ -47,7 +47,7 @@ def test_bundled_modules_validate():
 
 def test_inner_module_from_scratch(s3):
     action = [[s3.conj(g, h) for h in s3.elements] for g in s3.elements]
-    K = crossed_module(s3, s3, list(s3.elements), action)
+    K = CrossedModule(s3, s3, list(s3.elements), action)
     assert pi1(K).order == 1
     assert pi2(K).order == 1
 
@@ -56,14 +56,14 @@ def test_rejects_non_homomorphism_boundary():
     z2, z4 = cyclic(2), cyclic(4)
     action = [[0, 1]] * 4
     with pytest.raises(NotAHomomorphism) as exc:
-        crossed_module(z2, z4, [0, 1], action)  # 1 ↦ 1 is not a map Z2 → Z4
+        CrossedModule(z2, z4, [0, 1], action)  # 1 ↦ 1 is not a map Z2 → Z4
     assert exc.value.witness == (1, 1)
 
 
 def test_rejects_non_action():
     z2, z4 = cyclic(2), cyclic(4)
     with pytest.raises(NotAnAction):
-        crossed_module(z2, z4, [0, 2], [[0, 1], [0, 0], [0, 1], [0, 1]])
+        CrossedModule(z2, z4, [0, 2], [[0, 1], [0, 0], [0, 1], [0, 1]])
 
 
 def test_rejects_equivariance_failure():
@@ -80,7 +80,7 @@ def test_rejects_equivariance_failure():
     boundary = [0, r, s3.mul(r, r)]
     trivial_action = [[0, 1, 2]] * 6
     with pytest.raises(EquivarianceFailure):
-        crossed_module(z3, s3, boundary, trivial_action)
+        CrossedModule(z3, s3, boundary, trivial_action)
 
 
 def test_rejects_peiffer_failure():
@@ -90,7 +90,7 @@ def test_rejects_peiffer_failure():
     z4, z2 = cyclic(4), cyclic(2)
     sign = [[0, 1, 2, 3], [0, 3, 2, 1]]
     with pytest.raises(PeifferFailure) as exc:
-        crossed_module(z4, z2, [0, 1, 0, 1], sign)
+        CrossedModule(z4, z2, [0, 1, 0, 1], sign)
     assert exc.value.witness is not None
 
 
@@ -102,7 +102,7 @@ def test_pi_groups():
     assert pi2(k2).order == 1
     # central kernel example: trivial boundary makes pi2 everything
     z2, z4 = cyclic(2), cyclic(4)
-    K = crossed_module(z2, z4, [0, 0], [[0, 1]] * 4)
+    K = CrossedModule(z2, z4, [0, 0], [[0, 1]] * 4)
     assert pi2(K).order == 2
     assert pi1(K).order == 4
 

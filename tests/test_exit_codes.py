@@ -16,6 +16,7 @@ import pytest
 
 from twochar import cli, crossed, groups
 from twochar.cli import main
+from twochar.cochains import cochain_from_json
 from twochar.crossed import crossed_from_json, load_json
 from twochar.errors import (
     ClosureTooLarge,
@@ -26,7 +27,7 @@ from twochar.errors import (
     TwistMismatch,
     WrongWitness,
 )
-from twochar.groups import group_from_json
+from twochar.groups import DEFAULT_MAX_ORDER, from_permutation_generators, group_from_json
 
 FAULTS = [WrongWitness, TwistMismatch, InexactDivision, NotMonic]
 S7 = {"degree": 7, "generators": [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]}
@@ -102,6 +103,20 @@ def test_cayley_table_over_the_bound_is_refused_before_validation(monkeypatch):
     doc = {"cayley": [[(i + j) % 65 for j in range(65)] for i in range(65)]}
     with pytest.raises(TooLarge):
         group_from_json(doc, 64)
+
+
+def test_every_loader_defaults_to_the_cli_bound(monkeypatch):
+    monkeypatch.setattr(groups, "_validate_table", _raiser(AssertionError("table validated")))
+    doc = {"cayley": [[(i + j) % 65 for j in range(65)] for i in range(65)]}
+    with pytest.raises(TooLarge):
+        group_from_json(doc)
+    with pytest.raises(TooLarge):
+        cochain_from_json({"group": doc, "level": 2, "module": "trivial", "degree": 0, "values": [0]})
+    with pytest.raises(TooLarge):
+        crossed_from_json({"H": doc, "G": doc, "boundary": [0] * 65, "action": [list(range(65))] * 65})
+    with pytest.raises(ClosureTooLarge) as info:
+        from_permutation_generators(S7["degree"], S7["generators"])
+    assert info.value.witness == DEFAULT_MAX_ORDER + 1 == 65
 
 
 def test_crossed_module_over_the_bound_is_refused_before_validation(monkeypatch):

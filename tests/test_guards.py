@@ -4,9 +4,11 @@ still fire under ``python -O``, which strips ``assert`` statements.
 Each guard is tripped in a ``python -O`` subprocess: by a bad input where
 the public entry points refuse to build one, or by patching the step the
 guard checks.  The subprocess prints one JSON line per guard: the exception
-type and its witness.
+type and its witness.  The package itself holds no ``assert`` statement, so
+no check goes missing under ``-O``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -116,3 +118,14 @@ def tripped():
 @pytest.mark.parametrize("case", EXPECTED)
 def test_guard_raises_a_typed_error_under_optimize_flag(tripped, case):
     assert tripped[case] == EXPECTED[case]
+
+
+def test_package_has_no_assert_statement():
+    src = Path(__file__).resolve().parents[1] / "src" / "twochar"
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -18,7 +18,7 @@ import pytest
 from conftest import dihedral_4, quaternion_8, symmetric_3
 from twochar import cochains, reps
 from twochar.burnside import basis
-from twochar.cochains import conjugate_pullback, raise_level, restrict
+from twochar.cochains import conjugate_pullback, raise_level
 from twochar.errors import NotContained
 from twochar.groups import (
     Subgroup,
@@ -93,7 +93,7 @@ def _reference_tensor(r, s):
                 x = coset[0]
                 conj_Q = {G.conj(x, q) for q in Q.elements}
                 J = Subgroup(G, tuple(sorted(set(P.elements) & conj_Q)))
-                t = restrict(mu_M, J) + conjugate_pullback(nu_M, G.inv(x), J)
+                t = conjugate_pullback(mu_M, 0, J) + conjugate_pullback(nu_M, G.inv(x), J)
                 P0, c = _class_reps(G)[J]
                 i = linear_classes(P0).index_of(conjugate_pullback(t, c, P0))
                 orbits.append(Orbit(P0, _reference_normalizer_min(P0)[i]))

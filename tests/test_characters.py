@@ -251,9 +251,9 @@ def _linear_characters(H):
 
 @pytest.mark.parametrize("name, comparisons", [("crossed_z2_z4", 192), ("crossed_inner_s3", 432)])
 def test_crossed_oracle_matches_the_closed_form_of_the_inflation_family(name, comparisons):
-    # τ(h)·ζ_L^{μ(a⁻¹ba, a⁻¹) − μ(a⁻¹, b)} at every triple, ∂ ≠ 0 included;
-    # the value need not be constant on triple classes (μ is not a class
-    # function of the triple: a random coboundary moves it)
+    # τ(h)·ζ_L^{μ(a⁻¹ba, a⁻¹) − μ(a⁻¹, b)} at every triple, ∂ ≠ 0 included.
+    # Constancy on triple classes is not asserted: it fails for a random μ,
+    # which differs from a Schur representative by a coboundary.
     K = load_crossed(name)
     G = K.G
     rng = random.Random(1)

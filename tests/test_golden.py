@@ -73,6 +73,28 @@ LEVEL_GOLDEN = {
 # h2 prints its text report; the other two commands print JSON
 FORMAT = {"h2": (), "burnside": ("--format", "json"), "char-table": ("--format", "json")}
 
+# group: digest of the default ``char-table GROUP`` report (CSV, exact values)
+CSV_GOLDEN = {
+    "z1": "f763e3dd728b7c26c1c004bab6fef17f88c2aa29005a9e4b8559e765f33bcefc",
+    "z2": "aaab11c100afceb54a5366b5792e5f4d5b6c03010df78d83096113e44c7472e3",
+    "z3": "7b6444bdaed086dbb5858ad01df1e4f5e04183863629331406fc05fe44cfb519",
+    "z4": "e9d21396ac481b144f8958078ef5f7a16a01eb5e5d8712592ba3e9a4526d0be2",
+    "z5": "225d13f9897aaee6027d2ace771a306de95755687d6a0cb1c8476d6a944226b7",
+    "z6": "e06279a4240dc6524a160980cbfaef6760c754be7754a47ffe3e20bedcf82d78",
+    "z7": "51e5cec2378d353fec8f2da1f5de7d7685ca9f48975bea4c8136804bb4e2bb10",
+    "z8": "e8a9e5be38cedf075bef90b7f0c85e600b968c11f6025b65d30f16fe22d5992f",
+    "v4": "0f11fa792d27904bba839b2ba9c1fe352af7e9c873a3e2551a776cbe527c4066",
+    "s3": "66677a4d9f2e434368749aabcbe6e2269a70389f9876c5c2a1809af56628faec",
+    "d4": "07735c8702737371f438e9c7c41e2ea7ecf582e21f019e6c9bed9850fe6e40bf",
+    "q8": "0c11563d36c5212a32cc1cdfdfc717bd45014d73b334231b108a26c5e56d4ea7",
+}
+
+# (group, flag): digest of ``char-table GROUP FLAG`` in the default CSV format
+CSV_FLAG_GOLDEN = {
+    ("d4", "--numeric"): "d1ff608ac29c2504adb375a8f1691015b15eba722a0f891992f790d79975f626",
+    ("q8", "--verify"): "ad4e9f43f2e970fd459bc0f181318b1390b5caff9fb3aa41a23e8c013c8a68c0",
+}
+
 # (suite, seed, poison): (exit code, digest) of ``verify SUITE --iters 5 --seed SEED [--poison]``
 VERIFY_GOLDEN = {
     ("shapiro", 0, False): (0, "7257a0872edf613e907b1d0b7c13c0352ebcf39a8ac3f08b1180b31be8836a70"),
@@ -99,6 +121,12 @@ CASES = [
 ] + [
     pytest.param(("h2", group, "--level", str(level)), 0, digest, id=f"h2-{group}-level{level}")
     for (group, level), digest in LEVEL_GOLDEN.items()
+] + [
+    pytest.param(("char-table", group), 0, digest, id=f"char-table-{group}-csv")
+    for group, digest in CSV_GOLDEN.items()
+] + [
+    pytest.param(("char-table", group, flag), 0, digest, id=f"char-table-{group}-csv{flag}")
+    for (group, flag), digest in CSV_FLAG_GOLDEN.items()
 ] + [
     pytest.param(
         ("verify", suite, "--iters", "5", "--seed", str(seed), *(("--poison",) if poison else ())),

@@ -333,24 +333,18 @@ def _eliminate(a: list[list[CycloRat]]) -> CycloRat:
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Printing
 
 
-def element_to_json(u: BurnsideElement) -> dict:
-    from .cyclo import rat_to_json
+def pair_label(pair: Orbit) -> str:
+    """``<i|{g,…}>``: a basis pair's class index and subgroup elements, as the
+    CSV and text reports print it."""
+    return f"<{pair.schur_index}|{{{','.join(map(str, pair.subgroup.elements))}}}>"
 
-    pairs = sorted(u.coefficients, key=_orbit_key)
-    return {
-        "group": u.group.name,
-        "terms": [
-            {
-                "subgroup": [int(g) for g in p.subgroup.elements],
-                "class": p.schur_index,
-                "coefficient": rat_to_json(u.coefficients[p]),
-            }
-            for p in pairs
-        ],
-    }
+
+def pair_json(pair: Orbit) -> dict:
+    """A basis pair in the JSON reports: its subgroup's elements and class index."""
+    return {"subgroup": list(pair.subgroup.elements), "class": pair.schur_index}
 
 
 def pretty_element(u: BurnsideElement) -> str:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .burnside import BurnsideElement, _check_alpha, _pair_mark, basis, mark
+from .burnside import BurnsideElement, _check_alpha, _pair_mark, basis, mark, pair_json, pair_label
 from .cochains import Cochain, GModule, _cx_coords, differential, is_cocycle
 from .crossed import CrossedModule
 from .cyclo import CycloInt, CycloRat, RootOfUnity, raise_root_level, sum_roots
@@ -407,11 +407,7 @@ def char_table_to_csv(t: CharTable, numeric: bool = False) -> str:
             return f"{z.real:.6f}{z.imag:+.6f}j"
         return str(v)
 
-    header = ["pair"] + [
-        f"<{c.schur_index}|{{{','.join(map(str, c.subgroup.elements))}}}>"
-        for c in t.columns
-    ]
-    lines = [",".join(header)]
+    lines = [",".join(["pair"] + [pair_label(c) for c in t.columns])]
     for (a, b), row in zip(t.pairs, t.entries):
         lines.append(",".join([f"({a};{b})"] + [fmt(v) for v in row]))
     return "\n".join(lines) + "\n"
@@ -423,12 +419,6 @@ def char_table_to_json(t: CharTable) -> dict:
     return {
         "group": t.group.name,
         "pairs": [[a, b] for a, b in t.pairs],
-        "columns": [
-            {
-                "subgroup": [int(g) for g in c.subgroup.elements],
-                "class": c.schur_index,
-            }
-            for c in t.columns
-        ],
+        "columns": [pair_json(c) for c in t.columns],
         "entries": [[cyclo_to_json(v) for v in row] for row in t.entries],
     }

@@ -18,13 +18,12 @@ import os
 import sys
 import traceback
 
-from .burnside import basis, basis_element, determinant, mark_matrix, mul, pretty_element
+from .burnside import basis, basis_element, determinant, mark_matrix, mul, pair_json, pair_label, pretty_element
 from .characters import char_table, char_table_to_csv, char_table_to_json, verify_char_table
 from .cochains import GModule, h2, schur_classes
 from .crossed import load_crossed, pi1, pi2, triple_classes, triples
 from .errors import ClosureTooLarge, FormulasDisagree, InternalFault, TooLarge, TwoCharError
 from .groups import DEFAULT_MAX_ORDER, load_group
-from .reps import Orbit
 from .verify import SUITES
 
 
@@ -48,25 +47,18 @@ def _structure_str(factors) -> str:
 def cmd_h2(args: argparse.Namespace) -> int:
     G = load_group(args.group, args.max_order)
     lines = [f"command: h2", f"input: {args.group}", f"seed: {args.seed}", f"group: {G.name} (order {G.order})"]
-    sc = schur_classes(G)
-    lines.append(f"Schur classes: {len(sc)}, structure: {_structure_str(sc.invariant_factors)}")
+    classes = schur_classes(G)
+    lines.append(f"Schur classes: {len(classes)}, structure: {_structure_str(classes.invariant_factors)}")
     if args.level is not None:
         classes = h2(G, GModule.trivial(G, args.level))
         lines.append(
             f"classes at level {args.level}: {len(classes)}, "
             f"invariant factors: {_structure_str(classes.invariant_factors)}"
         )
-        for i, rep in enumerate(classes.representatives):
-            lines.append(f"representative {i}: {[int(v) for v in rep.values.reshape(-1)]}")
-    else:
-        for i, rep in enumerate(sc.representatives):
-            lines.append(f"representative {i}: {[int(v) for v in rep.values.reshape(-1)]}")
+    for i, rep in enumerate(classes.representatives):
+        lines.append(f"representative {i}: {[int(v) for v in rep.values.reshape(-1)]}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
-
-
-def _pair_label(pair: Orbit) -> str:
-    return f"<{pair.schur_index}|{{{','.join(map(str, pair.subgroup.elements))}}}>"
 
 
 def cmd_burnside(args: argparse.Namespace) -> int:
@@ -81,10 +73,7 @@ def cmd_burnside(args: argparse.Namespace) -> int:
             "command": "burnside",
             "seed": args.seed,
             "group": G.name,
-            "basis": [
-                {"subgroup": list(p.subgroup.elements), "class": p.schur_index}
-                for p in pairs
-            ],
+            "basis": [pair_json(p) for p in pairs],
             "products": products,
             "marks": [[str(v) for v in row] for row in rows],
             "determinant": str(det),
@@ -92,7 +81,7 @@ def cmd_burnside(args: argparse.Namespace) -> int:
         _emit(args, json.dumps(doc, indent=1, ensure_ascii=False) + "\n")
         return 0
     lines = [f"command: burnside", f"input: {args.group}", f"seed: {args.seed}", f"group: {G.name}"]
-    names = [_pair_label(p) for p in pairs]
+    names = [pair_label(p) for p in pairs]
     lines.append(f"basis pairs: {len(pairs)}")
     for name in names:
         lines.append(f"  {name}")
@@ -169,8 +158,6 @@ def cmd_crossed(args: argparse.Namespace) -> int:
         lines.append(f"triples: {len(ts)}")
         lines.append(f"classes: {len(classes)}")
         lines.append(f"class sizes: {[len(c) for c in classes]}")
-    else:
-        raise ValueError(f"unknown crossed subcommand: {sub}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

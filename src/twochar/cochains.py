@@ -711,40 +711,3 @@ def random_cocycle(module: GModule, rng) -> Cochain:
     pi = random_cochain(module, 1, rng)
     coeffs = np.array([rng.randrange(L) for _ in range(len(gens))], dtype=np.int64)
     return differential(pi) + _embed_norm(module, 2, coeffs @ gens % L)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def module_to_json(module: GModule):
-    if module.is_trivial:
-        return "trivial"
-    return {"set": module.size, "action": [[int(v) for v in row] for row in module.action]}
-
-
-def cochain_to_json(c: Cochain) -> dict:
-    from .groups import group_to_json
-
-    return {
-        "group": group_to_json(c.group),
-        "level": c.level,
-        "module": module_to_json(c.module),
-        "degree": c.degree,
-        "values": [int(v) for v in c.values.reshape(-1)],
-    }
-
-
-def cochain_from_json(doc: dict) -> Cochain:
-    from .groups import group_from_json
-
-    G = group_from_json(doc["group"])
-    L = int(doc["level"])
-    mod_doc = doc["module"]
-    if mod_doc == "trivial":
-        module = GModule.trivial(G, L)
-    else:
-        module = GModule.permutation(G, mod_doc["action"], L)
-    degree = int(doc["degree"])
-    shape = (G.order,) * degree + (module.size,)
-    return Cochain(module, degree, np.array(doc["values"], dtype=np.int64).reshape(shape))

@@ -35,9 +35,9 @@ from .groups import (
     Subgroup,
     from_cayley_table,
     group_from_json,
-    group_to_json,
     load_json,
     orbit_partition,
+    require_ints,
 )
 
 
@@ -273,21 +273,12 @@ def triple_classes(
 # Serialization
 
 
-def crossed_to_json(K: CrossedModule) -> dict:
-    return {
-        "H": group_to_json(K.H),
-        "G": group_to_json(K.G),
-        "boundary": [int(v) for v in K.boundary],
-        "action": [[int(v) for v in row] for row in K.action],
-    }
-
-
 def crossed_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> CrossedModule:
     return CrossedModule(
         group_from_json(doc["H"], max_order),
         group_from_json(doc["G"], max_order),
-        doc["boundary"],
-        doc["action"],
+        require_ints(doc["boundary"], NotAHomomorphism, "boundary"),
+        require_ints(doc["action"], NotAnAction, "action"),
     )
 
 

@@ -517,25 +517,5 @@ def pretty_cyclo(x) -> str:
     raise TypeError(f"cannot pretty-print {type(x).__name__}")
 
 
-def root_to_json(r: RootOfUnity) -> dict:
-    return {"level": r.level, "exp": r.exponent}
-
-
-def root_from_json(doc: dict) -> RootOfUnity:
-    return RootOfUnity(int(doc["level"]), int(doc["exp"]))
-
-
 def cyclo_to_json(x: CycloInt) -> dict:
     return {"level": x.level, "coeffs": list(x.coeffs)}
-
-
-def cyclo_from_json(doc: dict) -> CycloInt:
-    return CycloInt(int(doc["level"]), doc["coeffs"])
-
-
-def rat_to_json(x: CycloRat) -> dict:
-    return {"level": x.num.level, "coeffs": list(x.num.coeffs), "den": x.den}
-
-
-def rat_from_json(doc: dict) -> CycloRat:
-    return CycloRat(CycloInt(int(doc["level"]), doc["coeffs"]), int(doc.get("den", 1)))

@@ -425,28 +425,50 @@ def exponent(G: FiniteGroup) -> int:
 # Serialization
 
 
-def group_to_json(G: FiniteGroup) -> dict:
-    """Canonical JSON form: name, order, dense Cayley table."""
-    return {"name": G.name, "order": G.order, "cayley": [[int(v) for v in row] for row in G.table]}
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def require_ints(doc, error, what: str):
+    """``doc``, a JSON list of integers or of such lists, unchanged.  An entry
+    that is a float, a string or a bool is refused with ``error``, whose
+    witness is the entry's position, instead of being cast by ``np.array`` or
+    ``int``."""
+
+    def walk(v, at):
+        if isinstance(v, list):
+            for i, x in enumerate(v):
+                walk(x, (*at, i))
+        elif not _is_int(v):
+            raise error(f"{what} entry at {at} is not an integer: {v!r}", witness=at)
+
+    walk(doc, ())
+    return doc
 
 
 def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     """Accepts either the Cayley form or a permutation-generator form
     ``{"name", "degree", "generators"}``.  More than ``max_order`` elements
     is refused before the group is built: by the table's row count
-    (:class:`TooLarge`) or by stopping the closure (:class:`ClosureTooLarge`)."""
+    (:class:`TooLarge`) or by stopping the closure (:class:`ClosureTooLarge`).
+    Table and generator entries must be JSON integers (:func:`require_ints`)
+    and the degree a non-negative one."""
     if not isinstance(doc, dict):
         raise ValueError("group document must be a JSON object")
     name = doc.get("name", "G")
     if "cayley" in doc:
         if len(doc["cayley"]) > max_order:
             raise TooLarge(f"group order {len(doc['cayley'])} exceeds the bound {max_order}")
-        G = from_cayley_table(doc["cayley"], name=name)
+        G = from_cayley_table(require_ints(doc["cayley"], NotAGroup, "Cayley table"), name=name)
         if "order" in doc and doc["order"] != G.order:
             raise ValueError(f"declared order {doc['order']} != table size {G.order}")
         return G
     if "generators" in doc:
-        return from_permutation_generators(int(doc["degree"]), doc["generators"], name=name, max_order=max_order)
+        degree = doc["degree"]
+        if not _is_int(degree) or degree < 0:
+            raise NotAPermutation(f"degree must be a non-negative integer, got {degree!r}", witness=degree)
+        gens = require_ints(doc["generators"], NotAPermutation, "generator")
+        return from_permutation_generators(degree, gens, name=name, max_order=max_order)
     raise ValueError("group document needs either 'cayley' or 'generators'")
 
 

@@ -36,7 +36,6 @@ from .cochains import (
     Cochain,
     CohomologyClassSet,
     GModule,
-    cochain_to_json,
     conjugate_pullback,
     differential,
     is_cocycle,
@@ -422,7 +421,7 @@ def from_perm_cocycle(p: PermCocycleRep) -> Rep2:
 
 
 # ---------------------------------------------------------------------------
-# Random generation (for property runs) and serialization
+# Random generation (for property runs)
 
 
 def random_rep2(G: FiniteGroup, rng, max_orbits: int = 3) -> Rep2:
@@ -439,30 +438,4 @@ def random_rep2(G: FiniteGroup, rng, max_orbits: int = 3) -> Rep2:
         g = rng.randrange(G.order)
         P2 = conjugate_subgroup(G, g, P)
         terms.append((P2, conjugate_pullback(mu, G.inv(g), P2)))
-    return rep2(G, terms)
-
-
-def rep2_to_json(r: Rep2) -> dict:
-    return {
-        "group": r.group.name,
-        "orbits": [
-            {
-                "subgroup": [int(g) for g in o.subgroup.elements],
-                "cocycle": cochain_to_json(o.cocycle),
-            }
-            for o in r.orbits
-        ],
-    }
-
-
-def rep2_from_json(G: FiniteGroup, doc: dict) -> Rep2:
-    terms = []
-    for entry in doc["orbits"]:
-        P = Subgroup(G, tuple(int(g) for g in entry["subgroup"]))
-        grp, _, _ = subgroup_group(P)
-        cdoc = entry["cocycle"]
-        level = int(cdoc["level"])
-        k = grp.order
-        vals = np.array(cdoc["values"], dtype=np.int64).reshape(k, k, 1)
-        terms.append((P, Cochain(GModule.trivial(grp, level), 2, vals)))
     return rep2(G, terms)

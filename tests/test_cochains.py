@@ -18,8 +18,6 @@ from twochar import cochains
 from twochar.cochains import (
     Cochain,
     GModule,
-    cochain_from_json,
-    cochain_to_json,
     cohomologous_over_Cx,
     conjugate_pullback,
     differential,
@@ -242,14 +240,6 @@ def test_random_cocycle_is_cocycle():
         for seed in range(3):
             c = random_cocycle(GModule.trivial(G, 4), random.Random(seed))
             assert is_cocycle(c)
-
-
-def test_cochain_json_roundtrip(s3):
-    c = random_cochain(GModule.trivial(s3, 6), 2, random.Random(9))
-    back = cochain_from_json(cochain_to_json(c))
-    assert back.degree == c.degree
-    assert back.level == c.level
-    assert (back.values == c.values).all()
 
 
 def _count_reductions(monkeypatch):

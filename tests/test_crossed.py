@@ -8,8 +8,6 @@ from conftest import cyclic, symmetric_3
 from twochar.crossed import (
     CrossedModule,
     TwoMorphism,
-    crossed_from_json,
-    crossed_to_json,
     horizontal_compose,
     load_crossed,
     pi1,
@@ -215,9 +213,3 @@ def test_triple_classes_partition_and_invariance():
 def test_triples_bound():
     with pytest.raises(TooLarge):
         triples(_k2(), bound=10)
-
-
-def test_json_roundtrip():
-    for K in (_k1(), _k2()):
-        back = crossed_from_json(crossed_to_json(K))
-        assert back == K

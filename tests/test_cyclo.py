@@ -14,18 +14,12 @@ from twochar.cyclo import (
     RootOfUnity,
     _galois_conjugate,
     _reduce_mod_cyclotomic,
-    cyclo_from_json,
-    cyclo_to_json,
     cyclotomic_polynomial,
     euler_phi,
     pretty_cyclo,
     raise_cyclo_level,
     raise_root_level,
-    rat_from_json,
-    rat_to_json,
-    root_from_json,
     root_to_cyclo,
-    root_to_json,
     sum_roots,
 )
 
@@ -148,15 +142,6 @@ def test_pretty_forms():
     assert pretty_cyclo(CycloInt.from_int(3)) == "3"
     text = pretty_cyclo(root_to_cyclo(RootOfUnity(8, 3)))
     assert "ζ" in text and "8" in text
-
-
-def test_json_roundtrips():
-    r = RootOfUnity(12, 5)
-    assert root_from_json(root_to_json(r)) == r
-    x = root_to_cyclo(r) + CycloInt.from_int(2)
-    assert cyclo_from_json(cyclo_to_json(x)) == x
-    q = CycloRat.from_cyclo(x) / 3
-    assert rat_from_json(rat_to_json(q)) == q
 
 
 # ---------------------------------------------------------------------------

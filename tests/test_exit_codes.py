@@ -16,12 +16,15 @@ import pytest
 
 from twochar import cli, crossed, groups
 from twochar.cli import main
-from twochar.cochains import cochain_from_json
 from twochar.crossed import crossed_from_json, load_json
 from twochar.errors import (
     ClosureTooLarge,
     InexactDivision,
     InternalFault,
+    NotAGroup,
+    NotAHomomorphism,
+    NotAnAction,
+    NotAPermutation,
     NotMonic,
     TooLarge,
     TwistMismatch,
@@ -111,8 +114,6 @@ def test_every_loader_defaults_to_the_cli_bound(monkeypatch):
     with pytest.raises(TooLarge):
         group_from_json(doc)
     with pytest.raises(TooLarge):
-        cochain_from_json({"group": doc, "level": 2, "module": "trivial", "degree": 0, "values": [0]})
-    with pytest.raises(TooLarge):
         crossed_from_json({"H": doc, "G": doc, "boundary": [0] * 65, "action": [list(range(65))] * 65})
     with pytest.raises(ClosureTooLarge) as info:
         from_permutation_generators(S7["degree"], S7["generators"])
@@ -124,3 +125,37 @@ def test_crossed_module_over_the_bound_is_refused_before_validation(monkeypatch)
     doc = load_json("crossed_inner_s3", "crossed module")  # S3 → S3
     with pytest.raises(TooLarge):
         crossed_from_json(doc, 4)
+
+
+# Input documents with entries that are not JSON integers.  Cast by
+# ``np.array(..., dtype=np.int64)`` or ``int``, each would become a valid group
+# or crossed module (a negative degree, the trivial group), so each is refused
+# where it is read, with the entry's position as witness.
+Z2 = {"name": "Z2", "cayley": [[0, 1], [1, 0]]}
+Z4 = {"name": "Z4", "cayley": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+NON_INTEGER_DOCS = {
+    "float-table": ({"cayley": [[0.7, 1.2], [1.9, 0.1]]}, NotAGroup, (0, 0)),
+    "string-table": ({"cayley": [[0, 1], [1, "0"]]}, NotAGroup, (1, 1)),
+    "bool-table": ({"cayley": [[False]]}, NotAGroup, (0, 0)),
+    "float-degree": ({"degree": 2.5, "generators": [[1, 0]]}, NotAPermutation, 2.5),
+    "negative-degree": ({"degree": -1, "generators": []}, NotAPermutation, -1),
+    "float-generator": ({"degree": 2, "generators": [[1.9, 0.2]]}, NotAPermutation, (0, 0)),
+    "crossed-float-boundary": (
+        {"H": Z2, "G": Z4, "boundary": [0, 2.0], "action": [[0, 1]] * 4}, NotAHomomorphism, (1,)
+    ),
+    "crossed-string-action": (
+        {"H": Z2, "G": Z4, "boundary": [0, 2], "action": [["0", "1"]] * 4}, NotAnAction, (0, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_DOCS)
+def test_non_integer_entries_exit_2_with_their_position(name, tmp_path, capsys):
+    doc, error, witness = NON_INTEGER_DOCS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["crossed", str(path), "validate"] if "H" in doc else ["h2", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error.__name__}: " in err
+    assert err.endswith(f"(witness: {witness})\n")

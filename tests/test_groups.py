@@ -16,8 +16,6 @@ from twochar.groups import (
     exponent,
     from_cayley_table,
     generated_subgroup,
-    group_from_json,
-    group_to_json,
     normalizer,
     right_transversal,
     subgroup_class_representatives,
@@ -175,13 +173,6 @@ def test_exponent(v4, s3, q8):
     assert exponent(v4) == 2
     assert exponent(s3) == 6
     assert exponent(q8) == 4
-
-
-def test_json_roundtrip(s3):
-    doc = group_to_json(s3)
-    back = group_from_json(doc)
-    assert back == s3
-    assert back.name == s3.name
 
 
 def test_full_and_trivial_subgroups(q8):

@@ -32,8 +32,6 @@ from twochar.reps import (
     random_rep2,
     regular_rep2,
     rep2,
-    rep2_from_json,
-    rep2_to_json,
     tensor,
     to_perm_cocycle,
     trivial_decoration,
@@ -196,10 +194,3 @@ def test_random_rep2_is_deterministic(d4):
     a = random_rep2(d4, random.Random(7))
     b = random_rep2(d4, random.Random(7))
     assert a == b
-
-
-def test_json_roundtrip(d4):
-    rng = random.Random(8)
-    for _ in range(10):
-        r = random_rep2(d4, rng)
-        assert rep2_from_json(d4, rep2_to_json(r)) == r

@@ -118,6 +118,14 @@ class GModule:
         return f"GModule({self.group.name}, Z/{self.level}, {kind})"
 
 
+def direct_sum(module: GModule, copies: int) -> GModule:
+    """M^⊕B for B = ``copies``: copy b of the point y is the point y·B + b.
+    B cochains over M are one cochain over the sum, whose values hold copy b
+    at ``[..., b::B]``; the differential acts on each copy on its own."""
+    action = module.action[:, :, None] * copies + np.arange(copies)
+    return GModule(module.group, module.level, action.reshape(module.group.order, -1))
+
+
 @lru_cache(maxsize=None)
 def _check_action(group: FiniteGroup, X: int, data: bytes) -> None:
     """Raise ``ValueError`` unless the m×X table in ``data`` is a left action
@@ -680,7 +688,14 @@ _LOOP_DRAWS = 16
 def random_cochain(module: GModule, degree: int, rng) -> Cochain:
     """Uniform cochain drawn from ``rng`` (a ``random.Random``): the entries,
     in C order, and the generator's final state are exactly those of
-    ``[rng.randrange(L) for _ in range(n)]``.
+    ``[rng.randrange(L) for _ in range(n)]`` (see :func:`_draws`)."""
+    shape = (module.group.order,) * degree + (module.size,)
+    return Cochain._make(module, degree, _draws(rng, module.level, prod(shape)).reshape(shape))
+
+
+def _draws(rng, L: int, r: int) -> np.ndarray:
+    """``[rng.randrange(L) for _ in range(r)]`` as an int64 array, leaving
+    ``rng`` in the same state.
 
     ``randrange(L)`` draws 32-bit words w and keeps the first w >> (32 − k)
     below L, with k = L.bit_length(); ``getrandbits(32·r)`` returns the next
@@ -689,18 +704,16 @@ def random_cochain(module: GModule, degree: int, rng) -> Cochain:
     ones; the last few entries, where a round costs more than the loop, are
     drawn by ``randrange`` itself.  Levels need k ≤ 32: a level of 2³² or
     more raises :class:`TooLarge` before any draw."""
-    m, X, L = module.group.order, module.size, module.level
     k = L.bit_length()
     if k > 32:
         raise TooLarge(f"level {L} exceeds the random-draw bound 2^32 − 1")
-    shape = (m,) * degree + (X,)
-    parts, r = [], prod(shape)
+    parts = []
     while r > _LOOP_DRAWS:
         words = np.frombuffer(rng.getrandbits(32 * r).to_bytes(4 * r, "little"), dtype="<u4") >> (32 - k)
         parts.append(words[words < L])
         r -= len(parts[-1])
     parts.append(np.array([rng.randrange(L) for _ in range(r)], dtype=np.int64))
-    return Cochain._make(module, degree, np.concatenate(parts).reshape(shape))
+    return np.concatenate(parts)
 
 
 def random_cocycle(module: GModule, rng) -> Cochain:

@@ -274,11 +274,12 @@ def triple_classes(
 
 
 def crossed_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> CrossedModule:
+    H, G = group_from_json(doc["H"], max_order), group_from_json(doc["G"], max_order)
     return CrossedModule(
-        group_from_json(doc["H"], max_order),
-        group_from_json(doc["G"], max_order),
-        require_ints(doc["boundary"], NotAHomomorphism, "boundary"),
-        require_ints(doc["action"], NotAnAction, "action"),
+        H,
+        G,
+        require_ints(doc["boundary"], NotAHomomorphism, "boundary", below=G.order),
+        require_ints(doc["action"], NotAnAction, "action", below=H.order),
     )
 
 

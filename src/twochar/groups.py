@@ -429,11 +429,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def require_ints(doc, error, what: str):
+def require_ints(doc, error, what: str, below: int | None = None):
     """``doc``, a JSON list of integers or of such lists, unchanged.  An entry
-    that is a float, a string or a bool is refused with ``error``, whose
-    witness is the entry's position, instead of being cast by ``np.array`` or
-    ``int``."""
+    that is a float, a string or a bool, or, given ``below``, one outside
+    ``range(below)``, is refused with ``error``, whose witness is the entry's
+    position, instead of being cast by ``np.array`` (which overflows past
+    int64) or ``int``."""
 
     def walk(v, at):
         if isinstance(v, list):
@@ -441,6 +442,8 @@ def require_ints(doc, error, what: str):
                 walk(x, (*at, i))
         elif not _is_int(v):
             raise error(f"{what} entry at {at} is not an integer: {v!r}", witness=at)
+        elif below is not None and not 0 <= v < below:
+            raise error(f"{what} entry at {at} is outside range({below}): {v}", witness=at)
 
     walk(doc, ())
     return doc
@@ -451,18 +454,20 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     ``{"name", "degree", "generators"}``.  More than ``max_order`` elements
     is refused before the group is built: by the table's row count
     (:class:`TooLarge`) or by stopping the closure (:class:`ClosureTooLarge`).
-    Table and generator entries must be JSON integers (:func:`require_ints`)
-    and the degree a non-negative one."""
+    Table and generator entries must be JSON integers (:func:`require_ints`),
+    table entries below the row count, the degree a non-negative integer and
+    a declared ``order`` the row count, as an integer."""
     if not isinstance(doc, dict):
         raise ValueError("group document must be a JSON object")
     name = doc.get("name", "G")
     if "cayley" in doc:
-        if len(doc["cayley"]) > max_order:
-            raise TooLarge(f"group order {len(doc['cayley'])} exceeds the bound {max_order}")
-        G = from_cayley_table(require_ints(doc["cayley"], NotAGroup, "Cayley table"), name=name)
-        if "order" in doc and doc["order"] != G.order:
-            raise ValueError(f"declared order {doc['order']} != table size {G.order}")
-        return G
+        n = len(doc["cayley"])
+        if n > max_order:
+            raise TooLarge(f"group order {n} exceeds the bound {max_order}")
+        order = doc.get("order", n)
+        if not _is_int(order) or order != n:
+            raise NotAGroup(f"declared order {order!r} must be the integer {n}, the table size", witness=order)
+        return from_cayley_table(require_ints(doc["cayley"], NotAGroup, "Cayley table", below=n), name=name)
     if "generators" in doc:
         degree = doc["degree"]
         if not _is_int(degree) or degree < 0:

@@ -51,7 +51,7 @@ class ShapiroContext:
         for i, t in enumerate(self.transversal):
             tpos[t] = i
         # for every x: x = h·s with s = rep[x]; store h both ways
-        hpar = np.array([G.mul(x, G.inv(int(rep[x]))) for x in range(m)], dtype=np.int64)
+        hpar = G.table[np.arange(m), G.inverse[rep]]
         self.hpar_of = hpar
         self.hq_of = to_sub[hpar]
         self.spar_of = rep
@@ -59,17 +59,10 @@ class ShapiroContext:
         Y = M.size
         self.Y = Y
         self.X = self.nT * Y
-        act = np.empty((m, self.X), dtype=np.int64)
-        for g in range(m):
-            ginv = G.inv(g)
-            for ti, t in enumerate(self.transversal):
-                x = G.mul(t, ginv)
-                t2 = int(self.spos_of[x])
-                hq = int(self.hq_of[x])
-                row = M.action[qgrp.inv(hq)]
-                for y in range(Y):
-                    act[g, ti * Y + y] = t2 * Y + row[y]
-        self.coinduced = GModule.permutation(G, act, M.level)
+        # g·(t, y) = (t', h⁻¹·y) where t·g⁻¹ = h·t': axes (g, t, y)
+        x = G.table[np.array(self.transversal, dtype=np.int64), G.inverse[:, None]]
+        act = self.spos_of[x][..., None] * Y + M.action[qgrp.inverse[self.hq_of[x]]]
+        self.coinduced = GModule.permutation(G, act.reshape(m, self.X), M.level)
         self._indices: dict[tuple, np.ndarray] = {}
 
     def _chain_tables(self, n: int):

@@ -21,16 +21,18 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .burnside import basis, basis_element, determinant, identity_element, mark_matrix, mul, scale
 from .characters import gk_linear, oracle_twisted_regular
-from .cochains import Cochain, GModule, differential, random_cochain, schur_classes
+from .cochains import Cochain, GModule, _draws, differential, direct_sum, schur_classes
 from .crossed import TwoMorphism, crossed_from_json, horizontal_compose, load_crossed, pi1, pi2, triples
 from .crossed import vertical_compose
 from .errors import TwoCharError
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, all_subgroups, load_group, load_json, subgroup_group
 from .groups import trivial_subgroup
 from .reps import Orbit
-from .shapiro import homotopy_varpi, phi, psi, shapiro_context
+from .shapiro import ShapiroContext, homotopy_varpi, phi, psi
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,51 @@ def _fail(lines, witness: str, checks: int) -> SuiteResult:
     return SuiteResult(False, (*lines, f"witness: {witness}"), checks)
 
 
+# Cells of one stacked degree-(n+1) cochain over the coinduced module: the
+# bound on a stack's size, and so on the memory of its arrays and indices.
+STACK_CELLS = 2**14
+
+_SHAPIRO_WITNESSES = (
+    "transfer round trip failed for {G}, subgroup {Q}, {kind} module, degree {n}",
+    "push/differential mismatch ({G}, {kind}, degree {n})",
+    "pull/differential mismatch ({G}, {kind}, degree {n})",
+    "homotopy identity failed ({G}, {kind}, degree {n})",
+)
+
+
+def stacked_draw(rng, ctx: ShapiroContext, degree: int, copies: int) -> tuple[Cochain, Cochain]:
+    """μ over ``ctx.M`` and c over ``ctx.coinduced`` (both sums of
+    ``copies`` copies) whose copy b is the b-th pair of the alternating draws
+    ``random_cochain(M)``, ``random_cochain(coinduced)`` of the unstacked
+    module: μ and c share the level, so the pairs are one stream."""
+    B, L = copies, ctx.M.level
+    q, m = ctx.qgrp.order, ctx.G.order
+    Y, X = ctx.Y // B, ctx.X // B
+    r = q**degree * Y
+    rows = _draws(rng, L, B * (r + m**degree * X)).reshape(B, -1)
+
+    def stack(cells, module, n_el, size):
+        vals = cells.reshape(B, -1, size).transpose(1, 2, 0).reshape((n_el,) * degree + (size * B,))
+        return Cochain._make(module, degree, vals)
+
+    return stack(rows[:, :r], ctx.M, q, Y), stack(rows[:, r:], ctx.coinduced, m, X)
+
+
+def first_failure(mask: np.ndarray) -> tuple[int, int] | None:
+    """(copy, identity) of the first True of an (identities, copies) mask in
+    copy-major order, the order the unstacked loop checks them in."""
+    hits = np.argwhere(mask.T)
+    return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
+
+
+def _differs(a: Cochain, b: Cochain, copies: int) -> np.ndarray:
+    return (a.values != b.values).reshape(-1, copies).any(axis=0)
+
+
 def shapiro(seed=0, iters=200, poison=False, max_order=DEFAULT_MAX_ORDER) -> SuiteResult:
+    """Each configuration draws its ``iters`` cochain pairs in stacks of B:
+    one cochain over M^⊕B, whose coinduced module is the B-fold sum of M's,
+    carries B pairs through the four identities at once."""
     rng = random.Random(seed)
     corpus = []
     for gname, picker in (
@@ -68,34 +114,37 @@ def shapiro(seed=0, iters=200, poison=False, max_order=DEFAULT_MAX_ORDER) -> Sui
             ("trivial", GModule.trivial(qgrp, 6)),
             ("permutation", GModule.permutation(qgrp, translation, 4)),
         ):
-            ctx = shapiro_context(G, Q, module)
+            X = G.order // Q.order * module.size
             for degree in (1, 2):
                 cfg_index = configs
                 configs += 1
-                for _ in range(iters):
-                    mu = random_cochain(module, degree, rng)
+                contexts = {}
+                done = 0
+                while done < iters:
+                    B = min(iters - done, max(1, STACK_CELLS // (G.order ** (degree + 1) * X)))
+                    if B not in contexts:
+                        contexts[B] = ShapiroContext(G, Q, direct_sum(module, B))
+                    ctx = contexts[B]
+                    mu, c = stacked_draw(rng, ctx, degree, B)
                     down = psi(ctx, mu)
                     if cfg_index == poison_at:
                         bad = down.values.copy()
-                        bad.flat[0] = (bad.flat[0] + 1) % module.level
+                        bad.flat[:B] = (bad.flat[:B] + 1) % module.level  # entry 0 of every copy
                         down = Cochain(down.module, down.degree, bad)
-                    if phi(ctx, down) != mu:
-                        return _fail(
-                            (),
-                            f"transfer round trip failed for {G.name}, "
-                            f"subgroup {list(Q.elements)}, {kind} module, degree {degree}",
-                            checked,
-                        )
-                    if differential(down) != psi(ctx, differential(mu)):
-                        return _fail((), f"push/differential mismatch ({G.name}, {kind}, degree {degree})", checked)
-                    c = random_cochain(ctx.coinduced, degree, rng)
-                    if differential(phi(ctx, c)) != phi(ctx, differential(c)):
-                        return _fail((), f"pull/differential mismatch ({G.name}, {kind}, degree {degree})", checked)
-                    lhs = psi(ctx, phi(ctx, c)) - c
-                    rhs = differential(homotopy_varpi(ctx, c)) + homotopy_varpi(ctx, differential(c))
-                    if lhs != rhs:
-                        return _fail((), f"homotopy identity failed ({G.name}, {kind}, degree {degree})", checked)
-                    checked += 4
+                    dc, pc = differential(c), phi(ctx, c)
+                    mask = np.stack((
+                        _differs(phi(ctx, down), mu, B),
+                        _differs(differential(down), psi(ctx, differential(mu)), B),
+                        _differs(differential(pc), phi(ctx, dc), B),
+                        _differs(psi(ctx, pc) - c, differential(homotopy_varpi(ctx, c)) + homotopy_varpi(ctx, dc), B),
+                    ))
+                    hit = first_failure(mask)
+                    if hit is not None:
+                        b, i = hit
+                        witness = _SHAPIRO_WITNESSES[i].format(G=G.name, Q=list(Q.elements), kind=kind, n=degree)
+                        return _fail((), witness, checked + 4 * b)
+                    checked += 4 * B
+                    done += B
     lines = ("max degree: 2", f"configurations: {configs}", f"cochain checks: {checked}")
     return SuiteResult(True, lines, checked)
 

@@ -159,3 +159,32 @@ def test_non_integer_entries_exit_2_with_their_position(name, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {error.__name__}: " in err
     assert err.endswith(f"(witness: {witness})\n")
+
+
+# Integer entries that ``np.array(..., dtype=np.int64)`` cannot hold, and a
+# declared order that is not a JSON integer.  The first three used to exit 4
+# (an ``OverflowError`` as an internal fault), the last two 0; each is refused
+# where it is read, with its position or its value as witness.
+OUT_OF_RANGE_DOCS = {
+    "huge-table-entry": ({"cayley": [[0, 2**70], [1, 0]]}, NotAGroup, (0, 1)),
+    "crossed-huge-boundary": (
+        {"H": Z2, "G": Z4, "boundary": [0, 2**70], "action": [[0, 1]] * 4}, NotAHomomorphism, (1,)
+    ),
+    "crossed-huge-action": (
+        {"H": Z2, "G": Z4, "boundary": [0, 2], "action": [[0, 1]] * 3 + [[0, 2**70]]}, NotAnAction, (3, 1)
+    ),
+    "bool-order": ({"order": True, "cayley": [[0]]}, NotAGroup, True),
+    "float-order": ({"order": 2.0, "cayley": [[0, 1], [1, 0]]}, NotAGroup, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE_DOCS)
+def test_oversized_entries_and_a_non_integer_order_exit_2_with_their_witness(name, tmp_path, capsys):
+    doc, error, witness = OUT_OF_RANGE_DOCS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["crossed", str(path), "triples"] if "H" in doc else ["h2", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {error.__name__}: " in err
+    assert err.endswith(f"(witness: {witness})\n")

@@ -1,15 +1,17 @@
 """The cochain, transfer and group kernels against reference copies of the
 numpy-call formulations they replaced: ``np.take``/``np.moveaxis`` for the
-differential, per-call index arithmetic for ψ, φ and ϖ, and numpy scalar
-lookups for the group operations.  Values must agree byte for byte."""
+differential, per-call index arithmetic for ψ, φ and ϖ, the per-point loop
+for the coinduced action, and numpy scalar lookups for the group
+operations.  Values must agree byte for byte.  On a direct sum M^⊕B every
+kernel must give the stack of its per-copy results."""
 
 import numpy as np
 import pytest
 
-from twochar.cochains import Cochain, GModule, differential
+from twochar.cochains import Cochain, GModule, differential, direct_sum
 from twochar.crossed import TwoMorphism, load_crossed
 from twochar.groups import all_subgroups, load_group, subgroup_group
-from twochar.shapiro import homotopy_varpi, phi, psi, shapiro_context
+from twochar.shapiro import ShapiroContext, homotopy_varpi, phi, psi, shapiro_context
 
 BUNDLED = ("z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "v4", "s3", "d4", "q8")
 GROUPS = [load_group(name) for name in BUNDLED]
@@ -46,6 +48,18 @@ def _ref_differential(c):
         sign = -sign
     out = out + sign * np.expand_dims(v, axis=n)
     return Cochain(module, n + 1, out)
+
+
+def _ref_coinduced_action(ctx):
+    G, qgrp, Y = ctx.G, ctx.qgrp, ctx.Y
+    act = np.empty((G.order, ctx.X), dtype=np.int64)
+    for g in range(G.order):
+        for ti, t in enumerate(ctx.transversal):
+            x = G.mul(t, G.inv(g))
+            row = ctx.M.action[qgrp.inv(int(ctx.hq_of[x]))]
+            for y in range(Y):
+                act[g, ti * Y + y] = int(ctx.spos_of[x]) * Y + row[y]
+    return act
 
 
 def _ref_chain_tables(ctx, n):
@@ -157,6 +171,46 @@ def test_transfer_kernels_match_the_reference_on_every_subgroup(G):
         for degree in (1, 2, 3):
             theta = Cochain(ctx.coinduced, degree, _random_values(ctx.coinduced, degree, 20 + degree))
             _same(homotopy_varpi(ctx, theta), _ref_varpi(ctx, theta))
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=BUNDLED)
+def test_coinduced_action_matches_the_per_point_loop(G):
+    for ctx in _contexts((G, Q) for Q in all_subgroups(G)) + [c for c in SHAPIRO_CONTEXTS if c.G == G]:
+        act, ref = ctx.coinduced.action, _ref_coinduced_action(ctx)
+        assert act.dtype == ref.dtype and act.shape == ref.shape and act.tobytes() == ref.tobytes()
+
+
+def _stack(copies):
+    """One cochain over M^⊕B from B cochains over M: copy b at ``[..., b::B]``."""
+    B, first = len(copies), copies[0]
+    vals = np.stack([c.values for c in copies], axis=-1).reshape(first.values.shape[:-1] + (-1,))
+    return Cochain(direct_sum(first.module, B), first.degree, vals)
+
+
+def _same_stacked(new: Cochain, parts: list):
+    """``new``, over a direct sum, is the stack of ``parts``."""
+    B = len(parts)
+    assert new.module.size == B * parts[0].module.size and new.degree == parts[0].degree
+    for b, part in enumerate(parts):
+        assert np.ascontiguousarray(new.values[..., b::B]).tobytes() == part.values.tobytes(), b
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("ctx", SHAPIRO_CONTEXTS, ids=lambda ctx: f"{ctx.G.name}{list(ctx.Q.elements)}/{ctx.M.size}")
+def test_kernels_on_a_direct_sum_are_the_stack_of_the_copies(ctx, B):
+    stacked = ShapiroContext(ctx.G, ctx.Q, direct_sum(ctx.M, B))
+    assert stacked.coinduced == direct_sum(ctx.coinduced, B)
+    for degree in (0, 1, 2, 3):
+        mus = [Cochain(ctx.M, degree, _random_values(ctx.M, degree, 30 + 4 * degree + b)) for b in range(B)]
+        thetas = [Cochain(ctx.coinduced, degree, _random_values(ctx.coinduced, degree, 60 + 4 * degree + b)) for b in range(B)]
+        mu, theta = _stack(mus), _stack(thetas)
+        assert mu.module == stacked.M and theta.module == stacked.coinduced
+        _same_stacked(psi(stacked, mu), [psi(ctx, x) for x in mus])
+        _same_stacked(phi(stacked, theta), [phi(ctx, x) for x in thetas])
+        _same_stacked(differential(mu), [differential(x) for x in mus])
+        _same_stacked(differential(theta), [differential(x) for x in thetas])
+        if degree:
+            _same_stacked(homotopy_varpi(stacked, theta), [homotopy_varpi(ctx, x) for x in thetas])
 
 
 # ---------------------------------------------------------------------------

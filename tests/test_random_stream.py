@@ -1,16 +1,20 @@
 """``random_cochain`` draws its entries in bulk but must give exactly the
 values, and leave the generator in exactly the state, of one
-``rng.randrange(L)`` per entry.  Nothing else pins the stream: the
-``verify shapiro`` report prints counts only."""
+``rng.randrange(L)`` per entry.  ``verify shapiro`` draws B cochain pairs at
+once (``verify.stacked_draw``); its copies must be exactly the cochains of
+B alternating ``random_cochain`` calls.  The suite's report prints counts
+only, so these tests are what pin the cochains it checks."""
 
 import random
 
 import numpy as np
 import pytest
 
-from twochar.cochains import GModule, random_cochain
+from twochar.cochains import GModule, direct_sum, random_cochain
 from twochar.errors import TooLarge
-from twochar.groups import load_group
+from twochar.groups import all_subgroups, load_group, subgroup_group
+from twochar.shapiro import ShapiroContext, shapiro_context
+from twochar.verify import stacked_draw
 
 D4 = load_group("d4")
 LEVELS = [*range(1, 65), 97, 2**20, 2**32 - 1]
@@ -48,3 +52,22 @@ def test_a_level_past_32_bits_is_refused_before_any_draw(L):
     with pytest.raises(TooLarge):
         random_cochain(GModule.trivial(D4, L), 1, rng)
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("B", [1, 3, 17])
+@pytest.mark.parametrize("kind", sorted(MODULES))
+def test_a_stacked_draw_is_the_alternating_draws(kind, B):
+    S3 = load_group("s3")
+    Q = next(P for P in all_subgroups(S3) if P.order == 2)
+    qgrp = subgroup_group(Q)[0]
+    module = GModule.trivial(qgrp, 6) if kind == "trivial" else GModule.permutation(qgrp, qgrp.table, 6)
+    ctx = shapiro_context(S3, Q, module)
+    stacked = ShapiroContext(S3, Q, direct_sum(module, B))
+    for degree in (1, 2):
+        rng, ref = random.Random(f"{kind}:{B}:{degree}"), random.Random(f"{kind}:{B}:{degree}")
+        mu, c = stacked_draw(rng, stacked, degree, B)
+        assert mu.module == stacked.M and c.module == stacked.coinduced and mu.degree == c.degree == degree
+        for b in range(B):
+            assert np.array_equal(mu.values[..., b::B], random_cochain(ctx.M, degree, ref).values), b
+            assert np.array_equal(c.values[..., b::B], random_cochain(ctx.coinduced, degree, ref).values), b
+        assert rng.getstate() == ref.getstate()

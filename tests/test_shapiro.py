@@ -141,7 +141,7 @@ def test_the_suite_calls_the_differential_once_per_stack_not_per_pair(monkeypatc
     calls = []
 
     def counting(c):
-        calls.append(c.module.size)
+        calls.append(c.degree)
         return differential(c)
 
     monkeypatch.setattr(verify, "differential", counting)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     EquivarianceFailure,
+    NotAGroup,
     NotAHomomorphism,
     NotAnAction,
     NotCentral,
@@ -38,6 +39,7 @@ from .groups import (
     load_json,
     orbit_partition,
     require_ints,
+    require_key,
 )
 
 
@@ -274,12 +276,13 @@ def triple_classes(
 
 
 def crossed_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> CrossedModule:
-    H, G = group_from_json(doc["H"], max_order), group_from_json(doc["G"], max_order)
+    H = group_from_json(require_key(doc, "H", NotAGroup), max_order)
+    G = group_from_json(require_key(doc, "G", NotAGroup), max_order)
     return CrossedModule(
         H,
         G,
-        require_ints(doc["boundary"], NotAHomomorphism, "boundary", below=G.order),
-        require_ints(doc["action"], NotAnAction, "action", below=H.order),
+        require_ints(doc, "boundary", NotAHomomorphism, "boundary", (H.order,), below=G.order),
+        require_ints(doc, "action", NotAnAction, "action", (G.order, H.order), below=H.order),
     )
 
 

@@ -60,7 +60,8 @@ class FiniteGroup:
             return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.order == other.order and np.array_equal(self.table, other.table)
+        # equal tables have equal hashes, so only a hash match reaches the compare
+        return self._hash == other._hash and self.order == other.order and np.array_equal(self.table, other.table)
 
     def __hash__(self) -> int:
         return self._hash
@@ -429,15 +430,31 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def require_ints(doc, error, what: str, below: int | None = None):
-    """``doc``, a JSON list of integers or of such lists, unchanged.  An entry
-    that is a float, a string or a bool, or, given ``below``, one outside
-    ``range(below)``, is refused with ``error``, whose witness is the entry's
-    position, instead of being cast by ``np.array`` (which overflows past
-    int64) or ``int``."""
+def require_key(doc: dict, key: str, error):
+    """``doc[key]``; a missing key is refused with ``error``, whose witness
+    is the key."""
+    if key not in doc:
+        raise error(f"missing key {key!r}", witness=key)
+    return doc[key]
+
+
+def require_ints(doc: dict, key: str, error, what: str, shape: tuple, below: int | None = None):
+    """``doc[key]``, nested lists of integers with one length per level in
+    ``shape`` (None: any length), unchanged.  Refused with ``error``, instead
+    of being cast by ``np.array`` (which overflows past int64 and fails on
+    ragged rows) or ``int``: a missing key, or a value that is not a list of
+    its length (witness: ``key``); a row that is not a list of its length
+    (witness: the row's position); an entry that is a float, a string, a
+    bool or a list, or, given ``below``, one outside ``range(below)``
+    (witness: the entry's position)."""
 
     def walk(v, at):
-        if isinstance(v, list):
+        if len(at) < len(shape):
+            n = shape[len(at)]
+            if not isinstance(v, list) or n is not None and len(v) != n:
+                length = "" if n is None else f" of length {n}"
+                where = f"row {at}" if at else repr(key)
+                raise error(f"{what} {where} must be a list{length}", witness=at or key)
             for i, x in enumerate(v):
                 walk(x, (*at, i))
         elif not _is_int(v):
@@ -445,8 +462,8 @@ def require_ints(doc, error, what: str, below: int | None = None):
         elif below is not None and not 0 <= v < below:
             raise error(f"{what} entry at {at} is outside range({below}): {v}", witness=at)
 
-    walk(doc, ())
-    return doc
+    walk(require_key(doc, key, error), ())
+    return doc[key]
 
 
 def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -454,25 +471,28 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     ``{"name", "degree", "generators"}``.  More than ``max_order`` elements
     is refused before the group is built: by the table's row count
     (:class:`TooLarge`) or by stopping the closure (:class:`ClosureTooLarge`).
-    Table and generator entries must be JSON integers (:func:`require_ints`),
-    table entries below the row count, the degree a non-negative integer and
-    a declared ``order`` the row count, as an integer."""
+    The table must be square and the generators lists of ``degree`` entries,
+    all JSON integers (:func:`require_ints`), table entries below the row
+    count, the degree a non-negative integer and a declared ``order`` the
+    row count, as an integer."""
     if not isinstance(doc, dict):
         raise ValueError("group document must be a JSON object")
     name = doc.get("name", "G")
     if "cayley" in doc:
+        if not isinstance(doc["cayley"], list):
+            raise NotAGroup("Cayley table 'cayley' must be a list", witness="cayley")
         n = len(doc["cayley"])
         if n > max_order:
             raise TooLarge(f"group order {n} exceeds the bound {max_order}")
         order = doc.get("order", n)
         if not _is_int(order) or order != n:
             raise NotAGroup(f"declared order {order!r} must be the integer {n}, the table size", witness=order)
-        return from_cayley_table(require_ints(doc["cayley"], NotAGroup, "Cayley table", below=n), name=name)
+        return from_cayley_table(require_ints(doc, "cayley", NotAGroup, "Cayley table", (n, n), below=n), name=name)
     if "generators" in doc:
-        degree = doc["degree"]
+        degree = require_key(doc, "degree", NotAPermutation)
         if not _is_int(degree) or degree < 0:
             raise NotAPermutation(f"degree must be a non-negative integer, got {degree!r}", witness=degree)
-        gens = require_ints(doc["generators"], NotAPermutation, "generator")
+        gens = require_ints(doc, "generators", NotAPermutation, "generator", (None, degree))
         return from_permutation_generators(degree, gens, name=name, max_order=max_order)
     raise ValueError("group document needs either 'cayley' or 'generators'")
 

@@ -1,10 +1,13 @@
 """Crossed modules: validation witnesses, 2-morphisms, triple orbits."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from conftest import cyclic, symmetric_3
+from twochar import verify
 from twochar.crossed import (
     CrossedModule,
     TwoMorphism,
@@ -20,11 +23,13 @@ from twochar.crossed import (
 )
 from twochar.errors import (
     EquivarianceFailure,
+    InternalFault,
     NotAHomomorphism,
     NotAnAction,
     NotComposable,
     PeifferFailure,
     TooLarge,
+    TwoCharError,
 )
 from twochar.groups import subgroup_class_representatives
 
@@ -213,3 +218,139 @@ def test_triple_classes_partition_and_invariance():
 def test_triples_bound():
     with pytest.raises(TooLarge):
         triples(_k2(), bound=10)
+
+
+# ---------------------------------------------------------------------------
+# The interchange check of ``verify.crossed``, against a per-tuple loop
+
+
+def _reference_interchange(K, name):
+    """The law checked one tuple at a time, in C order, by the compose
+    functions ``verify`` calls: the witness of the first failure (None if
+    none) and the number of tuples compared."""
+    G, H = K.G, K.H
+    checks = 0
+    for g1, g2, h1, h2, h3, h4 in product(G.elements, G.elements, H.elements, H.elements, H.elements, H.elements):
+        e1 = verify.TwoMorphism(K, g1, h1)
+        f1 = verify.TwoMorphism(K, e1.target, h2)
+        e2 = verify.TwoMorphism(K, g2, h3)
+        f2 = verify.TwoMorphism(K, e2.target, h4)
+        lhs = verify.horizontal_compose(verify.vertical_compose(f1, e1), verify.vertical_compose(f2, e2))
+        rhs = verify.vertical_compose(verify.horizontal_compose(f1, f2), verify.horizontal_compose(e1, e2))
+        checks += 1
+        if lhs != rhs:
+            return f"interchange fails in {name} at ({g1},{g2},{h1},{h2},{h3},{h4})", checks
+    return None, checks
+
+
+def _suite_outcome():
+    """``verify.crossed()`` as (last line, checks), or its escaping error as
+    (type, message, witness)."""
+    try:
+        result = verify.crossed()
+    except TwoCharError as exc:
+        return type(exc), str(exc), exc.witness
+    return result.lines[-1], result.checks
+
+
+def _reference_outcome():
+    """The same from the per-tuple loop over both bundled modules (None for
+    the line when the law holds throughout)."""
+    checks = 0
+    try:
+        for name in ("crossed_z2_z4", "crossed_inner_s3"):
+            witness, n = _reference_interchange(load_crossed(name), name)
+            checks += n
+            if witness is not None:
+                return f"witness: {witness}", checks
+    except TwoCharError as exc:
+        return type(exc), str(exc), exc.witness
+    return None, checks
+
+
+def _planted_at(name, f_code, e_code, compose, plant):
+    """``compose``, except on the module ``name`` at the pair of codes
+    (source·|H| + label), where ``plant(f, e)`` answers instead."""
+    K = load_crossed(name)
+    nh = K.H.order
+
+    def planted(f, e):
+        if f.K == K and (f.source * nh + f.label, e.source * nh + e.label) == (f_code, e_code):
+            return plant(f, e)
+        return compose(f, e)
+
+    return planted
+
+
+def _label_moved(f, e):
+    out = horizontal_compose(f, e)
+    return TwoMorphism(f.K, out.source, f.K.H.mul(out.label, 1))
+
+
+# The first failure of each lies in a different block of the grid; (0, 0)
+# makes a vertical composite undefined, so the loop raises NotComposable.
+@pytest.mark.parametrize("name, f_code, e_code, expected", [
+    ("crossed_z2_z4", 7, 6, ("witness: interchange fails in crossed_z2_z4 at (1,1,1,1,1,0)", 95)),
+    ("crossed_z2_z4", 3, 5, None),
+    ("crossed_inner_s3", 20, 30, None),
+    ("crossed_inner_s3", 35, 34, ("witness: interchange fails in crossed_inner_s3 at (0,0,5,5,5,4)", 256 + 1295)),
+    ("crossed_inner_s3", 0, 0, None),
+])
+def test_wrong_horizontal_composite_is_found_as_the_per_tuple_loop_finds_it(monkeypatch, name, f_code, e_code, expected):
+    monkeypatch.setattr(verify, "horizontal_compose", _planted_at(name, f_code, e_code, horizontal_compose, _label_moved))
+    reference = _reference_outcome()
+    assert reference[0] is not None
+    assert expected in (None, reference)
+    assert _suite_outcome() == reference
+
+
+@pytest.mark.parametrize("name, f_code, e_code", [("crossed_z2_z4", 1, 5), ("crossed_inner_s3", 31, 14)])
+def test_vertical_compose_refusing_a_composable_pair_escapes_as_in_the_loop(monkeypatch, name, f_code, e_code):
+    K = load_crossed(name)
+    nh = K.H.order
+    f, e = TwoMorphism(K, *divmod(f_code, nh)), TwoMorphism(K, *divmod(e_code, nh))
+    assert f.source == e.target  # composable
+
+    def refuse(f, e):
+        raise NotComposable(f"planted refusal of {f_code} after {e_code}", witness=(f_code, e_code))
+
+    monkeypatch.setattr(verify, "vertical_compose", _planted_at(name, f_code, e_code, vertical_compose, refuse))
+    expected = (NotComposable, f"planted refusal of {f_code} after {e_code}", (f_code, e_code))
+    assert _reference_outcome() == expected
+    assert _suite_outcome() == expected
+
+
+def test_vertical_compose_refusing_every_pair_escapes_at_the_first_tuple(monkeypatch):
+    def refuse(f, e):
+        raise NotComposable("planted refusal", witness=(f.source, e.source))
+
+    monkeypatch.setattr(verify, "vertical_compose", refuse)
+    expected = (NotComposable, "planted refusal", (0, 0))
+    assert _reference_outcome() == expected
+    assert _suite_outcome() == expected
+
+
+def test_a_failure_the_scalar_replay_does_not_confirm_is_an_internal_fault(monkeypatch):
+    monkeypatch.setattr(verify, "first_interchange_failure", lambda K: (3, (0, 0, 0, 0, 0, 1)))
+    with pytest.raises(InternalFault) as info:
+        verify.crossed()
+    assert info.value.witness == (0, 0, 0, 0, 0, 1)
+
+
+def test_each_composition_is_computed_at_most_once_per_module(monkeypatch):
+    calls = Counter()
+
+    def counted(kind, compose):
+        def run(f, e):
+            calls[kind, f.K.G.order, f.K.H.order] += 1
+            return compose(f, e)
+
+        return run
+
+    monkeypatch.setattr(verify, "vertical_compose", counted("vertical", vertical_compose))
+    monkeypatch.setattr(verify, "horizontal_compose", counted("horizontal", horizontal_compose))
+    result = verify.crossed()
+    assert result.ok and result.checks == 4**2 * 2**4 + 6**2 * 6**4
+    for K in (_k1(), _k2()):
+        for kind in ("vertical", "horizontal"):
+            assert 0 < calls[kind, K.G.order, K.H.order] <= (K.G.order * K.H.order) ** 2

@@ -160,13 +160,50 @@ NON_INTEGER_DOCS = {
 }
 
 
-@pytest.mark.parametrize("name", NON_INTEGER_DOCS)
-def test_non_integer_entries_exit_2_with_their_position(name, tmp_path, capsys):
-    doc, error, witness = NON_INTEGER_DOCS[name]
+def _exits_2_with(doc, error, witness, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = ["crossed", str(path), "validate"] if "H" in doc else ["h2", str(path)]
+    crossed_doc = any(k in doc for k in ("H", "G", "boundary", "action"))
+    argv = ["crossed", str(path), "validate"] if crossed_doc else ["h2", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {error.__name__}: " in err
     assert err.endswith(f"(witness: {witness})\n")
+
+
+@pytest.mark.parametrize("name", NON_INTEGER_DOCS)
+def test_non_integer_entries_exit_2_with_their_position(name, tmp_path, capsys):
+    _exits_2_with(*NON_INTEGER_DOCS[name], tmp_path, capsys)
+
+
+# Missing keys, values that are not lists and ragged rows, refused where the
+# document is read (witness: the key, or the row's position) instead of
+# reaching ``np.array`` or a ``KeyError`` without a witness.
+MALFORMED_DOCS = {
+    "missing-degree": ({"generators": [[1, 0]]}, NotAPermutation, "degree"),
+    "missing-H": ({"G": Z4, "boundary": [0, 2], "action": [[0, 1]] * 4}, NotAGroup, "H"),
+    "missing-G": ({"H": Z2, "boundary": [0, 2], "action": [[0, 1]] * 4}, NotAGroup, "G"),
+    "missing-boundary": ({"H": Z2, "G": Z4, "action": [[0, 1]] * 4}, NotAHomomorphism, "boundary"),
+    "missing-action": ({"H": Z2, "G": Z4, "boundary": [0, 2]}, NotAnAction, "action"),
+    "non-list-table": ({"cayley": 5}, NotAGroup, "cayley"),
+    "string-table": ({"cayley": "ab"}, NotAGroup, "cayley"),
+    "non-list-table-row": ({"cayley": [[0, 1], 1]}, NotAGroup, (1,)),
+    "ragged-table": ({"cayley": [[0, 1], [1]]}, NotAGroup, (1,)),
+    "non-square-table": ({"cayley": [[0, 1, 2], [1, 2, 0]]}, NotAGroup, (0,)),
+    "non-list-generators": ({"degree": 2, "generators": 5}, NotAPermutation, "generators"),
+    "non-list-generator": ({"degree": 2, "generators": [[1, 0], 1]}, NotAPermutation, (1,)),
+    "ragged-generator": ({"degree": 2, "generators": [[1, 0], [0]]}, NotAPermutation, (1,)),
+    "crossed-non-list-boundary": ({"H": Z2, "G": Z4, "boundary": 2, "action": [[0, 1]] * 4}, NotAHomomorphism, "boundary"),
+    "crossed-short-boundary": ({"H": Z2, "G": Z4, "boundary": [0], "action": [[0, 1]] * 4}, NotAHomomorphism, "boundary"),
+    "crossed-nested-boundary": ({"H": Z2, "G": Z4, "boundary": [[0], [2]], "action": [[0, 1]] * 4}, NotAHomomorphism, (0,)),
+    "crossed-non-list-action": ({"H": Z2, "G": Z4, "boundary": [0, 2], "action": 0}, NotAnAction, "action"),
+    "crossed-short-action": ({"H": Z2, "G": Z4, "boundary": [0, 2], "action": [[0, 1]] * 3}, NotAnAction, "action"),
+    "crossed-ragged-action": (
+        {"H": Z2, "G": Z4, "boundary": [0, 2], "action": [[0, 1], [0, 1], [0], [0, 1]]}, NotAnAction, (2,)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DOCS)
+def test_missing_keys_and_ragged_rows_exit_2_with_their_place(name, tmp_path, capsys):
+    _exits_2_with(*MALFORMED_DOCS[name], tmp_path, capsys)

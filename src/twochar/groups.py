@@ -60,8 +60,7 @@ class FiniteGroup:
             return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        # equal tables have equal hashes, so only a hash match reaches the compare
-        return self._hash == other._hash and self.order == other.order and np.array_equal(self.table, other.table)
+        return self.order == other.order and np.array_equal(self.table, other.table)
 
     def __hash__(self) -> int:
         return self._hash

@@ -45,7 +45,13 @@ from .reps import Orbit, Rep2, _normalizer_maps, _normalizer_min, _orbit_key, _o
 @lru_cache(maxsize=None)
 def basis(G: FiniteGroup) -> tuple[Orbit, ...]:
     """Canonical basis pairs: one per conjugation orbit of (subgroup,
-    linear class)."""
+    linear class).
+
+    G is one of its own basis subgroups, and its d₂ has the most columns,
+    (|G| − 1)², so the classes of G come first: a group over the d₂ bound is
+    refused (:class:`~twochar.errors.TooLarge`) before the subgroup lattice
+    is built."""
+    linear_classes(full_subgroup(G))
     out = []
     for P0 in subgroup_class_representatives(G):
         for i in sorted(set(_normalizer_min(P0))):
@@ -77,10 +83,6 @@ class BurnsideElement:
             c = self.coefficients[pair]
             parts.append(f"({c})·⟨{pair.schur_index}, {list(pair.subgroup.elements)}⟩")
         return "BurnsideElement(" + " + ".join(parts) + ")"
-
-
-def zero_element(G: FiniteGroup) -> BurnsideElement:
-    return BurnsideElement(G, {})
 
 
 def basis_element(G: FiniteGroup, pair: Orbit) -> BurnsideElement:

@@ -587,9 +587,6 @@ class CohomologyClassSet:
     def add(self, i: int, j: int) -> int:
         return self.index_of_coords(x + y for x, y in zip(self.coordinates[i], self.coordinates[j]))
 
-    def neg(self, i: int) -> int:
-        return self.index_of_coords(-x for x in self.coordinates[i])
-
     def __repr__(self) -> str:
         shape = " ⊕ ".join(f"Z/{d}" for d in self.invariant_factors) or "trivial"
         return f"CohomologyClassSet({len(self)} classes, {shape})"

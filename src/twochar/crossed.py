@@ -25,7 +25,6 @@ from .errors import (
     NotAnAction,
     NotCentral,
     NotComposable,
-    NotContained,
     NotNormal,
     PeifferFailure,
     TooLarge,
@@ -162,11 +161,6 @@ def pi1(K: CrossedModule) -> FiniteGroup:
     return _pi1_data(K)[0]
 
 
-def pi1_projection(K: CrossedModule) -> np.ndarray:
-    """Array mapping each G-element to its π₁ index."""
-    return _pi1_data(K)[1]
-
-
 def pi2(K: CrossedModule) -> Subgroup:
     """Kernel of the boundary as a subgroup of H (central, hence abelian)."""
     els = tuple(h for h in K.H.elements if K.boundary[h] == 0)
@@ -176,26 +170,6 @@ def pi2(K: CrossedModule) -> Subgroup:
             if not K.H.commutes(h, x):
                 raise NotCentral(f"kernel element {h} does not commute with {x}", witness=(h, x))
     return sub
-
-
-def restrict(K: CrossedModule, P: Subgroup) -> CrossedModule:
-    """Pull back to the preimage in G of a subgroup P ≤ π₁."""
-    quotient, proj, _ = _pi1_data(K)
-    if P.parent != quotient:
-        raise ValueError("P must be a subgroup of π₁ of this crossed module")
-    member = set(P.elements)
-    pre = tuple(g for g in K.G.elements if int(proj[g]) in member)
-    from .groups import subgroup_group
-
-    sub = Subgroup(K.G, pre)
-    grp, to_sub, _ = subgroup_group(sub)
-    boundary = to_sub[K.boundary]
-    outside = np.flatnonzero(boundary < 0)
-    if len(outside):
-        h = int(outside[0])
-        raise NotContained(f"∂{h} = {int(K.boundary[h])} is outside the preimage", witness=h)
-    action = K.action[list(pre)]
-    return CrossedModule(K.H, grp, boundary, action)
 
 
 # ---------------------------------------------------------------------------

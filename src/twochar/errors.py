@@ -94,10 +94,6 @@ class AmbientMismatch(TwoCharError):
     """Operands live over different ambient groups."""
 
 
-class NotASubgroup(TwoCharError):
-    """Claimed subgroup relation does not hold."""
-
-
 class GroupMismatch(TwoCharError):
     """Ring elements belong to rings over different groups."""
 

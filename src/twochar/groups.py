@@ -6,9 +6,9 @@ Conventions, fixed once and relied on for byte-deterministic output:
 * elements are ``0 .. order-1`` and the identity is always index ``0``
   (``from_cayley_table`` relabels if needed);
 * ``table[a][b]`` is the product ``a * b``;
-* every representative (conjugacy classes, subgroup classes, double cosets,
-  transversals, commuting pairs) is the lexicographically least member of its
-  orbit, and orbit listings are sorted.  :func:`orbit_partition` is the one
+* every representative (subgroup classes, double cosets, transversals,
+  commuting pairs) is the lexicographically least member of its orbit, and
+  orbit listings are sorted.  :func:`orbit_partition` is the one
   engine for this rule, for every listing up to conjugacy in the package.
 """
 
@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from math import gcd
 
 import numpy as np
 
@@ -83,14 +82,6 @@ class FiniteGroup:
     def commutes(self, a: int, b: int) -> bool:
         rows = self._rows
         return rows[a][b] == rows[b][a]
-
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self._inv[g], -k
-        rows, out = self._rows, 0
-        for _ in range(k):
-            out = rows[out][g]
-        return out
 
     def order_of(self, g: int) -> int:
         rows, out, n = self._rows, g, 1
@@ -365,12 +356,6 @@ def normalizer(G: FiniteGroup, sub: Subgroup) -> Subgroup:
     return Subgroup(G, tuple(els))
 
 
-@lru_cache(maxsize=None)
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Element conjugacy classes as sorted tuples, ordered by least member."""
-    return orbit_partition(G.elements, lambda a: (G.conj(g, a) for g in G.elements))
-
-
 def double_cosets(G: FiniteGroup, P: Subgroup, Q: Subgroup) -> tuple[tuple[int, ...], ...]:
     """P\\x/Q double cosets as sorted element tuples; representative = least
     member = first entry, and the list is ordered by representative."""
@@ -413,14 +398,6 @@ def commuting_pair_classes(G: FiniteGroup) -> tuple[CommutingPairClass, ...]:
     return tuple(CommutingPairClass(c[0], c) for c in classes)
 
 
-def exponent(G: FiniteGroup) -> int:
-    out = 1
-    for g in G.elements:
-        o = G.order_of(g)
-        out = out * o // gcd(out, o)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -429,9 +406,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def require_object(doc, error) -> None:
+    """Refuse a document that is not a JSON object with ``error``, whose
+    witness is the document's type."""
+    if not isinstance(doc, dict):
+        kind = type(doc).__name__
+        raise error(f"document must be a JSON object, not {kind}", witness=kind)
+
+
 def require_key(doc: dict, key: str, error):
-    """``doc[key]``; a missing key is refused with ``error``, whose witness
-    is the key."""
+    """``doc[key]``; a document that is not a JSON object
+    (:func:`require_object`) or a missing key is refused with ``error``,
+    whose witness is the type or the key."""
+    require_object(doc, error)
     if key not in doc:
         raise error(f"missing key {key!r}", witness=key)
     return doc[key]
@@ -473,9 +460,9 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
     The table must be square and the generators lists of ``degree`` entries,
     all JSON integers (:func:`require_ints`), table entries below the row
     count, the degree a non-negative integer and a declared ``order`` the
-    row count, as an integer."""
-    if not isinstance(doc, dict):
-        raise ValueError("group document must be a JSON object")
+    row count, as an integer.  A document that is not a JSON object, or has
+    neither form, is refused with :class:`NotAGroup`."""
+    require_object(doc, NotAGroup)
     name = doc.get("name", "G")
     if "cayley" in doc:
         if not isinstance(doc["cayley"], list):
@@ -493,7 +480,7 @@ def group_from_json(doc: dict, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGrou
             raise NotAPermutation(f"degree must be a non-negative integer, got {degree!r}", witness=degree)
         gens = require_ints(doc, "generators", NotAPermutation, "generator", (None, degree))
         return from_permutation_generators(degree, gens, name=name, max_order=max_order)
-    raise ValueError("group document needs either 'cayley' or 'generators'")
+    raise NotAGroup("group document needs either 'cayley' or 'generators'", witness=("cayley", "generators"))
 
 
 def load_json(source: str, kind: str = "group"):

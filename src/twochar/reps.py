@@ -14,14 +14,13 @@ equivalence invariant, so every constructor canonicalizes:
 Pullback along conjugation is a homomorphism of class groups, so
 :func:`pullback_map` pulls back only the generator classes as cochains and
 reads every other image off its Schur coordinates.  It is the one way a
-decoration moves between subgroups: canonicalization, the normalizer action,
-tensor product, induction and restriction all work on class indices, and a
-cochain is indexed only where a caller hands one in.
+decoration moves between subgroups: canonicalization, the normalizer action
+and the tensor product all work on class indices, and a cochain is indexed
+only where a caller hands one in.
 
 Constructions: direct sum, tensor product (double-coset decomposition with
-pulled-back class addition), contragradient, induction to a bigger ambient
-group, Mackey restriction to a subgroup, and the round trip between decorated
-sets and permutation-valued 2-cocycles via the Shapiro transfer maps.
+pulled-back class addition), and the round trip between decorated sets and
+permutation-valued 2-cocycles via the Shapiro transfer maps.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .cochains import (
     schur_classes,
     raise_level,
 )
-from .errors import AmbientMismatch, NotACocycle, NotASubgroup, NotContained
+from .errors import AmbientMismatch, NotACocycle, NotContained
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -55,7 +54,6 @@ from .groups import (
     orbit_partition,
     subgroup_conjugacy_classes,
     subgroup_group,
-    trivial_subgroup,
 )
 from .shapiro import psi, shapiro_context
 
@@ -220,19 +218,9 @@ def rep2(G: FiniteGroup, terms) -> Rep2:
     return Rep2(G, tuple(orbits))
 
 
-def zero_rep2(G: FiniteGroup) -> Rep2:
-    return Rep2(G, ())
-
-
 def trivial_rep2(G: FiniteGroup) -> Rep2:
     """The monoidal unit: one orbit with full stabilizer, trivial decoration."""
     P = full_subgroup(G)
-    return rep2(G, [(P, trivial_decoration(P))])
-
-
-def regular_rep2(G: FiniteGroup) -> Rep2:
-    """One free orbit (trivial stabilizer, trivial decoration)."""
-    P = trivial_subgroup(G)
     return rep2(G, [(P, trivial_decoration(P))])
 
 
@@ -251,35 +239,24 @@ def direct_sum(r: Rep2, s: Rep2) -> Rep2:
 
 
 @lru_cache(maxsize=None)
-def _double_coset_stabilizers(P: Subgroup, Q: Subgroup) -> tuple[tuple[int, Subgroup], ...]:
-    """(x, J = P ∩ xQx⁻¹) for each P\\x/Q double coset, x its least element,
-    in ``double_cosets`` order: J is the stabilizer of the point x·Q of G/Q
-    under P."""
-    G = P.parent
-    out = []
-    for coset in double_cosets(G, P, Q):
-        x = coset[0]
-        xQx = {G.conj(x, q) for q in Q.elements}
-        out.append((x, Subgroup(G, tuple(p for p in P.elements if p in xQx))))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _double_coset_table(P: Subgroup, Q: Subgroup) -> tuple:
     """The double-coset decomposition of the orbits with stabilizers P and Q,
     one entry per P\\x/Q double coset in ``double_cosets`` order.
 
-    For the double coset PxQ the stabilizer is J = P ∩ xQx⁻¹ = c·P₀·c⁻¹, P₀
-    its class representative.  Restriction to J followed by conjugation onto
-    P₀ is the one conjugation by c (for P) or by x⁻¹c (for Q).  Each entry is
+    For the double coset PxQ, x its least element, the stabilizer of the
+    point x·Q of G/Q under P is J = P ∩ xQx⁻¹ = c·P₀·c⁻¹, P₀ its class
+    representative.  Restriction to J followed by conjugation onto P₀ is the
+    one conjugation by c (for P) or by x⁻¹c (for Q).  Each entry is
     (P₀, ``linear_classes(P₀)``, ``_normalizer_min(P₀)``, the pullback map
     from P onto P₀, the pullback map from Q onto P₀): the data depend on P
     and Q alone, so each pair is decomposed once."""
     G = P.parent
     reps = _class_reps(G)
     out = []
-    for x, J in _double_coset_stabilizers(P, Q):
-        P0, c = reps[J]
+    for coset in double_cosets(G, P, Q):
+        x = coset[0]
+        xQx = {G.conj(x, q) for q in Q.elements}
+        P0, c = reps[Subgroup(G, tuple(p for p in P.elements if p in xQx))]
         maps = (pullback_map(P, c, P0), pullback_map(Q, G.mul(G.inv(x), c), P0))
         out.append((P0, linear_classes(P0), _normalizer_min(P0), *maps))
     return tuple(out)
@@ -301,51 +278,6 @@ def tensor(r: Rep2, s: Rep2) -> Rep2:
         raise AmbientMismatch("factors live over different groups")
     orbits = [o for o1 in r.orbits for o2 in s.orbits for o in _orbit_product(o1, o2)]
     return Rep2(r.group, tuple(sorted(orbits, key=_orbit_key)))
-
-
-def contragradient(r: Rep2) -> Rep2:
-    """Negate every decoration class (the monoidal inverse on linear parts)."""
-    orbits = []
-    for o in r.orbits:
-        sc = linear_classes(o.subgroup)
-        neg = _normalizer_min(o.subgroup)[sc.neg(o.schur_index)]
-        orbits.append(Orbit(o.subgroup, neg))
-    return Rep2(r.group, tuple(sorted(orbits, key=_orbit_key)))
-
-
-def induce(r: Rep2, G: FiniteGroup) -> Rep2:
-    """View a 2-representation of a subgroup as one of the ambient group:
-    the underlying set and decorations are unchanged."""
-    if r.group == G:
-        return r
-    origin = r.group.origin
-    if origin is None or origin.parent != G:
-        raise NotASubgroup("the representation's group is not a relabeled subgroup of G")
-    lift = origin.elements
-    # the relabeling is monotone, so the subgroup tables and hence the class
-    # indexing agree verbatim
-    orbits = [
-        _canonical(G, Subgroup(G, tuple(lift[q] for q in o.subgroup.elements)), o.schur_index)
-        for o in r.orbits
-    ]
-    return Rep2(G, tuple(sorted(orbits, key=_orbit_key)))
-
-
-def mackey_restrict(r: Rep2, P: Subgroup) -> Rep2:
-    """Restrict to P ≤ G by double-coset decomposition of each orbit: PxQ
-    gives J = P ∩ xQx⁻¹ with the class pulled back along x⁻¹, whose index
-    carries over to J inside P, since the relabeled tables agree."""
-    G = r.group
-    if P.parent != G:
-        raise NotASubgroup("P is not a subgroup of the representation's group")
-    p_grp, to_sub, _ = subgroup_group(P)
-    orbits = []
-    for o in r.orbits:
-        Q, i = o.subgroup, o.schur_index
-        for x, J in _double_coset_stabilizers(P, Q):
-            J_sub = Subgroup(p_grp, tuple(int(to_sub[j]) for j in J.elements))
-            orbits.append(_canonical(p_grp, J_sub, pullback_map(Q, G.inv(x), J)[i]))
-    return Rep2(p_grp, tuple(sorted(orbits, key=_orbit_key)))
 
 
 # ---------------------------------------------------------------------------

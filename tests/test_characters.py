@@ -39,8 +39,8 @@ from twochar.errors import (
     NotScalarMultiple,
     TripleNotInG,
 )
-from twochar.groups import commuting_pair_classes, load_group
-from twochar.reps import Rep2, direct_sum, random_rep2, regular_rep2, tensor, to_perm_cocycle, trivial_rep2
+from twochar.groups import commuting_pair_classes, load_group, trivial_subgroup
+from twochar.reps import Orbit, Rep2, direct_sum, random_rep2, tensor, to_perm_cocycle, trivial_rep2
 
 GROUPS = [klein_four(), cyclic(4), dihedral_4(), quaternion_8()]
 
@@ -178,7 +178,7 @@ def test_character_of_trivial_and_regular(s3):
     for a, b in (c.representative for c in commuting_pair_classes(s3)):
         assert gk_rep(trivial_rep2(s3), a, b) == CycloInt.from_int(1)
         expect = s3.order if (a, b) == (0, 0) else 0
-        assert gk_rep(regular_rep2(s3), a, b) == CycloInt.from_int(expect)
+        assert gk_rep(Rep2(s3, (Orbit(trivial_subgroup(s3), 0),)), a, b) == CycloInt.from_int(expect)
 
 
 def test_gk_rep_rejects_non_commuting(s3):

@@ -168,7 +168,6 @@ def test_class_set_group_structure(v4):
     assert classes.invariant_factors == (2,)
     assert classes.index_of(classes.representatives[0]) == 0
     assert classes.add(1, 1) == 0
-    assert classes.neg(1) == 1
 
 
 def test_index_of_ignores_coboundaries(s3, v4):

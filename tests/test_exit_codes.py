@@ -1,5 +1,6 @@
 """Exit codes for faults and bounds: an internal fault exits 4, a bound
-exits 3 before the group is built, and input errors keep exit 2.
+exits 3 before the group is built, or before its subgroup lattice is, and
+input errors keep exit 2.
 
 Each internal fault is raised by patching the library call behind
 ``twochar h2``, in-process and in a ``python -O`` subprocess, which strips
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from twochar import cli, crossed, groups
+from twochar import burnside, cli, crossed, groups
 from twochar.cli import main
 from twochar.crossed import crossed_from_json, load_json
 from twochar.errors import (
@@ -99,6 +100,23 @@ def test_s7_generators_exit_3(tmp_path, capsys):
     path.write_text(json.dumps(S7))
     assert main(["h2", str(path), "--max-order", "64"]) == 3
     assert "bound exceeded: closure exceeded 64 elements" in capsys.readouterr().err
+
+
+# Order 64: accepted by the loaders, but its d₂ is 23,814×3,969, over the
+# bound.  The subgroup lattice of Z2⁶ (2,825 subgroups) took most of a minute.
+Z2_6 = {"name": "Z2^6", "cayley": [[i ^ j for j in range(64)] for i in range(64)]}
+
+
+@pytest.mark.parametrize("command", ["char-table", "burnside"])
+def test_order_64_exits_3_before_the_subgroup_lattice(command, tmp_path, capsys):
+    path = tmp_path / "z2_6.json"
+    path.write_text(json.dumps(Z2_6))
+    misses = groups.all_subgroups.cache_info().misses
+    assert main([command, str(path)]) == 3
+    assert "bound exceeded: d₂ on the generator rows would be 23814×3969" in capsys.readouterr().err
+    with pytest.raises(TooLarge):
+        burnside.mark_matrix(group_from_json(Z2_6))
+    assert groups.all_subgroups.cache_info().misses == misses
 
 
 def test_cayley_table_over_the_bound_is_refused_before_validation(monkeypatch):
@@ -207,3 +225,29 @@ MALFORMED_DOCS = {
 @pytest.mark.parametrize("name", MALFORMED_DOCS)
 def test_missing_keys_and_ragged_rows_exit_2_with_their_place(name, tmp_path, capsys):
     _exits_2_with(*MALFORMED_DOCS[name], tmp_path, capsys)
+
+
+# Documents that are not JSON objects, and a group document with neither
+# form, refused with ``NotAGroup`` where they are read (witness: the
+# document's type, or the keys it lacks) instead of reaching the catch-all
+# with no witness.
+NOT_OBJECTS = {
+    "group-list": ("h2", [[0]], "list"),
+    "group-number": ("h2", 5, "int"),
+    "group-without-a-form": ("h2", {"name": "G"}, ("cayley", "generators")),
+    "crossed-number": ("crossed", 5, "int"),
+    "crossed-string": ("crossed", "H", "str"),
+    "crossed-list-G": ("crossed", {"H": Z2, "G": [Z4], "boundary": [0, 2], "action": [[0, 1]] * 4}, "list"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_OBJECTS)
+def test_documents_that_are_not_objects_exit_2_with_their_type(name, tmp_path, capsys):
+    command, doc, witness = NOT_OBJECTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["crossed", str(path), "validate"] if command == "crossed" else ["h2", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotAGroup: ")
+    assert err.endswith(f"(witness: {witness})\n")

@@ -9,11 +9,9 @@ from twochar.errors import NotAGroup
 from twochar.groups import (
     centralizer,
     commuting_pair_classes,
-    conjugacy_classes,
     conjugate_subgroup,
     coset_representative_map,
     double_cosets,
-    exponent,
     from_cayley_table,
     generated_subgroup,
     normalizer,
@@ -112,11 +110,6 @@ def test_conjugate_subgroup_membership(s3):
         assert set(Q.elements) == {s3.conj(g, x) for x in P.elements}
 
 
-def test_conjugacy_classes(s3, q8):
-    assert sorted(len(c) for c in conjugacy_classes(s3)) == [1, 2, 3]
-    assert sorted(len(c) for c in conjugacy_classes(q8)) == [1, 1, 2, 2, 2]
-
-
 def test_centralizer_and_normalizer(s3, v4):
     t = next(g for g in s3.elements if s3.order_of(g) == 2)
     r = next(g for g in s3.elements if s3.order_of(g) == 3)
@@ -167,12 +160,6 @@ def test_commuting_pair_classes(v4, s3):
         assert s3.commutes(a, b)
         assert all(s3.commutes(x, y) for x, y in c.orbit)
         assert c.representative == min(c.orbit)
-
-
-def test_exponent(v4, s3, q8):
-    assert exponent(v4) == 2
-    assert exponent(s3) == 6
-    assert exponent(q8) == 4
 
 
 def test_full_and_trivial_subgroups(q8):

@@ -6,11 +6,16 @@ the public entry points refuse to build one, or by patching the step the
 guard checks.  The subprocess prints one JSON line per guard: the exception
 type and its witness.  The package itself holds no ``assert`` statement, so
 no check goes missing under ``-O``.
+
+Every definition in the package is reached from the package itself or from
+the benchmark, apart from a pinned few, each with its reason: code that only
+its own tests run is deleted, not kept.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +27,10 @@ import json, sys, types
 import numpy as np
 from twochar import characters, crossed, cyclo
 from twochar.cyclo import RootOfUnity
-from twochar.groups import Subgroup, from_cayley_table, from_permutation_generators, full_subgroup
+from twochar.groups import from_cayley_table, from_permutation_generators, full_subgroup
 from twochar.reps import linear_classes
 
 V4 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)], name="V4")
-Z4 = from_cayley_table([[(i + j) % 4 for j in range(4)] for i in range(4)], name="Z4")
 S3 = from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], name="S3")
 MU = linear_classes(full_subgroup(V4)).representatives[1]
 
@@ -58,13 +62,6 @@ def kernel_not_central():
     crossed.pi2(types.SimpleNamespace(H=S3, boundary=np.zeros(S3.order, dtype=np.int64)))
 
 
-def boundary_outside_the_preimage():
-    # π₁ claimed to be all of Z4, so ∂1 = 2 is outside the preimage of {0}
-    K = types.SimpleNamespace(G=Z4, boundary=np.array([0, 2]))
-    crossed._pi1_data = lambda K: (Z4, np.arange(4), tuple(range(4)))
-    crossed.restrict(K, Subgroup(Z4, (0,)))
-
-
 def divisor_not_monic():
     cyclo._poly_divmod((1, 0, 1), (1, 2))
 
@@ -81,7 +78,6 @@ for case in (
     measured_factor_not_the_twist,
     boundary_image_not_normal,
     kernel_not_central,
-    boundary_outside_the_preimage,
     divisor_not_monic,
     cyclotomic_division_not_exact,
 ):
@@ -97,7 +93,6 @@ EXPECTED = {
     "measured_factor_not_the_twist": ("TwistMismatch", [[1, 0], [1, 1]]),
     "boundary_image_not_normal": ("NotNormal", [2, 1]),
     "kernel_not_central": ("NotCentral", [1, 2]),
-    "boundary_outside_the_preimage": ("NotContained", 1),
     "divisor_not_monic": ("NotMonic", [1, 2]),
     "cyclotomic_division_not_exact": ("InexactDivision", [2, [3]]),
 }
@@ -129,3 +124,36 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# Definitions that nothing in the package or the benchmark reaches, each kept
+# for a stated reason.
+UNREACHED = {
+    "trivial_rep2": "the unit of the representation ring, which the tests build from",
+    "from_perm_cocycle": "the inverse of to_perm_cocycle, whose round trip is an acceptance criterion",
+    "inflation_data": "the input family of the 2-group character route still to be added to verify crossed",
+    "oracle_crossed_linear": "the 2-group character route that verify crossed is still to check",
+}
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    """A name is reached if it occurs as a whole word in the package outside
+    its own definition, or anywhere in the benchmark's Python files."""
+    root = Path(__file__).resolve().parents[1]
+    sources = {path: path.read_text() for path in sorted((root / "src" / "twochar").rglob("*.py"))}
+    bench = [path.read_text() for path in sorted((root / "benchmark").rglob("*.py"))]
+    unreached = set()
+    for path, text in sources.items():
+        body = ast.parse(text, str(path)).body
+        nodes = body + [n for c in body if isinstance(c, ast.ClassDef) for n in c.body]
+        lines = text.splitlines()
+        others = [t for p, t in sources.items() if p != path]
+        for node in nodes:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or re.fullmatch(r"__\w+__", node.name):
+                continue
+            rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(word.search(t) for t in [rest, *others, *bench]):
+                unreached.add(node.name)
+    orphans = sorted(unreached - UNREACHED.keys())
+    assert orphans == [], f"reached only by the tests: {orphans}"

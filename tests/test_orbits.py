@@ -2,54 +2,36 @@
 by ``reps.pullback_map``.
 
 Each listing up to conjugacy is compared with the loop it replaced, copied
-here as a reference: element classes, subgroup classes, commuting pairs,
-double cosets, transversals, the commuting triples of a crossed module and
-its π₁ cosets.  ``canonical_orbit``, ``induce`` and ``mackey_restrict`` are
+here as a reference: subgroup classes, commuting pairs, double cosets,
+transversals, the commuting triples of a crossed module and its π₁ cosets.
+``canonical_orbit``, the least conjugators and the normalizer minima are
 compared with the cochain route (``conjugate_pullback`` + ``index_of``) on
-every subgroup, and ``mackey_restrict`` with its per-orbit loop on seeded
-random representations.
+every subgroup.
 """
 
 import json
-import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import dihedral_4, quaternion_8, symmetric_3
-from twochar import reps
-from twochar.burnside import basis
-from twochar.cochains import Cochain, GModule, conjugate_pullback
+from twochar.cochains import conjugate_pullback
 from twochar.crossed import _pi1_data, load_crossed, triple_classes, triples
 from twochar.groups import (
     Subgroup,
     all_subgroups,
     commuting_pair_classes,
-    conjugacy_classes,
     conjugate_subgroup,
     double_cosets,
-    from_cayley_table,
     from_permutation_generators,
     group_from_json,
     normalizer,
     orbit_partition,
     right_transversal,
     subgroup_conjugacy_classes,
-    subgroup_group,
 )
-from twochar.reps import (
-    Orbit,
-    Rep2,
-    _class_reps,
-    _normalizer_min,
-    _orbit_key,
-    canonical_orbit,
-    induce,
-    linear_classes,
-    mackey_restrict,
-    random_rep2,
-)
+from twochar.reps import Orbit, _class_reps, _normalizer_min, canonical_orbit, linear_classes
 
 S4 = from_permutation_generators(4, [(1, 2, 3, 0), (1, 0, 2, 3)], name="S4")
 Z3SQ_C2 = group_from_json(json.loads((Path(__file__).resolve().parent / "data" / "z3sq_c2.json").read_text()))
@@ -59,18 +41,6 @@ CROSSED = ["crossed_z2_z4", "crossed_inner_s3"]
 
 # ---------------------------------------------------------------------------
 # The loops the engine replaced
-
-
-def _ref_conjugacy_classes(G):
-    seen = set()
-    classes = []
-    for a in G.elements:
-        if a in seen:
-            continue
-        orbit = sorted({G.conj(g, a) for g in G.elements})
-        seen.update(orbit)
-        classes.append(tuple(orbit))
-    return tuple(classes)
 
 
 def _ref_subgroup_conjugacy_classes(G):
@@ -171,7 +141,6 @@ def test_orbit_partition_lists_sorted_orbits_by_least_member():
 
 @pytest.mark.parametrize("G", GROUPS, ids=lambda G: G.name)
 def test_group_listings_match_the_reference_loops(G):
-    assert conjugacy_classes(G) == _ref_conjugacy_classes(G)
     assert subgroup_conjugacy_classes(G) == _ref_subgroup_conjugacy_classes(G)
     assert tuple((c.representative, c.orbit) for c in commuting_pair_classes(G)) == _ref_commuting_pair_classes(G)
     subs = all_subgroups(G)
@@ -217,35 +186,6 @@ def _ref_canonical_orbit(G, P, mu):
     return Orbit(P0, _ref_normalizer_min(P0)[linear_classes(P0).index_of(conjugate_pullback(mu, c, P0))])
 
 
-def _ref_rep2(G, terms):
-    return Rep2(G, tuple(sorted((_ref_canonical_orbit(G, P, mu) for P, mu in terms), key=_orbit_key)))
-
-
-def _ref_induce(r, G):
-    lift = r.group.origin.elements
-    terms = []
-    for o in r.orbits:
-        Q = Subgroup(G, tuple(lift[q] for q in o.subgroup.elements))
-        terms.append((Q, linear_classes(Q).representatives[o.schur_index]))
-    return _ref_rep2(G, terms)
-
-
-def _ref_mackey_restrict(r, P):
-    G = r.group
-    p_grp, to_sub, _ = subgroup_group(P)
-    terms = []
-    for o in r.orbits:
-        Q, mu = o.subgroup, o.cocycle
-        for coset in double_cosets(G, P, Q):
-            x = coset[0]
-            J = Subgroup(G, tuple(sorted(set(P.elements) & {G.conj(x, q) for q in Q.elements})))
-            t = conjugate_pullback(mu, G.inv(x), J)
-            J_sub = Subgroup(p_grp, tuple(int(to_sub[j]) for j in J.elements))
-            grp_J, _, _ = subgroup_group(J_sub)
-            terms.append((J_sub, Cochain(GModule.trivial(grp_J, t.level), 2, t.values)))
-    return _ref_rep2(p_grp, terms)
-
-
 DECORATED = [S4, Z3SQ_C2]
 # its Sylow subgroups Z3² are not normal, so the least conjugator moves the
 # classes of H²(Z3²; ℂ^×) = ℤ/3; on S4 and Z3²⋊C2 it moves none.  Its own d₂
@@ -273,66 +213,3 @@ def test_canonical_orbit_matches_the_cochain_route_on_every_subgroup(G):
             assert canonical_orbit(G, P, mu) == _ref_canonical_orbit(G, P, mu), P
 
 
-@pytest.mark.parametrize("G", DECORATED + [A4xZ3], ids=lambda G: G.name)
-def test_induce_matches_the_cochain_route_from_every_subgroup(G):
-    for H in _decorated_subgroups(G):
-        grp = subgroup_group(H)[0]
-        for o in basis(grp):
-            r = Rep2(grp, (o,))
-            assert induce(r, G) == _ref_induce(r, G), (H, o)
-
-
-@pytest.mark.parametrize("G", DECORATED, ids=lambda G: G.name)
-def test_mackey_restrict_matches_the_cochain_route_to_every_subgroup(G):
-    pairs = basis(G)
-    for P in all_subgroups(G):
-        for o in pairs:
-            r = Rep2(G, (o,))
-            assert mackey_restrict(r, P) == _ref_mackey_restrict(r, P), (P, o)
-
-
-def _ref_mackey_loop(r, P):
-    """``mackey_restrict`` as a per-orbit loop: the double cosets and each
-    stabilizer J = P ∩ xQx⁻¹ are found afresh for every orbit."""
-    G = r.group
-    p_grp, to_sub, _ = subgroup_group(P)
-    orbits = []
-    for o in r.orbits:
-        Q, i = o.subgroup, o.schur_index
-        for coset in double_cosets(G, P, Q):
-            x = coset[0]
-            J = Subgroup(G, tuple(sorted(set(P.elements) & {G.conj(x, q) for q in Q.elements})))
-            J_sub = Subgroup(p_grp, tuple(int(to_sub[j]) for j in J.elements))
-            orbits.append(reps._canonical(p_grp, J_sub, reps.pullback_map(Q, G.inv(x), J)[i]))
-    return Rep2(p_grp, tuple(sorted(orbits, key=_orbit_key)))
-
-
-A4 = from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4")
-Z2_3 = from_cayley_table([[i ^ j for j in range(8)] for i in range(8)], name="Z2^3")
-
-
-@pytest.mark.parametrize("G", [symmetric_3(), dihedral_4(), A4, Z2_3], ids=lambda G: G.name)
-def test_mackey_restrict_matches_the_per_orbit_loop_on_random_reps(G):
-    rng = random.Random(7)
-    for _ in range(6):
-        r = random_rep2(G, rng, max_orbits=4)
-        for P in all_subgroups(G):
-            assert mackey_restrict(r, P) == _ref_mackey_loop(r, P), (r, P)
-
-
-def test_warm_induce_and_restrict_build_no_cochain(monkeypatch):
-    G = S4
-    H = all_subgroups(G)[-2]
-    grp = subgroup_group(H)[0]
-    induced = {o: induce(Rep2(grp, (o,)), G) for o in basis(grp)}
-    restricted = {o: mackey_restrict(Rep2(G, (o,)), H) for o in basis(G)}
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a cochain was built on warm maps")
-
-    for name in ("conjugate_pullback", "Cochain", "GModule"):
-        monkeypatch.setattr(reps, name, refuse)
-    for o, expect in induced.items():
-        assert induce(Rep2(grp, (o,)), G) == expect
-    for o, expect in restricted.items():
-        assert mackey_restrict(Rep2(G, (o,)), H) == expect

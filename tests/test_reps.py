@@ -11,32 +11,29 @@ from twochar.cochains import (
     differential,
     random_cochain,
 )
-from twochar.errors import AmbientMismatch, NotACocycle, NotASubgroup
+from twochar.errors import AmbientMismatch, NotACocycle
 from twochar.groups import (
     all_subgroups,
     conjugate_subgroup,
     full_subgroup,
     generated_subgroup,
-    subgroup_group,
+    trivial_subgroup,
 )
 from twochar.reps import (
+    Orbit,
     PermCocycleRep,
+    Rep2,
     canonical_orbit,
-    contragradient,
     degree,
     direct_sum,
     from_perm_cocycle,
-    induce,
     linear_classes,
-    mackey_restrict,
     random_rep2,
-    regular_rep2,
     rep2,
     tensor,
     to_perm_cocycle,
     trivial_decoration,
     trivial_rep2,
-    zero_rep2,
 )
 
 GROUPS = [klein_four(), cyclic(4), symmetric_3(), dihedral_4(), quaternion_8()]
@@ -79,9 +76,9 @@ def test_degree_arithmetic(d4):
         s = random_rep2(d4, rng)
         assert degree(direct_sum(r, s)) == degree(r) + degree(s)
         assert degree(tensor(r, s)) == degree(r) * degree(s)
-    assert degree(zero_rep2(d4)) == 0
+    assert degree(Rep2(d4, ())) == 0
     assert degree(trivial_rep2(d4)) == 1
-    assert degree(regular_rep2(d4)) == d4.order
+    assert degree(Rep2(d4, (Orbit(trivial_subgroup(d4), 0),))) == d4.order
 
 
 def test_ambient_mismatch(s3, d4):
@@ -114,55 +111,6 @@ def test_tensor_of_linear_classes_adds(v4):
             assert left == expect
 
 
-def test_contragradient_involution_and_inverse(v4, d4):
-    rng = random.Random(3)
-    for G in (v4, d4):
-        for _ in range(10):
-            r = random_rep2(G, rng)
-            assert contragradient(contragradient(r)) == r
-        # for a one-orbit full-subgroup rep the product with its dual is trivial
-        P = full_subgroup(G)
-        for mu in linear_classes(P).representatives:
-            r = rep2(G, [(P, mu)])
-            assert tensor(r, contragradient(r)) == trivial_rep2(G)
-
-
-def test_induce_from_subgroup(s3):
-    a3 = next(P for P in all_subgroups(s3) if P.order == 3)
-    sub_grp, _, _ = subgroup_group(a3)
-    inner = trivial_rep2(sub_grp)
-    up = induce(inner, s3)
-    assert degree(up) == 2
-    assert up == rep2(s3, [(a3, trivial_decoration(a3))])
-    assert induce(up, s3) == up  # already living in the parent
-
-
-def test_induce_rejects_unrelated_group(s3, d4):
-    with pytest.raises(NotASubgroup):
-        induce(trivial_rep2(d4), s3)
-
-
-def test_mackey_restriction(s3):
-    a3 = next(P for P in all_subgroups(s3) if P.order == 3)
-    down = mackey_restrict(regular_rep2(s3), a3)
-    assert degree(down) == s3.order
-    assert down.group.order == 3
-    # restricting to the full subgroup changes nothing but the labels
-    full = full_subgroup(s3)
-    same = mackey_restrict(trivial_rep2(s3), full)
-    assert degree(same) == 1
-    with pytest.raises(NotASubgroup):
-        mackey_restrict(trivial_rep2(s3), generated_subgroup(dihedral_4(), (1,)))
-
-
-def test_mackey_degree_bookkeeping(d4):
-    rng = random.Random(4)
-    for P in all_subgroups(d4):
-        for _ in range(4):
-            r = random_rep2(d4, rng)
-            assert degree(mackey_restrict(r, P)) == degree(r)
-
-
 def test_perm_cocycle_roundtrip():
     rng = random.Random(5)
     for G in GROUPS:
@@ -183,7 +131,7 @@ def test_perm_cocycle_rejects_non_cocycle(s3):
 
 
 def test_roundtrip_ignores_cohomologous_twist(s3):
-    r = regular_rep2(s3)
+    r = Rep2(s3, (Orbit(trivial_subgroup(s3), 0),))
     p = to_perm_cocycle(r)
     shift = differential(random_cochain(p.theta.module, 1, random.Random(6)))
     twisted = PermCocycleRep(s3, p.point_action, p.theta + shift)

@@ -1,8 +1,8 @@
 """The Burnside-style ring of decorated G-sets.
 
-Elements are cyclotomic-rational combinations of canonical basis pairs — one
-pair per conjugation orbit of (subgroup P, linear class over P); the basis
-pair is exactly a canonical :class:`~twochar.reps.Orbit`.  Multiplication is
+Elements are integer combinations of canonical basis pairs — one pair per
+conjugation orbit of (subgroup P, linear class over P); the basis pair is
+exactly a canonical :class:`~twochar.reps.Orbit`.  Multiplication is
 the bilinear extension of the orbit tensor product (a double-coset sum).  The
 double-coset data of a subgroup pair (P, Q) are built once
 (``reps._double_coset_table``), so the product of two basis pairs is one
@@ -12,7 +12,7 @@ product of elements sums ca·cb·n into one coefficient dict.
 Mark homomorphisms evaluate an element against (P, α), α a tuple of roots of
 unity (a character of the linear classes of P): a basis pair ⟨Θ, Q⟩ maps to
 the sum of α over the cosets Q·g fixed by P, at Θ pulled back along g — a
-ring homomorphism to ℚ(ζ).  The pulled-back classes are read from
+ring homomorphism to ℤ[ζ].  The pulled-back classes are read from
 :func:`~twochar.reps.pullback_map`, so no cochain is built per coset.  The
 mark at (P, α) equals the mark at (P, α∘n*) for n in the normalizer of P, so
 the rows of the table of marks are the pairs (P, α) up to G-conjugacy: one
@@ -26,6 +26,7 @@ inverse (:meth:`~twochar.cyclo.CycloRat.inverse`).
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -60,15 +61,17 @@ def basis(G: FiniteGroup) -> tuple[Orbit, ...]:
 
 
 class BurnsideElement:
-    """Finite ℚ(ζ)-combination of basis pairs; zero coefficients dropped."""
+    """Finite ℤ-combination of basis pairs, zero coefficients dropped; a
+    coefficient that is not an ``int`` (``bool`` included) raises ``TypeError``."""
 
     __slots__ = ("group", "coefficients")
 
     def __init__(self, group: FiniteGroup, coefficients: dict):
+        for coeff in coefficients.values():
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient must be an int, not {type(coeff).__name__}")
         self.group = group
-        self.coefficients = {
-            pair: coeff for pair, coeff in coefficients.items() if not coeff.is_zero()
-        }
+        self.coefficients = {pair: coeff for pair, coeff in coefficients.items() if coeff}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BurnsideElement):
@@ -76,17 +79,11 @@ class BurnsideElement:
         return self.group == other.group and self.coefficients == other.coefficients
 
     def __repr__(self) -> str:
-        if not self.coefficients:
-            return "BurnsideElement(0)"
-        parts = []
-        for pair in sorted(self.coefficients, key=_orbit_key):
-            c = self.coefficients[pair]
-            parts.append(f"({c})·⟨{pair.schur_index}, {list(pair.subgroup.elements)}⟩")
-        return "BurnsideElement(" + " + ".join(parts) + ")"
+        return f"BurnsideElement({pretty_element(self)})"
 
 
 def basis_element(G: FiniteGroup, pair: Orbit) -> BurnsideElement:
-    return BurnsideElement(G, {pair: CycloRat.one()})
+    return BurnsideElement(G, {pair: 1})
 
 
 def identity_element(G: FiniteGroup) -> BurnsideElement:
@@ -99,26 +96,19 @@ def add(u: BurnsideElement, v: BurnsideElement) -> BurnsideElement:
         raise GroupMismatch("elements live over different groups")
     coeffs = dict(u.coefficients)
     for pair, c in v.coefficients.items():
-        coeffs[pair] = coeffs.get(pair, CycloRat.zero()) + c
+        coeffs[pair] = coeffs.get(pair, 0) + c
     return BurnsideElement(u.group, coeffs)
 
 
-def scale(a, u: BurnsideElement) -> BurnsideElement:
-    """a·u for an ``int`` or :class:`CycloRat` scalar a; any other scalar,
-    ``bool`` and ``float`` included, raises ``TypeError``."""
-    if isinstance(a, bool) or not isinstance(a, (int, CycloRat)):
-        raise TypeError(f"scalar must be an int or a CycloRat, not {type(a).__name__}")
-    if isinstance(a, int):
-        a = CycloRat.from_int(a)
+def scale(a: int, u: BurnsideElement) -> BurnsideElement:
+    """a·u for an ``int`` a; any other scalar, ``bool`` included, raises ``TypeError``."""
+    if type(a) is not int:
+        raise TypeError(f"scalar must be an int, not {type(a).__name__}")
     return BurnsideElement(u.group, {p: a * c for p, c in u.coefficients.items()})
 
 
 def from_rep2(r: Rep2) -> BurnsideElement:
-    coeffs: dict = {}
-    one = CycloRat.one()
-    for o in r.orbits:
-        coeffs[o] = coeffs.get(o, CycloRat.zero()) + one
-    return BurnsideElement(r.group, coeffs)
+    return BurnsideElement(r.group, Counter(r.orbits))
 
 
 @lru_cache(maxsize=None)
@@ -135,44 +125,18 @@ def _pair_product(G: FiniteGroup, a: Orbit, b: Orbit) -> tuple[tuple[Orbit, int]
     return tuple(sorted(counts.items(), key=lambda t: _orbit_key(t[0])))
 
 
-def _int_terms(u: BurnsideElement):
-    """u's (pair, ``int``) terms when every coefficient is an integer at
-    level 1, as a basis element's is; else None."""
-    terms = []
-    for pair, c in u.coefficients.items():
-        if c.den != 1 or c.num.level != 1:
-            return None
-        terms.append((pair, c.num.coeffs[0]))
-    return terms
-
-
 def mul(u: BurnsideElement, v: BurnsideElement) -> BurnsideElement:
-    """Σ ca·cb·n over the terms n·p of each basis product a·b, summed into
-    one coefficient dict.  Integer coefficients are summed as ``int``s;
-    otherwise each term is added as a :class:`CycloRat` in the bilinear
-    order, and a coefficient that sums to zero is dropped at once."""
+    """Σ ca·cb·n over the terms n·p of each basis product a·b, summed as
+    ``int``s into one coefficient dict (zero sums are dropped)."""
     if u.group != v.group:
         raise GroupMismatch("elements live over different groups")
     G = u.group
-    ints_u, ints_v = _int_terms(u), _int_terms(v)
-    if ints_u is not None and ints_v is not None:
-        counts: dict = {}
-        for a, ca in ints_u:
-            for b, cb in ints_v:
-                for p, n in _pair_product(G, a, b):
-                    counts[p] = counts.get(p, 0) + ca * cb * n
-        return BurnsideElement(G, {p: CycloRat.from_int(n) for p, n in counts.items()})
-    coeffs: dict = {}
+    counts: dict = {}
     for a, ca in u.coefficients.items():
         for b, cb in v.coefficients.items():
-            cab = ca * cb
             for p, n in _pair_product(G, a, b):
-                c = coeffs.get(p, CycloRat.zero()) + cab * n
-                if c.is_zero():
-                    coeffs.pop(p, None)
-                else:
-                    coeffs[p] = c
-    return BurnsideElement(G, coeffs)
+                counts[p] = counts.get(p, 0) + ca * cb * n
+    return BurnsideElement(G, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +173,17 @@ def _check_alpha(P: Subgroup, alpha: tuple[RootOfUnity, ...]) -> None:
                 raise AlphaNotHomomorphism(f"α breaks the class group law at ({i}, {j})", witness=(i, j))
 
 
-def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloRat:
-    """Evaluate the mark homomorphism for (P, α) on u, α a sequence of roots
-    of unity, one per linear class of P: per basis pair ⟨Θ, Q⟩, the sum of α
-    over the cosets of Q that P fixes, at the pulled-back classes of Θ."""
+def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloInt:
+    """The mark homomorphism for (P, α) on u, in ℤ[ζ], α a sequence of roots
+    of unity, one per linear class of P: a basis pair ⟨Θ, Q⟩ maps to the sum
+    of α over the cosets of Q that P fixes, at the pulled-back classes of Θ."""
     if P.parent != u.group:
         raise GroupMismatch("P is not a subgroup of the element's group")
     roots = isinstance(alpha, (tuple, list)) and all(isinstance(v, RootOfUnity) for v in alpha)
     if not roots or len(alpha) != len(linear_classes(P)):
         raise AlphaNotHomomorphism("α must be one root of unity per linear class")
     _check_alpha(P, tuple(alpha))
-    total = CycloRat.zero()
-    for pair, coeff in u.coefficients.items():
-        total = total + coeff * _pair_mark(P, alpha, pair)
-    return total
+    return sum((coeff * _pair_mark(P, alpha, pair) for pair, coeff in u.coefficients.items()), CycloInt.zero())
 
 
 def _pair_mark(P: Subgroup, alpha, pair: Orbit) -> CycloInt:

@@ -26,12 +26,11 @@ import numpy as np
 from .burnside import BurnsideElement, _check_alpha, _pair_mark, basis, mark, pair_json, pair_label
 from .cochains import Cochain, GModule, _cx_coords, differential, is_cocycle
 from .crossed import CrossedModule
-from .cyclo import CycloInt, CycloRat, RootOfUnity, raise_root_level, sum_roots
+from .cyclo import CycloInt, RootOfUnity, raise_root_level, sum_roots
 from .errors import (
     AlphaIllDefined,
     FormulasDisagree,
     NotACocycle,
-    NotAnAlgebraicInteger,
     NotCommuting,
     NotNormalized,
     NotScalarMultiple,
@@ -322,12 +321,6 @@ def gk_osorno(p: PermCocycleRep, a: int, b: int) -> CycloInt:
     )
 
 
-def _as_cyclo_int(v: CycloRat) -> CycloInt:
-    if v.den != 1:
-        raise NotAnAlgebraicInteger(f"character value {v} is not an algebraic integer", witness=v)
-    return v.num
-
-
 def _gk_mark(G: FiniteGroup, a: int, b: int):
     """The mark pair (P, α) of the pair (a, b): P = ⟨a, b⟩, α the character
     sending each decoration class over P to its gk_linear value at (a, b)."""
@@ -349,9 +342,8 @@ def _gk_mark(G: FiniteGroup, a: int, b: int):
 
 
 def gk_as_mark(a: int, b: int, u: BurnsideElement) -> CycloInt:
-    """Mark-homomorphism route: the mark of u at (P, α) = ``_gk_mark(a, b)``,
-    which must be an algebraic integer (else :class:`NotAnAlgebraicInteger`)."""
-    return _as_cyclo_int(mark(*_gk_mark(u.group, a, b), u))
+    """Mark-homomorphism route: the mark of u at (P, α) = ``_gk_mark(a, b)``."""
+    return mark(*_gk_mark(u.group, a, b), u)
 
 
 # ---------------------------------------------------------------------------

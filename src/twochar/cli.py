@@ -166,23 +166,38 @@ def cmd_crossed(args: argparse.Namespace) -> int:
 # Entry point
 
 
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer of at least ``low``; the parser
+    refuses anything else with exit 2, naming the argument."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer reads "invalid int value: 'x'", as with type=int
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="twochar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, handler):
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--output", default=None)
+        # a string default goes through ``type`` too, so the variable is checked
         p.add_argument(
             "--max-order",
-            type=int,
-            default=int(os.environ.get("TWO_CHAR_MAX_ORDER", DEFAULT_MAX_ORDER)),
+            type=_int_at_least(1),
+            default=os.environ.get("TWO_CHAR_MAX_ORDER", str(DEFAULT_MAX_ORDER)),
         )
 
     p = sub.add_parser("h2", help="cohomology classes of a group")
     p.add_argument("group")
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_int_at_least(1), default=None)
     common(p, cmd_h2)
 
     p = sub.add_parser("burnside", help="basis, products, and mark matrix")
@@ -199,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--iters", type=_int_at_least(1), default=200)
     p.add_argument("--poison", action="store_true")
     common(p, cmd_verify)
 
@@ -214,8 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed < 0 or getattr(args, "iters", 1) < 1 or args.max_order < 1:
-            raise ValueError("seed, iters, and max-order must be non-negative/positive")
         return args.handler(args)
     except (TooLarge, ClosureTooLarge) as exc:
         print(f"error: bound exceeded: {exc}", file=sys.stderr)

@@ -106,10 +106,6 @@ class AlphaIllDefined(TwoCharError):
     """Mark weight took different values on cohomologous cocycles."""
 
 
-class NotAnAlgebraicInteger(TwoCharError):
-    """A character value has a denominator; ``witness`` is the value."""
-
-
 class NotCommuting(TwoCharError):
     """2-character arguments must commute (up to the boundary twist)."""
 

@@ -152,9 +152,10 @@ def from_permutation_generators(
 
     Permutations compose as functions: ``(p * q)(x) = p(q(x))``.  Element 0 is
     the identity; the rest follow breadth-first discovery order, which makes
-    the labeling deterministic for a fixed generator list.  The closure stops
-    at the first element past ``max_order`` with :class:`ClosureTooLarge`,
-    whose witness is the count reached, ``max_order + 1``.
+    the labeling deterministic for a fixed generator list; no generators give
+    the trivial group at any degree.  The closure stops at the first element
+    past ``max_order`` with :class:`ClosureTooLarge`, whose witness is
+    ``max_order + 1``, the count reached.
     """
     gens = []
     for i, g in enumerate(generators):
@@ -162,6 +163,8 @@ def from_permutation_generators(
         if sorted(row) != list(range(degree)):
             raise NotAPermutation(f"generator {i} is not a permutation of range({degree})", witness=row)
         gens.append(row)
+    if not gens:
+        return _finish(np.zeros((1, 1), dtype=np.int64), name)
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}

@@ -1,6 +1,6 @@
 """Exit codes for faults and bounds: an internal fault exits 4, a bound
 exits 3 before the group is built, or before its subgroup lattice is, and
-input errors keep exit 2.
+input errors and argument values out of range keep exit 2.
 
 Each internal fault is raised by patching the library call behind
 ``twochar h2``, in-process and in a ``python -O`` subprocess, which strips
@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,47 @@ def test_s7_generators_exit_3(tmp_path, capsys):
     path.write_text(json.dumps(S7))
     assert main(["h2", str(path), "--max-order", "64"]) == 3
     assert "bound exceeded: closure exceeded 64 elements" in capsys.readouterr().err
+
+
+def test_empty_generator_list_is_the_trivial_group_at_any_degree(tmp_path, capsys):
+    # the degree of an empty generator list is not held to the document's
+    # size, so no degree-length permutation may be built
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"degree": 10**12, "generators": []}))
+    start = time.perf_counter()
+    assert main(["h2", str(path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "group: G (order 1)" in capsys.readouterr().out
+
+
+# Argument values outside their range, refused by the argument parser before
+# a handler runs, with the argument named; the process exits 2.
+BAD_ARGUMENTS = {
+    "negative-seed": (["h2", "v4", "--seed", "-1"], "--seed"),
+    "zero-iters": (["verify", "burnside", "--iters", "0"], "--iters"),
+    "zero-max-order": (["h2", "v4", "--max-order", "0"], "--max-order"),
+    "zero-level": (["h2", "v4", "--level", "0"], "--level"),
+    "non-integer-level": (["h2", "v4", "--level", "two"], "--level"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_bad_arguments_exit_2_naming_the_argument(name, monkeypatch, capsys):
+    argv, argument = BAD_ARGUMENTS[name]
+    monkeypatch.setattr(cli, "schur_classes", _raiser(AssertionError("handler ran")))
+    monkeypatch.setattr(cli, "SUITES", {"burnside": _raiser(AssertionError("handler ran"))})
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"error: argument {argument}: " in capsys.readouterr().err
+
+
+def test_max_order_from_the_environment_is_checked_by_the_parser(monkeypatch, capsys):
+    monkeypatch.setenv("TWO_CHAR_MAX_ORDER", "0")
+    with pytest.raises(SystemExit) as info:
+        main(["h2", "v4"])
+    assert info.value.code == 2
+    assert "error: argument --max-order: must be at least 1, got 0" in capsys.readouterr().err
 
 
 # Order 64: accepted by the loaders, but its d₂ is 23,814×3,969, over the

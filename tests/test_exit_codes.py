@@ -136,12 +136,13 @@ def test_bad_arguments_exit_2_naming_the_argument(name, monkeypatch, capsys):
     assert f"error: argument {argument}: " in capsys.readouterr().err
 
 
-def test_max_order_from_the_environment_is_checked_by_the_parser(monkeypatch, capsys):
-    monkeypatch.setenv("TWO_CHAR_MAX_ORDER", "0")
+@pytest.mark.parametrize("value, message", [("0", "must be at least 1, got 0"), ("abc", "invalid int value: 'abc'")])
+def test_max_order_from_the_environment_is_checked_by_the_parser(value, message, monkeypatch, capsys):
+    monkeypatch.setenv("TWO_CHAR_MAX_ORDER", value)
     with pytest.raises(SystemExit) as info:
         main(["h2", "v4"])
     assert info.value.code == 2
-    assert "error: argument --max-order: must be at least 1, got 0" in capsys.readouterr().err
+    assert f"error: argument --max-order: {message}" in capsys.readouterr().err
 
 
 # Order 64: accepted by the loaders, but its d₂ is 23,814×3,969, over the

@@ -59,6 +59,26 @@ def test_z3sq_c2_table_of_marks_is_square():
     assert [ci for Q, ci in labels if Q == P] == [0, 1]
 
 
+# Z3²: its marks at the subgroups of order 3 and 9 are not all rational, so
+# these pins cover how a value and the determinant print at level 3
+Z3SQ = {"name": "Z3^2", "cayley": [[(a // 3 + b // 3) % 3 * 3 + (a + b) % 3 for b in range(9)] for a in range(9)]}
+Z3SQ_BURNSIDE_JSON = "aa86e24cebdad5afcb6bad976afa8a55d12ebfc757879fd02bb718d102ef7d04"
+
+
+def test_z3sq_marks_and_determinant_print_as_pinned(tmp_path):
+    G = group_from_json(Z3SQ)
+    rows = mark_matrix(G)[2]
+    assert sum(str(v).count("ζ3") > 0 for row in rows for v in row) == 4
+    assert str(determinant(rows)) == "-2187 - 4374·ζ3"
+    path = tmp_path / "z3sq.json"
+    path.write_text(json.dumps(Z3SQ))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["burnside", str(path), "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == Z3SQ_BURNSIDE_JSON
+
+
 # the bundled groups and the unbundled golden groups but Z2^4, on which the
 # normalizers act trivially: Z2^4 is abelian
 BUNDLED = ("z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "v4", "s3", "d4", "q8")

@@ -16,12 +16,13 @@ ring homomorphism to ℤ[ζ].  The pulled-back classes are read from
 :func:`~twochar.reps.pullback_map`, so no cochain is built per coset.  The
 mark at (P, α) equals the mark at (P, α∘n*) for n in the normalizer of P, so
 the rows of the table of marks are the pairs (P, α) up to G-conjugacy: one
-least α per normalizer orbit.  The table is then square and invertible over
-ℚ(ζ).  Rows and columns are sorted by subgroup class, and the mark at (P, α)
-on ⟨Θ, Q⟩ is 0 unless P is conjugate into Q, so the table is block upper
-triangular: its exact determinant is the product of the diagonal blocks',
-each found by Gaussian elimination, dividing by each pivot through its exact
-inverse (:meth:`~twochar.cyclo.CycloRat.inverse`).
+least α per normalizer orbit.  The table is then square; its entries and its
+nonzero determinant lie in ℤ[ζ].  Rows and columns are sorted by subgroup
+class, and the mark at (P, α) on ⟨Θ, Q⟩ is 0 unless P is conjugate into Q,
+so the table is block upper triangular: its exact determinant is the product
+of the diagonal blocks', each found by Gaussian elimination over ℚ(ζ),
+dividing by each pivot through its exact inverse
+(:meth:`~twochar.cyclo.CycloRat.inverse`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 from itertools import product
 
 from .cyclo import CycloInt, CycloRat, RootOfUnity, sum_roots
-from .errors import AlphaNotHomomorphism, GroupMismatch
+from .errors import AlphaNotHomomorphism, GroupMismatch, InternalFault
 from .groups import (
     FiniteGroup,
     Subgroup,
@@ -231,7 +232,7 @@ def _row_characters(P0: Subgroup) -> tuple[int, ...]:
 def mark_matrix(G: FiniteGroup):
     """Rows: (class-representative subgroup P, character α of its linear
     classes), one α per orbit of the normalizer of P; columns: basis pairs;
-    entries: exact mark values."""
+    entries: the marks, in ℤ[ζ]."""
     cols = basis(G)
     rows = []
     labels = []
@@ -239,20 +240,21 @@ def mark_matrix(G: FiniteGroup):
         chars = _character_table(P0)
         for ci in _row_characters(P0):
             _check_alpha(P0, chars[ci])
-            row = [CycloRat(_pair_mark(P0, chars[ci], pair)) for pair in cols]
-            rows.append(row)
+            rows.append([_pair_mark(P0, chars[ci], pair) for pair in cols])
             labels.append((P0, ci))
     return labels, cols, rows
 
 
-def determinant(rows: list[list[CycloRat]]) -> CycloRat:
-    """Exact determinant over ℚ(ζ), block by block.
+def determinant(rows: list[list[CycloInt]]) -> CycloInt:
+    """Exact determinant of a square matrix over ℤ[ζ], block by block.
 
     The matrix splits at k when every entry in rows k.. and columns ..k-1 is
     zero; a table of marks splits at each change of subgroup class, since the
     mark at (P, α) on ⟨Θ, Q⟩ is 0 unless P is conjugate into Q.  The
     determinant is then the product of the diagonal blocks' determinants,
-    found at the finest split, each by Gaussian elimination."""
+    found at the finest split, each by Gaussian elimination over ℚ(ζ).  The
+    product lies in ℤ[ζ]: a denominator left over raises
+    :class:`~twochar.errors.InternalFault` with that denominator as witness."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
@@ -265,12 +267,14 @@ def determinant(rows: list[list[CycloRat]]) -> CycloRat:
     det = CycloRat.one()
     start = 0
     for end in cuts:
-        block = _eliminate([r[start:end] for r in rows[start:end]])
+        block = _eliminate([[CycloRat(x) for x in r[start:end]] for r in rows[start:end]])
         if block.is_zero():
-            return block
+            return block.num
         det = det * block
         start = end
-    return det
+    if det.den != 1:
+        raise InternalFault(f"the determinant over ℤ[ζ] came out with denominator {det.den}", witness=det.den)
+    return det.num
 
 
 def _eliminate(a: list[list[CycloRat]]) -> CycloRat:

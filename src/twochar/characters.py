@@ -65,11 +65,6 @@ class MonomialMatrix:
     def dimension(self) -> int:
         return len(self.perm)
 
-    @staticmethod
-    def identity(dimension: int) -> "MonomialMatrix":
-        one = RootOfUnity(1, 0)
-        return MonomialMatrix(range(dimension), (one,) * dimension)
-
     def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
         if not isinstance(other, MonomialMatrix):
             return NotImplemented

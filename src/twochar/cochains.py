@@ -192,9 +192,6 @@ class Cochain:
     def level(self) -> int:
         return self.module.level
 
-    def value(self, *gs) -> np.ndarray:
-        return self.values[tuple(gs)]
-
     def val(self, *gs, x: int = 0) -> int:
         return int(self.values[tuple(gs) + (x,)])
 
@@ -275,22 +272,15 @@ def is_cocycle(c: Cochain) -> bool:
     return differential(c).is_zero()
 
 
-def normalize_cocycle(c: Cochain) -> Cochain:
-    """Cohomologous cocycle vanishing on identity arguments (degrees 1–2).
+def _normalize(c: Cochain) -> Cochain:
+    """Cohomologous 2-cocycle vanishing on identity arguments.
 
     Subtracts the coboundary of the constant function g ↦ c(1,1); every
     2-cocycle satisfies c(1,g) = c(1,1) and c(g,1) = g·c(1,1), so this single
-    shift kills all identity slices at once.
-    """
-    if not is_cocycle(c):
-        raise NotACocycle("normalize_cocycle requires a cocycle")
-    return c if c.degree == 1 else _normalize(c)  # 1-cocycles vanish at the identity
-
-
-def _normalize(c: Cochain) -> Cochain:
-    """``normalize_cocycle`` with no degree-3 test: raises
-    :class:`NotACocycle` with a witness if an identity slice stays nonzero.
-    Normalized cochains form a subcomplex, so callers test d₂ alone."""
+    shift kills all identity slices at once.  No degree-3 test is made: an
+    identity slice that stays nonzero raises :class:`NotACocycle` with a
+    witness.  Normalized cochains form a subcomplex, so callers test d₂
+    alone."""
     if c.degree != 2:
         raise ValueError("expected a degree-2 cocycle")
     const = np.broadcast_to(c.values[0, 0], (c.group.order, c.module.size))

@@ -1,11 +1,12 @@
-"""Exact arithmetic in cyclotomic fields.
+"""Exact cyclotomic arithmetic.
 
-Three value types, all exact:
+Every mark, character value and determinant of a table of marks is an
+algebraic integer, so two value types carry them, both exact:
 
 * :class:`RootOfUnity` — the point exp(2πi·k/L), stored as (level, exponent);
-* :class:`CycloInt` — an element of Z[ζ_L], stored as integer coordinates in
-  the power basis 1, ζ, …, ζ^(φ(L)−1) modulo the L-th cyclotomic polynomial;
-* :class:`CycloRat` — a CycloInt divided by a positive integer, kept reduced.
+* :class:`CycloInt` — an element of ℤ[ζ_L], stored as integer coordinates in
+  the power basis 1, ζ, …, ζ^(φ(L)−1) modulo the L-th cyclotomic polynomial
+  (φ(L) = deg Φ_L).
 
 All arithmetic is on Python integers and runs through one table per level:
 ``_powers(L)`` holds the coordinates of ζ_L^k for k = 0 … L−1, built once
@@ -15,12 +16,15 @@ and raising the level, a Galois conjugate and a product are each one fold.
 A sum of roots of unity (every mark and character value) is one exponent
 histogram at the lcm of their levels, folded once (:func:`sum_roots`).
 
-A nonzero x ∈ ℚ(ζ_L) is inverted by its Galois norm: x⁻¹ = ∏_{σ≠1} σ(x) /
-N(x), where σ runs over ζ ↦ ζ^k with k prime to L and the norm N(x) =
-∏_σ σ(x) is a nonzero rational number.
+ℚ(ζ_L) occurs only inside the Gaussian elimination of
+:func:`~twochar.burnside.determinant`, as :class:`CycloRat`: a CycloInt over
+a positive integer, kept reduced.  A nonzero x ∈ ℚ(ζ_L) is inverted by its
+Galois norm: x⁻¹ = ∏_{σ≠1} σ(x) / N(x), where σ runs over ζ ↦ ζ^k with k
+prime to L and the norm N(x) = ∏_σ σ(x) is a nonzero rational number.
 
-Equality on every type means equality of the complex numbers denoted, so
-values at different levels compare correctly (ζ₄² == −1).
+Equality of roots of unity and of ℤ[ζ] values means equality of the complex
+numbers denoted, so values at different levels compare correctly
+(ζ₄² == −1).
 """
 
 from __future__ import annotations
@@ -30,23 +34,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InexactDivision, NotAMultiple, NotMonic
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            m //= p
-            while m % p == 0:
-                q *= p
-                m //= p
-            out *= q * (p - 1)
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -154,7 +141,7 @@ class RootOfUnity:
     def __eq__(self, other) -> bool:
         if isinstance(other, RootOfUnity):
             return self.exponent * other.level == other.exponent * self.level
-        if isinstance(other, (int, CycloInt, CycloRat)):
+        if isinstance(other, (int, CycloInt)):
             return root_to_cyclo(self) == other
         return NotImplemented
 
@@ -197,7 +184,7 @@ class CycloInt:
         if level < 1:
             raise ValueError("level must be positive")
         coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != euler_phi(level):
+        if len(coeffs) != len(cyclotomic_polynomial(level)) - 1:
             coeffs = _reduce_mod_cyclotomic(coeffs, level)
         self.level = level
         self.coeffs = coeffs
@@ -215,7 +202,8 @@ class CycloInt:
     def from_int(n: int, level: int = 1) -> "CycloInt":
         if level < 1:
             raise ValueError("level must be positive")
-        return CycloInt._make(level, (int(n),) + (0,) * (euler_phi(level) - 1))
+        # n, then φ(level) − 1 zeros; φ(level) = deg Φ_level
+        return CycloInt._make(level, (int(n),) + (0,) * (len(cyclotomic_polynomial(level)) - 2))
 
     @staticmethod
     def zero(level: int = 1) -> "CycloInt":
@@ -245,8 +233,6 @@ class CycloInt:
             other = CycloInt.from_int(other)
         elif isinstance(other, RootOfUnity):
             other = root_to_cyclo(other)
-        elif isinstance(other, CycloRat):
-            return CycloRat.from_cyclo(self) == other
         if not isinstance(other, CycloInt):
             return NotImplemented
         a, b = self._unify(other)
@@ -350,7 +336,10 @@ def _content(coeffs: tuple[int, ...]) -> int:
 
 
 class CycloRat:
-    """CycloInt numerator over a positive integer denominator, kept reduced."""
+    """An element of ℚ(ζ): a CycloInt numerator over a positive integer
+    denominator, kept reduced.  It is the field that the Gaussian elimination
+    in :func:`~twochar.burnside.determinant` needs, so it carries that
+    elimination's operations alone, on CycloRat operands."""
 
     __slots__ = ("num", "den")
 
@@ -368,87 +357,29 @@ class CycloRat:
         self.den = den
 
     @staticmethod
-    def from_int(n: int, den: int = 1) -> "CycloRat":
-        return CycloRat(CycloInt.from_int(n), den)
-
-    @staticmethod
-    def from_cyclo(x: CycloInt) -> "CycloRat":
-        return CycloRat(x, 1)
-
-    @staticmethod
     def zero() -> "CycloRat":
-        return CycloRat.from_int(0)
+        return CycloRat(CycloInt.zero())
 
     @staticmethod
     def one() -> "CycloRat":
-        return CycloRat.from_int(1)
+        return CycloRat(CycloInt.one())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    @property
-    def level(self) -> int:
-        return self.num.level
+    def __add__(self, other: "CycloRat") -> "CycloRat":
+        if self.den == other.den == 1:
+            return CycloRat(self.num + other.num)
+        return CycloRat(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __repr__(self) -> str:
-        return f"CycloRat({self.num!r}, {self.den})"
-
-    def __str__(self) -> str:
-        return pretty_cyclo(self)
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return CycloRat.from_int(other)
-        if isinstance(other, RootOfUnity):
-            return CycloRat.from_cyclo(root_to_cyclo(other))
-        if isinstance(other, CycloInt):
-            return CycloRat.from_cyclo(other)
-        if isinstance(other, CycloRat):
-            return other
-        return None
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # num/den is reduced (den > 0, content of num prime to den), and the
-        # content does not depend on the level, so equal values share den
-        return self.den == o.den and self.num == o.num
-
-    __hash__ = None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den == 1:
-            return CycloRat(self.num + o.num)
-        return CycloRat(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
+    def __neg__(self) -> "CycloRat":
         return CycloRat(-self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+    def __sub__(self, other: "CycloRat") -> "CycloRat":
+        return self + (-other)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloRat(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "CycloRat") -> "CycloRat":
+        return CycloRat(self.num * other.num, self.den * other.den)
 
     def inverse(self) -> "CycloRat":
         """Exact field inverse by the Galois norm: x⁻¹ = ∏_{σ≠1} σ(x) / N(x),
@@ -461,21 +392,6 @@ class CycloRat:
             if gcd(k, L) == 1:
                 conj = conj * _galois_conjugate(self.num, k)
         return CycloRat(conj * self.den, (self.num * conj).coeffs[0])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def to_complex(self) -> complex:
-        return self.num.to_complex() / self.den
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +419,11 @@ def _pretty_int_combo(level: int, coeffs: tuple[int, ...]) -> str:
 
 
 def pretty_cyclo(x) -> str:
-    """Human-readable ζ-combination, e.g. ``1 - 2·ζ8^3`` or ``(1 + ζ3)/2``."""
+    """Human-readable ζ-combination, e.g. ``1 - 2·ζ8^3``."""
     if isinstance(x, RootOfUnity):
         x = root_to_cyclo(x)
     if isinstance(x, CycloInt):
         return _pretty_int_combo(x.level, x.coeffs)
-    if isinstance(x, CycloRat):
-        body = _pretty_int_combo(x.num.level, x.num.coeffs)
-        if x.den == 1:
-            return body
-        wrapped = f"({body})" if (" " in body or body.lstrip("-").count("·")) else body
-        return f"{wrapped}/{x.den}"
     raise TypeError(f"cannot pretty-print {type(x).__name__}")
 
 

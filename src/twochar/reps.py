@@ -356,12 +356,13 @@ def from_perm_cocycle(p: PermCocycleRep) -> Rep2:
 # Random generation (for property runs)
 
 
-def random_rep2(G: FiniteGroup, rng, max_orbits: int = 3) -> Rep2:
-    """Random canonical Rep2: random subgroups, random decoration classes,
-    noised by coboundaries and conjugation before canonicalization."""
+def random_rep2(G: FiniteGroup, rng) -> Rep2:
+    """Random canonical Rep2 of 0 to 3 orbits: random subgroups, random
+    decoration classes, noised by coboundaries and conjugation before
+    canonicalization."""
     subs = all_subgroups(G)
     terms = []
-    for _ in range(rng.randrange(max_orbits + 1)):
+    for _ in range(rng.randrange(4)):
         P = subs[rng.randrange(len(subs))]
         sc = linear_classes(P)
         mu = sc.representatives[rng.randrange(len(sc))]

@@ -8,7 +8,7 @@ import pytest
 from conftest import cyclic
 from twochar import burnside
 from twochar.burnside import identity_element, mark
-from twochar.cyclo import CycloRat, RootOfUnity
+from twochar.cyclo import CycloInt, RootOfUnity
 from twochar.errors import AlphaNotHomomorphism
 from twochar.groups import from_cayley_table, full_subgroup
 from twochar.reps import linear_classes
@@ -58,4 +58,4 @@ def test_trivial_class_group_still_needs_alpha_of_zero_to_be_one():
     with pytest.raises(AlphaNotHomomorphism) as info:
         mark(P, (RootOfUnity(2, 1),), identity_element(P.parent))
     assert info.value.witness == (0, 0)
-    assert mark(P, (RootOfUnity(1, 0),), identity_element(P.parent)) == CycloRat.one()
+    assert mark(P, (RootOfUnity(1, 0),), identity_element(P.parent)) == CycloInt.one()

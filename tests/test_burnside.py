@@ -24,7 +24,7 @@ from twochar.burnside import (
     pretty_element,
     scale,
 )
-from twochar.cyclo import CycloRat, RootOfUnity, root_to_cyclo
+from twochar.cyclo import CycloInt, CycloRat, RootOfUnity, root_to_cyclo
 from twochar.errors import AlphaNotHomomorphism, GroupMismatch
 from twochar.cochains import conjugate_pullback
 from twochar.groups import from_permutation_generators, full_subgroup, group_from_json, trivial_subgroup
@@ -48,12 +48,12 @@ def test_zero_and_add(s3):
 
 _REFUSES_NON_INT = """
 from twochar.burnside import BurnsideElement, identity_element, scale
-from twochar.cyclo import CycloRat
+from twochar.cyclo import CycloInt, CycloRat
 from twochar.groups import from_cayley_table
 v4 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)], name="V4")
 e = identity_element(v4)
 pair = next(iter(e.coefficients))
-for bad in (CycloRat.from_int(1, 2), CycloRat.one(), 0.5, 2.0, True, "2", None):
+for bad in (CycloRat(CycloInt.one(), 2), CycloInt.one(), 0.5, 2.0, True, "2", None):
     for build in (lambda: scale(bad, e), lambda: BurnsideElement(v4, {pair: bad})):
         try:
             build()
@@ -137,34 +137,37 @@ def test_mark_of_trivial_character_counts_fixed_cosets(s3):
     for pair in basis(s3):
         u = basis_element(s3, pair)
         value = mark(triv, [RootOfUnity(1, 0)] * len(linear_classes(triv)), u)
-        assert value == CycloRat.from_int(s3.order // pair.subgroup.order)
+        assert value == CycloInt.from_int(s3.order // pair.subgroup.order)
         top = mark(full, [RootOfUnity(1, 0)] * len(linear_classes(full)), u)
         expect = 1 if pair.subgroup.order == s3.order else 0
-        assert top == CycloRat.from_int(expect)
+        assert top == CycloInt.from_int(expect)
 
 
 def test_mark_rejects_non_homomorphism(v4):
     P = full_subgroup(v4)
     u = identity_element(v4)
     n = len(linear_classes(P))
-    bad = [CycloRat.from_int(2)] * n  # 2 is not a root of unity times itself
+    bad = [CycloInt.from_int(2)] * n  # 2 is not a root of unity times itself
     with pytest.raises(AlphaNotHomomorphism):
         mark(P, bad, u)
 
 
 def _averaged_mark(P, alpha, u):
     """The mark as an average: over every g ∈ G with g·P·g⁻¹ ⊆ Q, α at the
-    class of Θ pulled back along g, weighted 1/|Q|."""
+    class of Θ pulled back along g, weighted 1/|Q|.  Each fixed coset Q·g
+    gives |Q| equal terms, so every coordinate of the sum is a multiple of
+    |Q|."""
     G = P.parent
-    total = CycloRat.zero()
+    total = CycloInt.zero()
     for pair, coeff in u.coefficients.items():
         Q = pair.subgroup
-        acc = CycloRat.zero()
+        acc = CycloInt.zero()
         for g in G.elements:
             if all(G.conj(g, p) in Q for p in P.elements):
                 idx = linear_classes(P).index_of(conjugate_pullback(pair.cocycle, g, P))
                 acc = acc + root_to_cyclo(alpha[idx])
-        total = total + coeff * CycloRat(acc.num, acc.den * Q.order)
+        assert all(c % Q.order == 0 for c in acc.coeffs)
+        total = total + coeff * CycloInt(acc.level, [c // Q.order for c in acc.coeffs])
     return total
 
 
@@ -209,7 +212,7 @@ def test_mark_keeps_the_level_of_its_own_alpha(v4, levels):
         for level in levels:
             alpha = (RootOfUnity(level, 0),) * len(linear_classes(P))
             value = mark(P, alpha, identity_element(v4))
-            assert value == CycloRat.one() and value.level == level
+            assert value == CycloInt.one() and value.level == level
 
 
 def test_law_check_runs_once_per_mark_matrix_row(d4):
@@ -277,12 +280,12 @@ def test_s3_mark_matrix_values(s3):
 
 
 def test_determinant_on_known_matrices():
-    two = CycloRat.from_int(2)
-    zeta = CycloRat.from_cyclo(root_to_cyclo(RootOfUnity(4, 1)))
+    two = CycloInt.from_int(2)
+    zeta = root_to_cyclo(RootOfUnity(4, 1))
     rows = [[two, zeta], [zeta, two]]
     # 4 - zeta4^2 = 5
-    assert determinant(rows) == CycloRat.from_int(5)
-    assert determinant([[CycloRat.zero()]]).is_zero()
+    assert determinant(rows) == CycloInt.from_int(5)
+    assert determinant([[CycloInt.zero()]]).is_zero()
 
 
 def test_element_json_and_pretty(s3):
@@ -316,7 +319,7 @@ def test_pair_products_are_mark_multiplicative(G):
         for b in cols:
             ab = mul(basis_element(G, a), basis_element(G, b))
             for row in rows:
-                value = sum((c * row[where[p]] for p, c in ab.coefficients.items()), CycloRat.zero())
+                value = sum((c * row[where[p]] for p, c in ab.coefficients.items()), CycloInt.zero())
                 assert value == row[where[a]] * row[where[b]]
 
 
@@ -353,9 +356,10 @@ def test_mul_of_integer_combinations_equals_the_bilinear_reference(d4):
 
 
 def _cofactor_det(m):
+    """The determinant over ℤ[ζ] by expansion along the first row: no division."""
     if not m:
-        return CycloRat.one()
-    total = CycloRat.zero()
+        return CycloInt.one()
+    total = CycloInt.zero()
     for j, x in enumerate(m[0]):
         if not x.is_zero():
             minor = [row[:j] + row[j + 1:] for row in m[1:]]
@@ -364,11 +368,19 @@ def _cofactor_det(m):
     return total
 
 
+def _eliminated(m) -> str:
+    """``repr`` of the numerator of one elimination over the whole matrix,
+    whose denominator must be 1."""
+    det = burnside._eliminate([[CycloRat(x) for x in row] for row in m])
+    assert det.den == 1
+    return repr(det.num)
+
+
 def _matrix(values):
     def entry(v):
         if isinstance(v, tuple):            # (level, exponent): a root of unity
-            return CycloRat.from_cyclo(root_to_cyclo(RootOfUnity(*v)))
-        return CycloRat.from_int(v)
+            return root_to_cyclo(RootOfUnity(*v))
+        return CycloInt.from_int(v)
 
     return [[entry(v) for v in row] for row in values]
 
@@ -387,7 +399,7 @@ def test_determinant_of_block_triangular_matrix_equals_the_cofactor_reference():
     ])
     want = _cofactor_det(m)
     assert determinant(m) == want
-    assert repr(determinant(m)) == repr(burnside._eliminate([list(r) for r in m]))
+    assert repr(determinant(m)) == _eliminated(m)
     assert determinant(m) == _cofactor_det([r[:2] for r in m[:2]]) * _cofactor_det(
         [r[2:5] for r in m[2:5]]
     ) * m[5][5]
@@ -403,7 +415,7 @@ def test_determinant_without_a_block_split_equals_the_cofactor_reference():
     ])
     assert determinant(m) == _cofactor_det(m)
     # a zero row inside a block gives zero
-    m[2] = [CycloRat.zero()] * 4
+    m[2] = [CycloInt.zero()] * 4
     assert determinant(m).is_zero() and _cofactor_det(m).is_zero()
 
 
@@ -411,4 +423,5 @@ def test_determinant_without_a_block_split_equals_the_cofactor_reference():
 def test_block_determinant_prints_as_the_full_elimination(G):
     rows = mark_matrix(G)[2]
     det = determinant(rows)
-    assert repr(det) == repr(burnside._eliminate([list(r) for r in rows]))
+    assert all(isinstance(v, CycloInt) for row in rows for v in row) and isinstance(det, CycloInt)
+    assert repr(det) == _eliminated(rows)

@@ -24,7 +24,7 @@ from twochar.characters import (
     twisted_regular,
 )
 from twochar.burnside import basis, basis_element, from_rep2, mark_matrix
-from twochar.cochains import GModule, normalize_cocycle, random_cocycle, schur_classes
+from twochar.cochains import GModule, _normalize, random_cocycle, schur_classes
 from twochar.crossed import CrossedModule, load_crossed, triples
 from twochar.cyclo import CycloInt, RootOfUnity, root_to_cyclo
 from twochar.errors import (
@@ -47,7 +47,7 @@ GROUPS = [klein_four(), cyclic(4), dihedral_4(), quaternion_8()]
 def test_monomial_matrix_algebra():
     a = MonomialMatrix((1, 2, 0), (RootOfUnity(4, 1), RootOfUnity(4, 0), RootOfUnity(4, 3)))
     b = MonomialMatrix((2, 0, 1), (RootOfUnity(4, 2), RootOfUnity(4, 1), RootOfUnity(4, 0)))
-    e = MonomialMatrix.identity(3)
+    e = MonomialMatrix(range(3), (RootOfUnity(1, 0),) * 3)
     assert a * e == a == e * a
     assert a * a.inverse() == e
     assert (a * b) * a == a * (b * a)
@@ -152,7 +152,7 @@ def test_mark_and_character_coefficients_are_python_ints(name):
             for v in (gk_as_mark(a, b, u), gk_rep(r, a, b), gk_osorno(p, a, b)):
                 assert all(type(c) is int for c in v.coeffs), (a, b, v)
     for row in mark_matrix(G)[2]:
-        assert all(type(c) is int for v in row for c in v.num.coeffs + (v.den,))
+        assert all(type(c) is int for v in row for c in v.coeffs)
 
 
 def test_character_laws(v4):
@@ -224,7 +224,7 @@ def test_crossed_oracle_matches_the_closed_form_of_the_inflation_family(name, co
     G = K.G
     rng = random.Random(1)
     mus = list(schur_classes(G).representatives)
-    mus += [normalize_cocycle(random_cocycle(GModule.trivial(G, 12), rng)) for _ in range(3)]
+    mus += [_normalize(random_cocycle(GModule.trivial(G, 12), rng)) for _ in range(3)]
     taus = [None] + _linear_characters(K.H)
     assert len(taus) == 3
     count = 0

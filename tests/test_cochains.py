@@ -24,7 +24,6 @@ from twochar.cochains import (
     h2,
     is_coboundary,
     is_cocycle,
-    normalize_cocycle,
     raise_level,
     random_cochain,
     random_cocycle,
@@ -55,11 +54,11 @@ def _brute_differential(c: Cochain) -> Cochain:
     for gs in product(G.elements, repeat=n + 1):
         total = np.zeros(M.size, dtype=np.int64)
         # g acts on functions by (g·w)(x) = w(g⁻¹·x)
-        total += c.value(*gs[1:])[M.action[G.inv(gs[0])]]
+        total += c.values[gs[1:]][M.action[G.inv(gs[0])]]
         for i in range(1, n + 1):
             merged = gs[: i - 1] + (G.mul(gs[i - 1], gs[i]),) + gs[i + 1 :]
-            total += (-1) ** i * c.value(*merged)
-        total += (-1) ** (n + 1) * c.value(*gs[:n])
+            total += (-1) ** i * c.values[merged]
+        total += (-1) ** (n + 1) * c.values[gs[:n]]
         out[gs] = total % M.level
     return Cochain(M, n + 1, out)
 
@@ -227,7 +226,7 @@ def test_pullback_composes(d4):
 
 def test_normalize_cocycle(s3):
     mu = random_cocycle(GModule.trivial(s3, 6), random.Random(2))
-    nm = normalize_cocycle(mu)
+    nm = cochains._normalize(mu)
     assert is_cocycle(nm)
     assert not nm.values[0].any()
     assert not nm.values[:, 0].any()

@@ -17,7 +17,7 @@ import pytest
 from twochar.burnside import _character_table, basis, basis_element, determinant, mark, mark_matrix
 from twochar.cli import main
 from twochar.cochains import conjugate_pullback
-from twochar.cyclo import CycloRat
+from twochar.cyclo import CycloInt
 from twochar.groups import group_from_json, load_group, normalizer, subgroup_class_representatives
 from twochar.reps import linear_classes
 
@@ -52,7 +52,7 @@ def test_z3sq_c2_table_of_marks_is_square():
     assert G.order == 18
     labels, cols, rows = mark_matrix(G)
     assert len(rows) == len(cols) == 10
-    assert determinant(rows) == CycloRat.from_int(-104976)
+    assert determinant(rows) == CycloInt.from_int(-104976)
     # the two nontrivial characters of H²(Z3²; ℂ^×) = ℤ/3 are swapped: one row
     P = next(P for P in subgroup_class_representatives(G) if P.order == 9)
     assert len(_character_table(P)) == 3

@@ -5,9 +5,11 @@ table, mark matrix), ``char-table``, ``verify`` (the invariant suites in
 ``twochar.verify``, with fault injection), and ``crossed`` (crossed-module
 reports).  Inputs are JSON files or names from the bundled corpus.  The
 handlers only format what the library computes.  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 bound exceeded, 4 internal fault (an
-:class:`~twochar.errors.InternalFault`, or any other exception that escapes a
-handler).
+1 verification failure, 2 input error (a typed error raised on the input, or
+a document that cannot be read or decoded as JSON), 3 bound exceeded,
+4 internal fault (an :class:`~twochar.errors.InternalFault`, or any other
+exception that escapes a handler, ``ValueError``, ``KeyError`` and
+``TypeError`` included).
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def main(argv=None) -> int:
         witness = f" (witness: {exc.witness})" if exc.witness is not None else ""
         print(f"error: {type(exc).__name__}: {exc}{witness}", file=sys.stderr)
         return 4 if isinstance(exc, InternalFault) else 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -55,7 +55,7 @@ from math import gcd, prod
 import numpy as np
 
 from .errors import NotACocycle, NotAMultiple, NotContained, TooLarge, WrongWitness
-from .groups import FiniteGroup, Subgroup, full_subgroup, generated_subgroup, subgroup_group
+from .groups import FiniteGroup, Subgroup, check_left_action, full_subgroup, generated_subgroup, subgroup_group
 from .snf import hermite_mod, hermite_reduce, recent_level, smith_normal_form, solve_mod
 
 
@@ -72,7 +72,7 @@ class GModule:
             raise ValueError("action must have one row per group element")
         X = action.shape[1]
         data = action.tobytes()
-        _check_action(group, X, data)
+        check_left_action(group, X, data)
         action.setflags(write=False)
         self.group = group
         self.level = level
@@ -126,30 +126,6 @@ def direct_sum(module: GModule, copies: int) -> GModule:
     return GModule(module.group, module.level, action.reshape(module.group.order, -1))
 
 
-@lru_cache(maxsize=None)
-def _check_action(group: FiniteGroup, X: int, data: bytes) -> None:
-    """Raise ``ValueError`` unless the m×X table in ``data`` is a left action
-    of the group by permutations.  Cached on success, keyed on the group's
-    table and the action's bytes: every distinct module is checked on its
-    first build, and the many modules that ``conjugate_pullback`` and
-    ``GModule.at_level`` rebuild are not checked again.  Only the check is
-    cached; each module keeps its own group, whose ``origin`` can differ
-    between equal tables."""
-    action = np.frombuffer(data, dtype=np.int64).reshape(group.order, X)
-    rng = np.arange(X)
-    if not np.array_equal(action[0], rng):
-        raise ValueError("identity must act as the identity permutation")
-    for g in group.elements:
-        if not np.array_equal(np.sort(action[g]), rng):
-            raise ValueError(f"element {g} does not act by a permutation")
-    # left action: (gh)·x = g·(h·x)
-    composed = action[:, action]          # composed[g, h, x] = g·(h·x)
-    expected = action[group.table]        # expected[g, h, x] = (gh)·x
-    if not np.array_equal(composed, expected):
-        g, h, x = (int(v) for v in np.argwhere(composed != expected)[0])
-        raise ValueError(f"not a left action at (g={g}, h={h}, x={x})")
-
-
 class Cochain:
     """Dense cochain: values indexed by a degree-n tuple of group elements
     and a point of the module's G-set, exponents mod the level."""
@@ -178,11 +154,6 @@ class Cochain:
         c = object.__new__(cls)
         c.module, c.degree, c.values, c._hash = module, degree, arr, None
         return c
-
-    @staticmethod
-    def zero(module: GModule, degree: int) -> "Cochain":
-        m, X = module.group.order, module.size
-        return Cochain(module, degree, np.zeros((m,) * degree + (X,), dtype=np.int64))
 
     @property
     def group(self) -> FiniteGroup:
@@ -220,16 +191,6 @@ class Cochain:
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
         return Cochain(self.module, self.degree, self.values - other.values)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(self.module, self.degree, -self.values)
-
-    def __mul__(self, k: int) -> "Cochain":
-        if not isinstance(k, int):
-            return NotImplemented
-        return Cochain(self.module, self.degree, self.values * k)
-
-    __rmul__ = __mul__
 
     def _check_compatible(self, other: "Cochain"):
         if self.module != other.module or self.degree != other.degree:
@@ -509,9 +470,9 @@ def _machine(module: GModule) -> _H2Machine:
 # checked before any matrix is built; the columns are bounded too because V₂
 # and V₂⁻¹ are dense m₂×m₂.  Every group of order 64 has m₂ = 3969 and is
 # refused.  The worst case within them is Z2⁵ (5 generators, 4805×961):
-# a cold ``schur_classes`` takes 6.1 s at 129 MB peak RSS, against 1.9 s at
-# 86 MB for D16 (1922×961) and 0.6 s at 46 MB for S4 (1058×529), single runs
-# taken back to back on a 2-core Xeon under Python 3.11.
+# a cold ``schur_classes`` takes 4.8 s at 129 MB peak RSS, against 1.2 s at
+# 85 MB for D16 (order 32, 1922×961) and 0.5 s at 47 MB for S4 (1058×529),
+# single runs taken back to back on a 2-core Xeon under Python 3.11.
 D2_MAX_ROWS = 5000
 D2_MAX_COLS = 1024
 

@@ -158,9 +158,6 @@ class RootOfUnity:
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity(self.level, -self.exponent)
 
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.level, self.exponent * k)
-
     def to_complex(self) -> complex:
         from cmath import exp, pi
 
@@ -176,7 +173,8 @@ def raise_root_level(r: RootOfUnity, L: int) -> RootOfUnity:
 
 
 class CycloInt:
-    """Element of Z[ζ_L] in power-basis coordinates modulo Φ_L."""
+    """Element of Z[ζ_L] in power-basis coordinates modulo Φ_L.  Arithmetic
+    takes CycloInt operands (+, unary −, ×) and int scalars (× only)."""
 
     __slots__ = ("level", "coeffs")
 
@@ -241,35 +239,17 @@ class CycloInt:
     __hash__ = None  # cross-level equality makes a stable hash impractical
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = CycloInt.from_int(other)
         if not isinstance(other, CycloInt):
             return NotImplemented
         a, b = self._unify(other)
         return CycloInt._make(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CycloInt._make(self.level, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if not isinstance(other, (CycloInt, int, RootOfUnity)):
-            return NotImplemented
-        if isinstance(other, RootOfUnity):
-            other = root_to_cyclo(other)
-        return self + (-other if isinstance(other, CycloInt) else -other)
-
-    def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return CycloInt.from_int(other) + (-self)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return CycloInt._make(self.level, tuple(c * other for c in self.coeffs))
-        if isinstance(other, RootOfUnity):
-            other = root_to_cyclo(other)
         if not isinstance(other, CycloInt):
             return NotImplemented
         a, b = self._unify(other)
@@ -398,10 +378,11 @@ class CycloRat:
 # Pretty-printing and serialization
 
 
-def _pretty_int_combo(level: int, coeffs: tuple[int, ...]) -> str:
-    sym = f"ζ{level}"
+def pretty_cyclo(x: CycloInt) -> str:
+    """Human-readable ζ-combination, e.g. ``1 - 2·ζ8^3``."""
+    sym = f"ζ{x.level}"
     terms = []
-    for k, c in enumerate(coeffs):
+    for k, c in enumerate(x.coeffs):
         if c == 0:
             continue
         if k == 0:
@@ -416,15 +397,6 @@ def _pretty_int_combo(level: int, coeffs: tuple[int, ...]) -> str:
     for neg, body in terms[1:]:
         out += (" - " if neg else " + ") + body
     return out
-
-
-def pretty_cyclo(x) -> str:
-    """Human-readable ζ-combination, e.g. ``1 - 2·ζ8^3``."""
-    if isinstance(x, RootOfUnity):
-        x = root_to_cyclo(x)
-    if isinstance(x, CycloInt):
-        return _pretty_int_combo(x.level, x.coeffs)
-    raise TypeError(f"cannot pretty-print {type(x).__name__}")
 
 
 def cyclo_to_json(x: CycloInt) -> dict:

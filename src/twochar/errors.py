@@ -75,7 +75,9 @@ class NotAHomomorphism(TwoCharError):
 
 
 class NotAnAction(TwoCharError):
-    """Action table fails the left-action or automorphism laws."""
+    """Action table fails the left-action or automorphism laws; ``witness``
+    is (0,) for the identity row, (g,) for a row that is not a permutation,
+    or the triple where a law fails."""
 
 
 class EquivarianceFailure(TwoCharError):
@@ -120,9 +122,8 @@ class FormulasDisagree(TwoCharError):
 
 
 class TwistMismatch(InternalFault):
-    """The measured projective factor of a twisted representation is not
-    the twist over ℂ^×; ``witness`` is (ℂ^× coordinates of the measured
-    factor, ℂ^× coordinates of the twist)."""
+    """The measured projective factor ν of a twisted representation differs
+    from the twist μ; ``witness`` is the first (g, h) with ν(g, h) ≠ μ(g, h)."""
 
 
 class NotMonic(InternalFault):

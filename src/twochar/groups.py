@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ClosureTooLarge, NotAGroup, NotAPermutation, TooLarge
+from .errors import ClosureTooLarge, NotAGroup, NotAnAction, NotAPermutation, TooLarge
 
 DEFAULT_MAX_ORDER = 64
 
@@ -190,7 +190,34 @@ def from_permutation_generators(
 
 
 # ---------------------------------------------------------------------------
-# Orbits
+# Actions and orbits
+
+
+@lru_cache(maxsize=None)
+def check_left_action(group: FiniteGroup, X: int, data: bytes) -> None:
+    """Raise :class:`NotAnAction` unless the |G|×X int64 table in ``data``,
+    row g holding g·x at column x, is a left action of the group by
+    permutations of range(X).  The witness is (0,) for an identity row that
+    is not the identity, (g,) for a row that is not a permutation, and
+    (g, h, x) where (gh)·x ≠ g·(h·x).
+
+    Cached on success, keyed on the group's table and the action's bytes:
+    every distinct action is checked once, and the many modules that
+    ``conjugate_pullback`` and ``GModule.at_level`` rebuild are not checked
+    again.  Only the check is cached: each caller keeps its own group, whose
+    ``origin`` can differ between equal tables."""
+    action = np.frombuffer(data, dtype=np.int64).reshape(group.order, X)
+    rng = np.arange(X)
+    if not np.array_equal(action[0], rng):
+        raise NotAnAction("identity must act as the identity permutation", witness=(0,))
+    for g in group.elements:
+        if not np.array_equal(np.sort(action[g]), rng):
+            raise NotAnAction(f"element {g} does not act by a permutation", witness=(g,))
+    composed = action[:, action]          # composed[g, h, x] = g·(h·x)
+    expected = action[group.table]        # expected[g, h, x] = (gh)·x
+    if not np.array_equal(composed, expected):
+        g, h, x = (int(v) for v in np.argwhere(composed != expected)[0])
+        raise NotAnAction(f"not a left action at (g={g}, h={h}, x={x})", witness=(g, h, x))
 
 
 def orbit_partition(items, orbit_of) -> tuple[tuple, ...]:
@@ -249,19 +276,8 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // len(self.elements)
 
-    def __contains__(self, g: int) -> bool:
-        return g in self._member_set()
-
-    def _member_set(self) -> frozenset:
-        return _member_set(self)
-
     def __repr__(self) -> str:
         return f"Subgroup({self.parent.name}, {self.elements})"
-
-
-@lru_cache(maxsize=None)
-def _member_set(sub: Subgroup) -> frozenset:
-    return frozenset(sub.elements)
 
 
 @lru_cache(maxsize=None)

@@ -163,7 +163,7 @@ def _averaged_mark(P, alpha, u):
         Q = pair.subgroup
         acc = CycloInt.zero()
         for g in G.elements:
-            if all(G.conj(g, p) in Q for p in P.elements):
+            if all(G.conj(g, p) in Q.elements for p in P.elements):
                 idx = linear_classes(P).index_of(conjugate_pullback(pair.cocycle, g, P))
                 acc = acc + root_to_cyclo(alpha[idx])
         assert all(c % Q.order == 0 for c in acc.coeffs)

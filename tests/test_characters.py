@@ -313,13 +313,13 @@ def test_char_table_symmetric(s3):
 
 
 def test_char_table_disagreement_carries_witness(v4, monkeypatch):
-    monkeypatch.setattr(characters, "gk_rep", lambda *args: gk_rep(*args) + 1)
+    monkeypatch.setattr(characters, "gk_rep", lambda *args: gk_rep(*args) + CycloInt.one())
     with pytest.raises(FormulasDisagree) as exc:
         char_table(v4, verify=True)
     assert str(exc.value) == "character formulas disagree at pair (0,0), column 0"
     a, b, column, v, v1, v2 = exc.value.witness
     assert (a, b, column) == (0, 0, 0)
-    assert v == v2 and v1 == v + 1
+    assert v == v2 and v1 == v + CycloInt.one()
 
 
 def test_char_table_csv_deterministic(s3):

@@ -126,8 +126,9 @@ def test_char_table_disagreement_fails_under_optimize_flag(flags):
     code = (
         "import twochar.characters as characters\n"
         "from twochar.cli import main\n"
+        "from twochar.cyclo import CycloInt\n"
         "gk_rep = characters.gk_rep\n"
-        "characters.gk_rep = lambda *args: gk_rep(*args) + 1\n"
+        "characters.gk_rep = lambda *args: gk_rep(*args) + CycloInt.one()\n"
         "raise SystemExit(main(['char-table', 'v4', '--verify']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
-from twochar import cochains
+from twochar import cochains, groups
 from twochar.cochains import (
     Cochain,
     GModule,
@@ -29,7 +29,7 @@ from twochar.cochains import (
     random_cocycle,
     schur_classes,
 )
-from twochar.errors import NotACocycle, TooLarge, WrongWitness
+from twochar.errors import NotACocycle, NotAnAction, TooLarge, WrongWitness
 from twochar.groups import (
     all_subgroups,
     from_cayley_table,
@@ -94,18 +94,19 @@ def test_module_action_shapes(s3):
 
 
 def test_each_distinct_module_action_is_checked_once(s3):
-    cochains._check_action.cache_clear()
+    groups.check_left_action.cache_clear()
     module = GModule.permutation(s3, s3.table, 4)
     assert GModule.permutation(s3, s3.table, 8).at_level(4) == module
     GModule.trivial(s3, 6).at_level(12)
-    assert cochains._check_action.cache_info().misses == 2
+    assert groups.check_left_action.cache_info().misses == 2
     # a failed check is not cached: a bad action is refused on every build
     bad = s3.table.copy()
     bad[1, :2] = 0
     for n in range(2):
-        with pytest.raises(ValueError, match="element 1 does not act by a permutation"):
+        with pytest.raises(NotAnAction, match="element 1 does not act by a permutation") as exc:
             GModule.permutation(s3, bad, 4)
-        assert cochains._check_action.cache_info().misses == 3 + n
+        assert exc.value.witness == (1,)
+        assert groups.check_left_action.cache_info().misses == 3 + n
 
 
 def test_coboundaries_are_cocycles(v4):
@@ -368,7 +369,7 @@ def test_cx_coordinates_enforce_bounds(monkeypatch, v4):
     with pytest.raises(NotACocycle):
         machine.cx_coords(flat, 4)
     shapes = _count_reductions(monkeypatch)
-    zero = Cochain.zero(GModule.trivial(v4, 2**30), 2)
+    zero = Cochain(GModule.trivial(v4, 2**30), 2, np.zeros((4, 4, 1), dtype=np.int64))
     with pytest.raises(TooLarge):                     # 2^60 · 9 ≥ 2^62
         cohomologous_over_Cx(zero, zero)
     with pytest.raises(TooLarge):
@@ -381,13 +382,13 @@ def test_cx_coordinate_bounds_survive_optimize_flag():
         "import numpy as np\n"
         "from twochar import cochains\n"
         "from twochar.cochains import Cochain, GModule, cohomologous_over_Cx\n"
-        "from twochar.errors import NotACocycle, TooLarge, WrongWitness\n"
+        "from twochar.errors import NotACocycle, NotAnAction, TooLarge, WrongWitness\n"
         "from twochar.groups import from_cayley_table\n"
         "v4 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)], name='V4')\n"
         "machine = cochains._machine(GModule.trivial(v4, 4))\n"
         "flat = np.zeros(machine.m2, dtype=np.int64)\n"
         "flat[1] = 1\n"
-        "zero = Cochain.zero(GModule.trivial(v4, 2**30), 2)\n"
+        "zero = Cochain(GModule.trivial(v4, 2**30), 2, np.zeros((4, 4, 1), dtype=np.int64))\n"
         "for call in (lambda: machine.cx_coords(flat, 4), lambda: cohomologous_over_Cx(zero, zero)):\n"
         "    try:\n"
         "        call()\n"

@@ -7,7 +7,8 @@ from itertools import product
 import pytest
 
 from conftest import cyclic, symmetric_3
-from twochar import verify
+from twochar import crossed, verify
+from twochar.cochains import GModule
 from twochar.crossed import (
     CrossedModule,
     TwoMorphism,
@@ -65,6 +66,24 @@ def test_rejects_non_action():
     z2, z4 = cyclic(2), cyclic(4)
     with pytest.raises(NotAnAction):
         CrossedModule(z2, z4, [0, 2], [[0, 1], [0, 0], [0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "action, witness",
+    [
+        ([[1, 0], [0, 1], [0, 1], [0, 1]], (0,)),         # identity row moves a point
+        ([[0, 1], [0, 0], [0, 1], [0, 1]], (1,)),         # row 1 is not a permutation
+        ([[0, 1], [1, 0], [0, 1], [0, 1]], (1, 2, 0)),    # 1·(2·0) = 1 ≠ 0 = 3·0
+    ],
+    ids=["identity", "permutation", "left-action"],
+)
+def test_modules_and_crossed_modules_refuse_the_same_tables(action, witness):
+    z2, z4 = cyclic(2), cyclic(4)
+    with pytest.raises(NotAnAction) as as_module:
+        GModule.permutation(z4, action, 2)
+    with pytest.raises(NotAnAction) as as_crossed:
+        CrossedModule(z2, z4, [0, 2], action)
+    assert as_module.value.witness == as_crossed.value.witness == witness
 
 
 def test_rejects_equivariance_failure():
@@ -204,9 +223,10 @@ def test_triple_classes_partition_and_invariance():
                     assert moved in members
 
 
-def test_triples_bound():
+def test_triples_bound(monkeypatch):
+    monkeypatch.setattr(crossed, "DEFAULT_TRIPLE_BOUND", 10)
     with pytest.raises(TooLarge):
-        triples(_k2(), bound=10)
+        triples(_k2())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Exit codes for faults and bounds: an internal fault exits 4, a bound
 exits 3 before the group is built, or before its subgroup lattice is, and
-input errors and argument values out of range keep exit 2.
+input errors and argument values out of range keep exit 2.  Only a typed
+input error, or a document that cannot be read or decoded as JSON, exits 2:
+a ``ValueError``, ``KeyError`` or ``TypeError`` from inside the library is an
+internal fault.
 
 Each internal fault is raised by patching the library call behind
 ``twochar h2``, in-process and in a ``python -O`` subprocess, which strips
@@ -54,17 +57,48 @@ def test_internal_fault_exits_4_with_its_witness(fault, monkeypatch, capsys):
     assert f"{fault.__name__}: injected (witness: (1, 2))" in err
 
 
-@pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("boom"), ZeroDivisionError("boom")])
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RuntimeError("boom"),
+        AssertionError("boom"),
+        ZeroDivisionError("boom"),
+        ValueError("boom"),
+        KeyError("boom"),
+        TypeError("boom"),
+    ],
+)
 def test_any_other_escaping_exception_exits_4(exc, monkeypatch, capsys):
     monkeypatch.setattr(cli, "schur_classes", _raiser(exc))
     assert main(["h2", "v4"]) == 4
-    assert f"internal fault: {type(exc).__name__}: boom" in capsys.readouterr().err
+    assert f"internal fault: {type(exc).__name__}: {exc}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exc", [ValueError("bad"), KeyError("bad"), TypeError("bad"), OSError("bad")])
+@pytest.mark.parametrize(
+    "exc",
+    [
+        OSError("bad"),
+        FileNotFoundError("bad"),       # what the loaders raise for an unknown name
+        json.JSONDecodeError("bad", "{", 1),
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "bad"),
+    ],
+)
 def test_input_errors_keep_exit_2(exc, monkeypatch, capsys):
     monkeypatch.setattr(cli, "schur_classes", _raiser(exc))
     assert main(["h2", "v4"]) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["non-utf8", "truncated-json", "directory"])
+def test_unreadable_documents_exit_2(kind, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if kind == "non-utf8":
+        path.write_bytes(b'{"cayley": [[0]]}\xff')
+    elif kind == "truncated-json":
+        path.write_text('{"cayley": [[0, 1], [1')
+    else:
+        path.mkdir()
+    assert main(["h2", str(path)]) == 2
     assert "invalid input" in capsys.readouterr().err
 
 
@@ -77,7 +111,8 @@ def raise_it(exc):
     return f
 
 for exc in (errors.WrongWitness("x"), errors.TwistMismatch("x"), errors.InexactDivision("x"),
-            errors.NotMonic("x"), AssertionError("x"), ValueError("x")):
+            errors.NotMonic("x"), AssertionError("x"), ValueError("x"), KeyError("x"), TypeError("x"),
+            OSError("x")):
     cli.schur_classes = raise_it(exc)
     print(cli.main(["h2", "v4"]))
 """
@@ -87,7 +122,7 @@ def test_exit_codes_hold_under_optimize_flag():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["4", "4", "4", "4", "4", "2"]
+    assert out.stdout.split() == ["4"] * 8 + ["2"]
 
 
 def test_generator_closure_stops_one_past_the_bound():

@@ -236,22 +236,22 @@ def is_cocycle(c: Cochain) -> bool:
 def _normalize(c: Cochain) -> Cochain:
     """Cohomologous 2-cocycle vanishing on identity arguments.
 
-    Subtracts the coboundary of the constant function g ↦ c(1,1); every
-    2-cocycle satisfies c(1,g) = c(1,1) and c(g,1) = g·c(1,1), so this single
-    shift kills all identity slices at once.  No degree-3 test is made: an
-    identity slice that stays nonzero raises :class:`NotACocycle` with a
-    witness.  Normalized cochains form a subcomplex, so callers test d₂
-    alone."""
+    Subtracts the coboundary of the constant function g ↦ k = c(1,1), which
+    is (g, h) ↦ g·k, so (g, h, x) ↦ k(g⁻¹x); every 2-cocycle satisfies
+    c(1,g) = k and c(g,1) = g·k, so this single shift kills all identity
+    slices at once.  No degree-3 test is made: an identity slice that stays
+    nonzero raises :class:`NotACocycle` with the first such (g, h, x) in C
+    order as witness.  Normalized cochains form a subcomplex, so callers
+    test d₂ alone."""
     if c.degree != 2:
         raise ValueError("expected a degree-2 cocycle")
-    const = np.broadcast_to(c.values[0, 0], (c.group.order, c.module.size))
-    out = c - differential(Cochain(c.module, 1, const))
-    slices = out.values.copy()
-    slices[1:, 1:] = 0
-    if slices.any():
-        g, h, x = (int(v) for v in np.argwhere(slices)[0])
+    k = c.values[0, 0]
+    out = (c.values - k[c.module.inverse_action][:, None, :]) % c.level
+    if out[0].any() or out[:, 0].any():
+        out[1:, 1:] = 0
+        g, h, x = (int(v) for v in np.argwhere(out)[0])
         raise NotACocycle(f"not a 2-cocycle: nonzero at ({g}, {h}, x={x}) after normalizing", witness=(g, h, x))
-    return out
+    return Cochain._make(c.module, 2, out)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,26 @@ def test_normalize_cocycle(s3):
     assert cohomologous_over_Cx(mu, nm)
 
 
+@pytest.mark.parametrize("name", ["S3/C2", "D4/C2", "A4/C3"])
+def test_normalize_subtracts_the_coboundary_of_the_constant(name):
+    """The closed form k(g⁻¹x) equals d of the constant 1-cochain k = c(1,1),
+    and a non-cocycle is refused with the first nonzero identity slice of
+    c − dk in C order as witness."""
+    module = COSET_MODULES[name]()
+    rng = random.Random(11)
+    for c in [random_cocycle(module, rng) for _ in range(3)] + [random_cochain(module, 2, rng) for _ in range(3)]:
+        const = np.broadcast_to(c.values[0, 0], (c.group.order, module.size))
+        expect = (c - differential(Cochain(module, 1, const))).values
+        slices = expect.copy()
+        slices[1:, 1:] = 0
+        if not slices.any():
+            assert np.array_equal(cochains._normalize(c).values, expect)
+            continue
+        with pytest.raises(NotACocycle) as info:
+            cochains._normalize(c)
+        assert info.value.witness == tuple(int(v) for v in np.argwhere(slices)[0])
+
+
 def test_random_cocycle_is_cocycle():
     for G in GROUPS[:4]:
         for seed in range(3):

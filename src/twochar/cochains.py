@@ -467,12 +467,13 @@ def _machine(module: GModule) -> _H2Machine:
 
 
 # Bounds on the generator-row d₂ (|S|·m₂ rows, m₂ = (m−1)²·X columns),
-# checked before any matrix is built; the columns are bounded too because V₂
-# and V₂⁻¹ are dense m₂×m₂.  Every group of order 64 has m₂ = 3969 and is
-# refused.  The worst case within them is Z2⁵ (5 generators, 4805×961):
-# a cold ``schur_classes`` takes 4.8 s at 129 MB peak RSS, against 1.2 s at
-# 85 MB for D16 (order 32, 1922×961) and 0.5 s at 47 MB for S4 (1058×529),
-# single runs taken back to back on a 2-core Xeon under Python 3.11.
+# checked before any matrix is built; the columns are bounded too because the
+# int64 copies of V₂ and V₂⁻¹ that each level reads are dense m₂×m₂.  Every
+# group of order 64 has m₂ = 3969 and is refused.  The worst case within them
+# is Z2⁵ (5 generators, 4805×961): a cold ``schur_classes`` takes 4.3 s at
+# 113 MB peak RSS, against 0.67 s at 63 MB for D16 (order 32, 1922×961) and
+# 0.32 s at 42 MB for S4 (1058×529), medians of 7 runs each, taken back to
+# back on a 2-core Xeon under Python 3.11.
 D2_MAX_ROWS = 5000
 D2_MAX_COLS = 1024
 

@@ -1,5 +1,6 @@
 """Cochains and low-degree cohomology: differentials, class sets, transport."""
 
+import hashlib
 import json
 import os
 import random
@@ -720,6 +721,43 @@ def test_transform_copies_are_kept_for_a_few_levels(d4):
 
 
 CORPUS = ("Z2^3", "Z4xZ2", "A4", "D6", "D8")
+
+# sha256 over the two SNFs the H² machine of the trivial module computes:
+# the generator-row d₂ (diag, V, V⁻¹) and B (diag, U, U⁻¹)
+MACHINE_DIGESTS = {
+    "D8": (
+        "dff77e586eaaa8183c9fd7b5556f9f866ce690216b8e831c465d357974cc47b7",
+        "57e80c4e05219bb0d57e4a3686dbc7a74566772dd80dd05e279a66135e4d6cab",
+    ),
+    "Z2^3": (
+        "7ccaea9be51cc18d77667d21432c8d5e4fa8dc040f14de7522dd9f4a24270f2d",
+        "6bf1b6b47caab700bb39f36fb8b9afe89cb4ad7b88018794b6c670cd0cd48bf3",
+    ),
+    "Z4xZ2": (
+        "3703f5314f1474b5a70e0adc88ad5893585eea7250f99651e80140b1b1531438",
+        "5676b30f82f864698ddebdcfac1ed4028fa559d26df5006dc8fc380547848ee6",
+    ),
+    "A4": (
+        "9e6d4e7026e430685a37ccf1fb084d112fcc1c027935293174c8f499eb82a7c9",
+        "04896cc50b066a211193109091230a84d3d165fa1254728c54c82c907083334d",
+    ),
+    "D6": (
+        "9ef90470c182fe9a222dc23712059e1cde6029de19b5becd68dd20266dcc236c",
+        "03025235d8d5a21e22d1417d0f03e3c4ab06eb55d0ff85586c55099d14ee3042",
+    ),
+}
+
+
+def _sha(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_machine_transforms_match_pinned_digests(name):
+    G = _numbering_free_groups()[name]
+    machine = cochains._machine(GModule.trivial(G, G.order))
+    d2, B = machine.snf2, machine.snfB
+    assert (_sha(d2.diag, d2.V, d2.Vinv), _sha(B.diag, B.U, B.Uinv)) == MACHINE_DIGESTS[name]
 
 
 def _uncached_level_classes(machine, L):

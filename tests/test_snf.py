@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import symmetric_3
-from twochar import cochains
 from twochar.cochains import GModule, _normalized_boundary
 from twochar.errors import TooLarge
-from twochar.groups import from_cayley_table, from_permutation_generators, generated_subgroup
+from twochar.groups import from_permutation_generators, generated_subgroup
 from twochar.snf import smith_normal_form, solve_mod
 
 
@@ -187,54 +186,6 @@ TRANSFORM_DIGESTS = {
 
 def test_transforms_match_pinned_digests():
     assert _transform_digests() == TRANSFORM_DIGESTS
-
-
-def _dihedral(n: int):
-    return from_permutation_generators(
-        n, [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))], name=f"D{n}"
-    )
-
-
-MACHINE_GROUPS = {
-    "D8": lambda: _dihedral(8),
-    "Z2^3": lambda: from_cayley_table([[i ^ j for j in range(8)] for i in range(8)], name="Z2^3"),
-    "Z4xZ2": lambda: from_permutation_generators(6, [(1, 2, 3, 0, 4, 5), (0, 1, 2, 3, 5, 4)], name="Z4xZ2"),
-    "A4": lambda: from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)], name="A4"),
-    "D6": lambda: _dihedral(6),
-}
-
-# sha256 over the two SNFs the H² machine of the trivial module computes:
-# the generator-row d₂ (diag, V, V⁻¹) and B (diag, U, U⁻¹)
-MACHINE_DIGESTS = {
-    "D8": (
-        "dff77e586eaaa8183c9fd7b5556f9f866ce690216b8e831c465d357974cc47b7",
-        "57e80c4e05219bb0d57e4a3686dbc7a74566772dd80dd05e279a66135e4d6cab",
-    ),
-    "Z2^3": (
-        "7ccaea9be51cc18d77667d21432c8d5e4fa8dc040f14de7522dd9f4a24270f2d",
-        "6bf1b6b47caab700bb39f36fb8b9afe89cb4ad7b88018794b6c670cd0cd48bf3",
-    ),
-    "Z4xZ2": (
-        "3703f5314f1474b5a70e0adc88ad5893585eea7250f99651e80140b1b1531438",
-        "5676b30f82f864698ddebdcfac1ed4028fa559d26df5006dc8fc380547848ee6",
-    ),
-    "A4": (
-        "9e6d4e7026e430685a37ccf1fb084d112fcc1c027935293174c8f499eb82a7c9",
-        "04896cc50b066a211193109091230a84d3d165fa1254728c54c82c907083334d",
-    ),
-    "D6": (
-        "9ef90470c182fe9a222dc23712059e1cde6029de19b5becd68dd20266dcc236c",
-        "03025235d8d5a21e22d1417d0f03e3c4ab06eb55d0ff85586c55099d14ee3042",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", MACHINE_DIGESTS)
-def test_machine_transforms_match_pinned_digests(name):
-    G = MACHINE_GROUPS[name]()
-    machine = cochains._machine(GModule.trivial(G, G.order))
-    d2, B = machine.snf2, machine.snfB
-    assert (_digest(d2.diag, d2.V, d2.Vinv), _digest(B.diag, B.U, B.Uinv)) == MACHINE_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ Three independent routes compute the same value:
 * ``gk_as_mark`` — evaluation of a mark homomorphism against the subgroup
   generated by the pair.
 
-Two matrix oracles ground the conventions: the twisted regular representation
-(monomial matrices over the cocycle-twisted group algebra) recovers
-``gk_linear`` by explicit conjugation, and its crossed-module extension
-attaches a 2-morphism label h to the conjugation, reducing to the plain
-oracle at h = 1.  The oracle's measured projective factor ν is checked equal
-to the twist μ entry by entry, apart from the cohomology engine it checks.
+One matrix oracle grounds the conventions: the twisted regular
+representation (monomial matrices over the cocycle-twisted group algebra)
+recovers ``gk_linear`` by explicit conjugation.  Its measured projective
+factor ν is checked equal to the twist μ entry by entry, apart from the
+cohomology engine it checks.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import numpy as np
 
 from .burnside import BurnsideElement, _check_alpha, _pair_mark, basis, mark, pair_json, pair_label
 from .cochains import Cochain, differential, is_cocycle
-from .crossed import CrossedModule
 from .cyclo import CycloInt, RootOfUnity, raise_root_level, sum_roots
 from .errors import (
     AlphaIllDefined,
@@ -35,7 +33,6 @@ from .errors import (
     NotCommuting,
     NotNormalized,
     NotScalarMultiple,
-    TripleNotInG,
     TwistMismatch,
 )
 from .groups import (
@@ -83,9 +80,6 @@ class MonomialMatrix:
             perm[p] = j
             weights[p] = self.weights[j].inverse()
         return MonomialMatrix(perm, weights)
-
-    def scale(self, root: RootOfUnity) -> "MonomialMatrix":
-        return MonomialMatrix(self.perm, tuple(root * w for w in self.weights))
 
     def scalar_ratio(self, other: "MonomialMatrix") -> RootOfUnity:
         """The constant λ with self = λ·other; :class:`NotScalarMultiple` if
@@ -142,11 +136,11 @@ def _gk_linear(mu: Cochain, a: int, b: int) -> RootOfUnity:
 
 @lru_cache(maxsize=None)
 def twisted_regular(mu: Cochain):
-    """Left multiplication in the μ-twisted group algebra, as monomial
-    matrices on the group basis, together with the measured projective
-    factor ν: ρ(gh) = ζ^ν(g,h)·ρ(g)·ρ(h).  By the cocycle identity ν = μ
-    exactly; it is checked entry by entry, and the first (g, h) where they
-    differ raises :class:`TwistMismatch` with witness (g, h)."""
+    """Left multiplication ρ in the μ-twisted group algebra, as monomial
+    matrices on the group basis.  Its measured projective factor ν, with
+    ρ(gh) = ζ^ν(g,h)·ρ(g)·ρ(h), equals μ by the cocycle identity; it is
+    checked entry by entry, and the first (g, h) where they differ raises
+    :class:`TwistMismatch` with witness (g, h)."""
     _require_normalized(mu)
     if not mu.module.is_trivial:
         raise ValueError("the twisting cocycle must take scalar values")
@@ -171,7 +165,7 @@ def twisted_regular(mu: Cochain):
     if len(bad):
         g, h = (int(v) for v in bad[0][:2])
         raise TwistMismatch(f"measured projective factor differs from the twist at ({g}, {h})", witness=(g, h))
-    return rho, Cochain(mu.module, 2, nu_values)
+    return rho
 
 
 def oracle_twisted_regular(mu: Cochain, a: int, b: int) -> RootOfUnity:
@@ -180,92 +174,9 @@ def oracle_twisted_regular(mu: Cochain, a: int, b: int) -> RootOfUnity:
     G = mu.group
     if not G.commutes(a, b):
         raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
-    rho, _ = twisted_regular(mu)
+    rho = twisted_regular(mu)
     ainv = G.inv(a)
     M = rho[ainv] * rho[b] * rho[ainv].inverse()
-    return M.scalar_ratio(rho[b])
-
-
-# ---------------------------------------------------------------------------
-# Crossed-module oracle
-
-
-class CrossedLinearData:
-    """Matrix data for a 2-representation of a crossed module that is scalar
-    on the kernel: ρ on G, ω₂ on H, and the projective cocycle ω₃, subject to
-
-    * ρ(g₁g₂) = ω₃(g₁,g₂)·ρ(g₁)·ρ(g₂);
-    * ω₂(xy) = ω₃(∂x,∂y)·ω₂(x)·ω₂(y);
-    * conjugation by ω₂(x) = conjugation by ρ(∂x) on the image algebra.
-    """
-
-    __slots__ = ("K", "rho", "omega2", "omega3")
-
-    def __init__(self, K: CrossedModule, rho, omega2, omega3: Cochain):
-        G, H = K.G, K.H
-        rho = tuple(rho)
-        omega2 = tuple(omega2)
-        if len(rho) != G.order or len(omega2) != H.order:
-            raise ValueError("need one matrix per group element")
-        if omega3.group != G or omega3.degree != 2:
-            raise ValueError("omega3 must be a degree-2 cochain over G")
-        L = omega3.level
-        for g1 in G.elements:
-            for g2 in G.elements:
-                lam = rho[G.mul(g1, g2)].scalar_ratio(rho[g1] * rho[g2])
-                if lam != RootOfUnity(L, omega3.val(g1, g2) % L):
-                    raise ValueError(f"projective law fails at ({g1}, {g2})")
-        for x in H.elements:
-            for y in H.elements:
-                dx, dy = int(K.boundary[x]), int(K.boundary[y])
-                lam = omega2[H.mul(x, y)].scalar_ratio(omega2[x] * omega2[y])
-                if lam != RootOfUnity(L, omega3.val(dx, dy) % L):
-                    raise ValueError(f"label law fails at ({x}, {y})")
-        for x in H.elements:
-            dx = int(K.boundary[x])
-            w, winv = omega2[x], omega2[x].inverse()
-            r, rinv = rho[dx], rho[dx].inverse()
-            for g in G.elements:
-                if w * rho[g] * winv != r * rho[g] * rinv:
-                    raise ValueError(f"boundary compatibility fails at (x={x}, g={g})")
-        self.K = K
-        self.rho = rho
-        self.omega2 = omega2
-        self.omega3 = omega3
-
-
-def inflation_data(K: CrossedModule, mu: Cochain, tau=None) -> CrossedLinearData:
-    """Standard data family: ρ = μ-twisted regular representation of G,
-    ω₃ = μ, ω₂ = ρ∘∂ optionally scaled by a character τ of H."""
-    if mu.group != K.G:
-        raise ValueError("the cocycle must live over the base group of K")
-    rho, _ = twisted_regular(mu)
-    omega2 = []
-    for x in K.H.elements:
-        w = rho[int(K.boundary[x])]
-        if tau is not None:
-            w = w.scale(tau[x])
-        omega2.append(w)
-    return CrossedLinearData(K, rho, omega2, mu)
-
-
-def oracle_crossed_linear(data: CrossedLinearData, a: int, b: int, h: int) -> RootOfUnity:
-    """Scalar of the conjugation-plus-label operator at a triple (a, b, h)
-    with ∂h·a·b = b·a.  At h = 1 this is exactly
-    :func:`oracle_twisted_regular`."""
-    K = data.K
-    G = K.G
-    dh = int(K.boundary[h])
-    if G.mul(dh, G.mul(a, b)) != G.mul(b, a):
-        raise TripleNotInG(f"∂({h})·{a}·{b} ≠ {b}·{a}", witness=(a, b, h))
-    rho = data.rho
-    ainv = G.inv(a)
-    aba = G.conj(a, b)
-    conj = rho[ainv] * rho[b] * rho[ainv].inverse()
-    S = conj.scalar_ratio(rho[G.conj(ainv, b)])
-    L = data.omega3.level
-    w3 = RootOfUnity(L, data.omega3.val(dh, aba) % L)
-    M = (data.omega2[h] * rho[aba]).scale(w3 * S)
     return M.scalar_ratio(rho[b])
 
 

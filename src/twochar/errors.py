@@ -138,7 +138,3 @@ class InexactDivision(InternalFault):
 
 class NotScalarMultiple(TwoCharError):
     """Measured matrix is not a scalar multiple of the reference."""
-
-
-class TripleNotInG(TwoCharError):
-    """(a, b, h) does not satisfy the twisted-commutation condition."""

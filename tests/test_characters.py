@@ -1,15 +1,13 @@
-"""Characters on commuting pairs: monomial models, oracles, tables."""
+"""Characters on commuting pairs: monomial models, the twisted-regular oracle, tables."""
 
 import json
 import random
-from itertools import product
 
 import pytest
 
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
 from twochar import characters
 from twochar.characters import (
-    CrossedLinearData,
     MonomialMatrix,
     char_table,
     char_table_to_csv,
@@ -18,21 +16,17 @@ from twochar.characters import (
     gk_linear,
     gk_osorno,
     gk_rep,
-    inflation_data,
-    oracle_crossed_linear,
     oracle_twisted_regular,
     twisted_regular,
 )
 from twochar.burnside import basis, basis_element, from_rep2, mark_matrix
-from twochar.cochains import GModule, _normalize, random_cocycle, schur_classes
-from twochar.crossed import CrossedModule, load_crossed, triples
+from twochar.cochains import schur_classes
 from twochar.cyclo import CycloInt, RootOfUnity, root_to_cyclo
 from twochar.errors import (
     FormulasDisagree,
     NotCommuting,
     NotNormalized,
     NotScalarMultiple,
-    TripleNotInG,
 )
 from twochar.groups import commuting_pair_classes, load_group, trivial_subgroup
 from twochar.reps import Orbit, Rep2, direct_sum, random_rep2, tensor, to_perm_cocycle, trivial_rep2
@@ -56,7 +50,7 @@ def test_monomial_matrix_algebra():
 
 def test_scalar_ratio():
     a = MonomialMatrix((1, 0), (RootOfUnity(4, 1), RootOfUnity(4, 2)))
-    scaled = a.scale(RootOfUnity(4, 3))
+    scaled = MonomialMatrix(a.perm, tuple(RootOfUnity(4, 3) * w for w in a.weights))
     assert scaled.scalar_ratio(a) == RootOfUnity(4, 3)
     b = MonomialMatrix((0, 1), (RootOfUnity(4, 0), RootOfUnity(4, 0)))
     with pytest.raises(NotScalarMultiple):
@@ -116,9 +110,8 @@ def test_klein_pinned_value():
 
 def test_twisted_regular_model_reproduces_cocycle(v4):
     mu = schur_classes(v4).representatives[1]
-    rho, nu = twisted_regular(mu)
+    rho = twisted_regular(mu)
     assert len(rho) == v4.order
-    assert (nu.values == mu.values).all()
 
 
 # ---------------------------------------------------------------------------
@@ -183,107 +176,6 @@ def test_gk_rep_rejects_non_commuting(s3):
         gk_rep(trivial_rep2(s3), a, b)
     with pytest.raises(NotCommuting):
         gk_as_mark(a, b, from_rep2(trivial_rep2(s3)))
-
-
-# ---------------------------------------------------------------------------
-# crossed-module models
-
-
-def _zero_boundary_module():
-    z2, z4 = cyclic(2), cyclic(4)
-    return CrossedModule(z2, z4, [0, 0], [[0, 1]] * 4)
-
-
-def test_crossed_oracle_identity_label_matches_plain_oracle():
-    K = _zero_boundary_module()
-    mu = schur_classes(K.G).representatives[0]
-    data = inflation_data(K, mu)
-    for a, b, h in triples(K):
-        if h != 0:
-            continue
-        assert oracle_crossed_linear(data, a, b, h) == oracle_twisted_regular(mu, a, b)
-
-
-def _linear_characters(H):
-    """Every homomorphism H → ℂ^×, as one root of unity per element at level |H|."""
-    n = H.order
-    out = []
-    for rest in product(range(n), repeat=n - 1):
-        e = (0,) + rest
-        if all(e[H.mul(x, y)] == (e[x] + e[y]) % n for x in H.elements for y in H.elements):
-            out.append(tuple(RootOfUnity(n, v) for v in e))
-    return out
-
-
-@pytest.mark.parametrize("name, comparisons", [("crossed_z2_z4", 192), ("crossed_inner_s3", 432)])
-def test_crossed_oracle_matches_the_closed_form_of_the_inflation_family(name, comparisons):
-    # τ(h)·ζ_L^{μ(a⁻¹ba, a⁻¹) − μ(a⁻¹, b)} at every triple, ∂ ≠ 0 included.
-    # Constancy on triple classes is not asserted: it fails for a random μ,
-    # which differs from a Schur representative by a coboundary.
-    K = load_crossed(name)
-    G = K.G
-    rng = random.Random(1)
-    mus = list(schur_classes(G).representatives)
-    mus += [_normalize(random_cocycle(GModule.trivial(G, 12), rng)) for _ in range(3)]
-    taus = [None] + _linear_characters(K.H)
-    assert len(taus) == 3
-    count = 0
-    for mu, tau in product(mus, taus):
-        data = inflation_data(K, mu, tau)
-        L = mu.level
-        for a, b, h in triples(K):
-            ainv = G.inv(a)
-            aba = G.mul(G.mul(ainv, b), a)
-            closed = RootOfUnity(L, mu.val(aba, ainv) - mu.val(ainv, b))
-            if tau is not None:
-                closed = tau[h] * closed
-            assert oracle_crossed_linear(data, a, b, h) == closed, (a, b, h)
-            count += 1
-    assert count == comparisons
-
-
-def test_crossed_oracle_rejects_non_triples():
-    # zero boundary over a non-abelian base: the triple condition is ab = ba
-    s3 = symmetric_3()
-    K = CrossedModule(cyclic(2), s3, [0, 0], [[0, 1]] * 6)
-    data = inflation_data(K, schur_classes(s3).representatives[0])
-    a = next(g for g in s3.elements if s3.order_of(g) == 2)
-    b = next(g for g in s3.elements if s3.order_of(g) == 3)
-    with pytest.raises(TripleNotInG):
-        oracle_crossed_linear(data, a, b, 1)
-
-
-def test_crossed_oracle_scalar_label_factorization():
-    # with zero boundary the label contributes through a character of H only
-    K = _zero_boundary_module()
-    G, H = K.G, K.H
-    mu = schur_classes(G).representatives[0]
-    tau = (RootOfUnity(1, 0), RootOfUnity(2, 1))  # the sign character of H
-    data = inflation_data(K, mu, tau)
-    for a, b, h in triples(K):
-        lam = oracle_crossed_linear(data, a, b, h)
-        assert lam == tau[h] * gk_linear(mu, a, b)
-
-
-def test_crossed_oracle_conjugation_invariance():
-    K = _zero_boundary_module()
-    G = K.G
-    mu = schur_classes(G).representatives[0]
-    data = inflation_data(K, mu)
-    for a, b, h in triples(K):
-        base = oracle_crossed_linear(data, a, b, h)
-        for g in G.elements:
-            moved = (G.conj(g, a), G.conj(g, b), K.act(g, h))
-            assert oracle_crossed_linear(data, *moved) == base
-
-
-def test_crossed_data_validation_rejects_wrong_scalars():
-    K = _zero_boundary_module()
-    mu = schur_classes(K.G).representatives[0]
-    good = inflation_data(K, mu)
-    bad_omega2 = tuple(m.scale(RootOfUnity(4, 1)) for m in good.omega2)
-    with pytest.raises(ValueError):
-        CrossedLinearData(K, good.rho, bad_omega2, good.omega3)
 
 
 # ---------------------------------------------------------------------------

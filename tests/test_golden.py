@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from twochar.burnside import determinant, mark_matrix
+from twochar.characters import char_table
 from twochar.cli import main
 from twochar.cochains import GModule, h2, schur_classes
 from twochar.groups import from_permutation_generators, group_from_json
@@ -194,6 +195,59 @@ def test_z2_4_mark_matrix_and_determinant_match_golden_digest():
     marks = json.dumps([[str(v) for v in row] for row in rows])
     assert hashlib.sha256(marks.encode()).hexdigest() == Z2_4_MARKS
     assert hashlib.sha256(str(determinant(rows)).encode()).hexdigest() == Z2_4_DETERMINANT
+
+
+# The repr of a CycloInt shows its level, which the printed reports drop (a
+# mark with no fixed coset is CycloInt(1, (0,)), not 0 at the row's level).
+# Digests of repr(rows) of mark_matrix and of repr((pairs, columns, entries))
+# of char_table(verify=True), both on Z2^4.
+Z2_4_REPR = {
+    "mark_matrix": "2859c6963de11068a3bf66bd6686fb4de85cdaaf14df8f1099ac69cf6617bc35",
+    "char_table": "99342d4d4565c63467cad2eaf03620a5f2a942c26f5cfd69b6e1916c62236019",
+}
+
+
+def test_z2_4_tables_match_golden_repr_digest():
+    G = group_from_json(EXTRA_GROUPS["Z2^4"])
+    rows = mark_matrix(G)[2]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == Z2_4_REPR["mark_matrix"]
+    t = char_table(G, verify=True)
+    table = repr((t.pairs, t.columns, t.entries))
+    assert hashlib.sha256(table.encode()).hexdigest() == Z2_4_REPR["char_table"]
+
+
+# Order-16 groups with more subgroup classes than the bundled ones, run on a
+# file with a fixed relative name (the CSV report prints its input path).
+ORDER_16_GROUPS = {
+    "D8": {"name": "D8", "degree": 8, "generators": [[1, 2, 3, 4, 5, 6, 7, 0], [7, 6, 5, 4, 3, 2, 1, 0]]},
+    "Z4xZ2^2": {
+        "name": "Z4xZ2^2",
+        "degree": 8,
+        "generators": [[1, 2, 3, 0, 4, 5, 6, 7], [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 4, 5, 7, 6]],
+    },
+}
+
+ORDER_16_GOLDEN = {
+    ("char-table", "D8"): "e3c38cd2bbc76afe29c01f748aec3c5614a68f3a007e3fe63d60fea5fcf1fd7d",
+    ("char-table", "Z4xZ2^2"): "56fd99fd1e096645cfcab10f5dc58a613cd75d8ab5f7c62900192e97d1932bd7",
+    ("burnside", "D8"): "364e370aa7e194f7bfd697e30f2caf53142f99ea3ab9b84a1fbb5db4e8dacb1f",
+}
+
+ORDER_16_FLAGS = {"burnside": ("--format", "json"), "char-table": ()}
+
+
+@pytest.mark.parametrize(
+    "command, group, digest",
+    [pytest.param(c, g, d, id=f"{c}-{g}") for (c, g), d in ORDER_16_GOLDEN.items()],
+)
+def test_order_16_output_matches_golden_digest(tmp_path, monkeypatch, command, group, digest):
+    monkeypatch.chdir(tmp_path)
+    Path("group.json").write_text(json.dumps(ORDER_16_GROUPS[group]))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exit_code = main([command, "group.json", *ORDER_16_FLAGS[command]])
+    assert exit_code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 # The whole ``burnside`` report on Z2^4, all 270² products included.  The text

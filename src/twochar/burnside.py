@@ -14,6 +14,12 @@ unity (a character of the linear classes of P): a basis pair ⟨Θ, Q⟩ maps to
 the sum of α over the cosets Q·g fixed by P, at Θ pulled back along g — a
 ring homomorphism to ℤ[ζ].  The pulled-back classes are read from
 :func:`~twochar.reps.pullback_map`, so no cochain is built per coset.  The
+table of marks and the character table share one mark engine
+(``_mark_rows``): for each row subgroup P, one count matrix C[column, class
+of P] of the pulled-back classes, times the one-hot matrix of each row's α
+exponents, is the exponent histogram of every mark in the row, folded once;
+a column where P fixes no coset is 0 without a sum.  ``mark`` and
+``_pair_mark`` sum one basis pair at a time, for single queries.  The
 mark at (P, α) equals the mark at (P, α∘n*) for n in the normalizer of P, so
 the rows of the table of marks are the pairs (P, α) up to G-conjugacy: one
 least α per normalizer orbit.  The table is then square; its entries and its
@@ -30,8 +36,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
-from .cyclo import CycloInt, CycloRat, RootOfUnity, sum_roots
+import numpy as np
+
+from .cyclo import CycloInt, CycloRat, RootOfUnity, _powers_array, sum_roots
 from .errors import AlphaNotHomomorphism, GroupMismatch, InternalFault
 from .groups import (
     FiniteGroup,
@@ -145,18 +154,25 @@ def mul(u: BurnsideElement, v: BurnsideElement) -> BurnsideElement:
 
 
 @lru_cache(maxsize=None)
-def _mark_pullback_classes(P: Subgroup, pair: Orbit) -> tuple[int, ...]:
-    """For each coset Q·g with g·P·g⁻¹ ⊆ Q = pair.subgroup: the linear class
-    over P of the decoration pulled back along conjugation by g (the same for
-    all of Q·g, since inner automorphisms act trivially on H²)."""
+def _fixed_coset_maps(P: Subgroup, Q: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """For each coset Q·g with g·P·g⁻¹ ⊆ Q, in transversal order: the
+    pullback map along conjugation by g from the linear classes of Q to
+    those of P (the same for all of Q·g, since inner automorphisms act
+    trivially on H²).  Every decoration over Q reads the same maps."""
     G = P.parent
-    Q = pair.subgroup
     q_members = frozenset(Q.elements)
     return tuple(
-        pullback_map(Q, g, P)[pair.schur_index]
+        pullback_map(Q, g, P)
         for g in right_transversal(G, Q)
         if all(G.conj(g, p) in q_members for p in P.elements)
     )
+
+
+@lru_cache(maxsize=None)
+def _mark_pullback_classes(P: Subgroup, pair: Orbit) -> tuple[int, ...]:
+    """For each coset Q·g with g·P·g⁻¹ ⊆ Q = pair.subgroup: the linear class
+    over P of the decoration pulled back along conjugation by g."""
+    return tuple(m[pair.schur_index] for m in _fixed_coset_maps(P, pair.subgroup))
 
 
 @lru_cache(maxsize=None)
@@ -188,9 +204,58 @@ def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloInt:
 
 
 def _pair_mark(P: Subgroup, alpha, pair: Orbit) -> CycloInt:
-    """The mark at (P, α) of one basis pair, with no check on α (callers
-    check each row's α once): α summed over the pulled-back classes."""
+    """The mark at (P, α) of one basis pair, with no check on α: α summed
+    over the pulled-back classes.  The tables take their marks from
+    :func:`_mark_rows`, a row at a time."""
     return sum_roots(alpha[idx] for idx in _mark_pullback_classes(P, pair))
+
+
+def _mark_counts(P: Subgroup, cols: tuple[Orbit, ...]) -> np.ndarray:
+    """C[j, c]: the number of cosets of ``cols[j].subgroup`` fixed by P at
+    which the decoration of ``cols[j]`` pulls back to class c of P, read
+    from :func:`_mark_pullback_classes`."""
+    k = len(linear_classes(P))
+    hits = [j * k + c for j, pair in enumerate(cols) for c in _mark_pullback_classes(P, pair)]
+    return np.bincount(hits, minlength=len(cols) * k).reshape(len(cols), k)
+
+
+def _mark_rows(cols: tuple[Orbit, ...], rows) -> list[tuple[CycloInt, ...]]:
+    """The marks at each (P, α) of ``rows`` on every basis pair of ``cols``,
+    with no check on α (callers check each row's α once).
+
+    The roots of α share one level L.  The count matrix C of P
+    (:func:`_mark_counts`, built once per subgroup) times the one-hot matrix
+    of α's exponents at L is the exponent histogram of every mark in the
+    row, folded at L by one product with ``_powers_array(L)``.  A column
+    where P fixes no coset is the empty sum, 0 at level 1, as
+    :func:`~twochar.cyclo.sum_roots` gives it.  A repeated (P, α) shares its
+    row, and equal values share one object."""
+    zero = CycloInt.zero()
+    counts: dict = {}
+    made: dict = {}
+    done: dict = {}
+    for P, alpha in rows:
+        if (P, alpha) in done:
+            continue
+        C = counts.get(P)
+        if C is None:
+            C = counts[P] = _mark_counts(P, cols)
+        L = lcm(*(r.level for r in alpha))
+        onehot = np.zeros((len(alpha), L), dtype=np.int64)
+        onehot[np.arange(len(alpha)), [r.exponent * (L // r.level) for r in alpha]] = 1
+        coords = (C @ onehot @ _powers_array(L)).tolist()
+        row = []
+        for fixed, c in zip(C.any(axis=1).tolist(), coords):
+            if not fixed:
+                row.append(zero)
+                continue
+            key = (L, tuple(c))
+            v = made.get(key)
+            if v is None:
+                v = made[key] = CycloInt._make(L, key[1])
+            row.append(v)
+        done[P, alpha] = tuple(row)
+    return [done[P, alpha] for P, alpha in rows]
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +305,9 @@ def mark_matrix(G: FiniteGroup):
         chars = _character_table(P0)
         for ci in _row_characters(P0):
             _check_alpha(P0, chars[ci])
-            rows.append([_pair_mark(P0, chars[ci], pair) for pair in cols])
+            rows.append((P0, chars[ci]))
             labels.append((P0, ci))
-    return labels, cols, rows
+    return labels, cols, [list(row) for row in _mark_rows(cols, rows)]
 
 
 def determinant(rows: list[list[CycloInt]]) -> CycloInt:

@@ -9,6 +9,16 @@ Three independent routes compute the same value:
 * ``gk_as_mark`` — evaluation of a mark homomorphism against the subgroup
   generated by the pair.
 
+The character table takes the mark, transversal and fixed-point routes a
+whole column of rows at a time, as integer exponent histograms.  Its
+entries are the marks: one count matrix per row subgroup times the one-hot
+exponents of each row's α (``burnside._mark_rows``).  :func:`verify_char_table`
+re-derives each column by the transversal and fixed-point sums, gathered
+from the group table and the decoration's values, and compares the three
+as coordinates at level |G|.  The scalar functions above answer single
+queries and replay the one cell where the columns disagree, so a
+disagreement is reported with the scalar values as its witness.
+
 One matrix oracle grounds the conventions: the twisted regular
 representation (monomial matrices over the cocycle-twisted group algebra)
 recovers ``gk_linear`` by explicit conjugation.  Its measured projective
@@ -23,13 +33,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .burnside import BurnsideElement, _check_alpha, _pair_mark, basis, mark, pair_json, pair_label
+from .burnside import BurnsideElement, _check_alpha, _mark_rows, basis, mark, pair_json, pair_label
 from .cochains import Cochain, differential, is_cocycle
-from .cyclo import CycloInt, RootOfUnity, raise_root_level, sum_roots
+from .cyclo import CycloInt, RootOfUnity, _powers_array, raise_root_level, sum_roots
 from .errors import (
     AlphaIllDefined,
     FormulasDisagree,
+    InternalFault,
     NotACocycle,
+    NotAMultiple,
     NotCommuting,
     NotNormalized,
     NotScalarMultiple,
@@ -37,12 +49,13 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    Subgroup,
     commuting_pair_classes,
     generated_subgroup,
     right_transversal,
     subgroup_group,
 )
-from .reps import PermCocycleRep, Rep2, linear_classes, to_perm_cocycle
+from .reps import Orbit, PermCocycleRep, Rep2, linear_classes, to_perm_cocycle
 
 
 class MonomialMatrix:
@@ -265,15 +278,15 @@ class CharTable:
 
 def char_table(G: FiniteGroup, verify: bool = True) -> CharTable:
     """Rows: commuting-pair classes; columns: basis pairs; entries: exact
-    cyclotomic character values.  With ``verify`` the table is checked by
+    cyclotomic character values, the marks at each row's (P, α)
+    (``burnside._mark_rows``).  With ``verify`` the table is checked by
     :func:`verify_char_table`."""
     pairs = tuple(cls.representative for cls in commuting_pair_classes(G))
     cols = basis(G)
     rows = [_gk_mark(G, a, b) for a, b in pairs]  # one α per row, checked once
     for P, alpha in rows:
         _check_alpha(P, alpha)
-    entries = tuple(tuple(_pair_mark(P, alpha, c) for c in cols) for P, alpha in rows)
-    table = CharTable(G, pairs, cols, entries)
+    table = CharTable(G, pairs, cols, tuple(_mark_rows(cols, rows)))
     if verify:
         verify_char_table(table)
     return table
@@ -281,20 +294,116 @@ def char_table(G: FiniteGroup, verify: bool = True) -> CharTable:
 
 def verify_char_table(t: CharTable) -> None:
     """Re-derive every entry through the transversal and fixed-point
-    formulas, row by row; raises :class:`FormulasDisagree` at the first entry
-    where the three values differ, with the witness (a, b, column, mark
-    value, transversal value, fixed-point value)."""
-    reps = [Rep2(t.group, (pair,)) for pair in t.columns]
-    perms = [to_perm_cocycle(r) for r in reps]
-    for (a, b), row in zip(t.pairs, t.entries):
-        for j, v in enumerate(row):
-            v1 = gk_rep(reps[j], a, b)
-            v2 = gk_osorno(perms[j], a, b)
-            if not v == v1 == v2:
-                raise FormulasDisagree(
-                    f"character formulas disagree at pair ({a},{b}), column {j}",
-                    witness=(a, b, j, v, v1, v2),
-                )
+    formulas, one column at a time, as exponent histograms of all rows.
+
+    The three routes share only the group tables and the decorations.  Each
+    is folded to coordinates at level |G|, where every entry lies (its level
+    divides |G|), and the embedding is injective, so equal coordinates are
+    equal values.  The first cell in row-major order where they differ is
+    replayed through the scalar :func:`gk_rep` and :func:`gk_osorno`:
+    :class:`FormulasDisagree` with the witness (a, b, column, mark value,
+    transversal value, fixed-point value) if the values differ there, else
+    :class:`~twochar.errors.InternalFault` with the witness (a, b, column)."""
+    G, n = t.group, t.group.order
+    A = np.array([a for a, _ in t.pairs], dtype=np.int64)
+    B = np.array([b for _, b in t.pairs], dtype=np.int64)
+    apart = np.flatnonzero(G.table[A, B] != G.table[B, A])
+    if len(apart):
+        a, b = t.pairs[apart[0]]
+        raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
+    first = None  # (row, column) of the first disagreement in row-major order
+    Q = hits = None
+    for j, pair in enumerate(t.columns):
+        if pair.subgroup != Q:
+            Q, hits = pair.subgroup, _transversal_hits(G, A, B, pair.subgroup)
+        marks = _mark_column([row[j] for row in t.entries], n)
+        differ = (marks != _transversal_column(hits, pair, len(A), n)).any(axis=1)
+        differ |= (marks != _fixed_point_column(G, A, B, pair, n)).any(axis=1)
+        i = np.flatnonzero(differ)
+        if len(i) and (first is None or i[0] < first[0]):
+            first = (int(i[0]), j)
+    if first is not None:
+        _replay(t, *first)
+
+
+def _fold_histograms(rows: np.ndarray, exponents: np.ndarray, count: int, n: int) -> np.ndarray:
+    """Coordinates at level n of ``count`` sums of roots of unity: ζ_n to
+    each exponent, added into the sum of its row."""
+    hist = np.bincount(rows * n + exponents, minlength=count * n).reshape(count, n)
+    return hist @ _powers_array(n)
+
+
+def _mark_column(values: list[CycloInt], n: int) -> np.ndarray:
+    """Coordinates at level n of one column of table entries: an entry at
+    level l is Σ c_k·ζ_l^k = Σ c_k·ζ_n^(k·n/l); :class:`NotAMultiple`
+    unless l divides n."""
+    W = _powers_array(n)
+    levels = [v.level for v in values]
+    out = np.zeros((len(values), W.shape[1]), dtype=np.int64)
+    for level in set(levels):
+        if n % level:
+            raise NotAMultiple(f"{n} is not a multiple of level {level}")
+        at = [i for i, m in enumerate(levels) if m == level]
+        coeffs = np.array([values[i].coeffs for i in at], dtype=np.int64).reshape(len(at), -1)
+        out[at] = coeffs @ W[np.arange(coeffs.shape[1]) * (n // level)]
+    return out
+
+
+def _transversal_hits(G: FiniteGroup, A: np.ndarray, B: np.ndarray, Q: Subgroup):
+    """For every right transversal point t of Q and row (a, b) with t·a·t⁻¹
+    and t·b·t⁻¹ both in Q: the row, and the two conjugates as elements of
+    the relabeled Q — one gather on the group table for all of them."""
+    T = np.array(right_transversal(G, Q), dtype=np.int64)[:, None]
+    tinv = G.inverse[T]
+    _, to_sub, _ = subgroup_group(Q)
+    a_t = to_sub[G.table[G.table[T, A], tinv]]
+    b_t = to_sub[G.table[G.table[T, B], tinv]]
+    points, rows = np.nonzero((a_t >= 0) & (b_t >= 0))
+    return rows, a_t[points, rows], b_t[points, rows]
+
+
+def _transversal_column(hits, pair: Orbit, count: int, n: int) -> np.ndarray:
+    """:func:`gk_rep` of the one-orbit representation of ``pair`` at every
+    row, as coordinates at level n: the exponents μ(b, a⁻¹) − μ(a⁻¹, b) at
+    the conjugated pairs of :func:`_transversal_hits`, summed per row."""
+    rows, a_s, b_s = hits
+    mu = pair.cocycle
+    if len(rows):
+        _require_normalized(mu)
+    vals = mu.values[:, :, 0]
+    ainv = mu.group.inverse[a_s]
+    exponents = (vals[b_s, ainv] - vals[ainv, b_s]) % mu.level
+    return _fold_histograms(rows, exponents * (n // mu.level), count, n)
+
+
+def _fixed_point_column(G: FiniteGroup, A: np.ndarray, B: np.ndarray, pair: Orbit, n: int) -> np.ndarray:
+    """:func:`gk_osorno` of the permutation-cocycle form of ``pair`` at every
+    row, as coordinates at level n: the exponents θ^x(b, a⁻¹) − θ^x(a⁻¹, b)
+    at the points x that both a and b fix, summed per row."""
+    p = to_perm_cocycle(Rep2(G, (pair,)))
+    act, vals, L = p.point_action, p.theta.values, p.theta.level
+    points = np.arange(act.shape[1])
+    rows, x = np.nonzero((act[A] == points) & (act[B] == points))
+    a_inv, b = G.inverse[A][rows], B[rows]
+    exponents = (vals[b, a_inv, x] - vals[a_inv, b, x]) % L
+    return _fold_histograms(rows, exponents * (n // L), len(A), n)
+
+
+def _replay(t: CharTable, i: int, j: int):
+    """Raise for the cell (i, j) where the array routes disagree, after
+    recomputing it through the scalar formulas."""
+    (a, b), pair, v = t.pairs[i], t.columns[j], t.entries[i][j]
+    r = Rep2(t.group, (pair,))
+    v1, v2 = gk_rep(r, a, b), gk_osorno(to_perm_cocycle(r), a, b)
+    if not v == v1 == v2:
+        raise FormulasDisagree(
+            f"character formulas disagree at pair ({a},{b}), column {j}",
+            witness=(a, b, j, v, v1, v2),
+        )
+    raise InternalFault(
+        f"the array routes disagree at pair ({a},{b}), column {j}, where the scalar formulas agree",
+        witness=(a, b, j),
+    )
 
 
 def char_table_to_csv(t: CharTable, numeric: bool = False) -> str:

@@ -14,7 +14,9 @@ from Φ_L.  Since ζ^L = 1, any integer combination of powers of ζ reduces by
 folding the exponent k onto row k mod L, so a root of unity is a table row,
 and raising the level, a Galois conjugate and a product are each one fold.
 A sum of roots of unity (every mark and character value) is one exponent
-histogram at the lcm of their levels, folded once (:func:`sum_roots`).
+histogram at the lcm of their levels, folded once (:func:`sum_roots`); the
+tables of marks and characters fold a whole matrix of histograms at once,
+as one product with the int64 copy of the table (``_powers_array``).
 
 ℚ(ζ_L) occurs only inside the Gaussian elimination of
 :func:`~twochar.burnside.determinant`, as :class:`CycloRat`: a CycloInt over
@@ -32,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+
+import numpy as np
 
 from .errors import InexactDivision, NotAMultiple, NotMonic
 
@@ -101,6 +105,16 @@ def _powers(L: int) -> tuple[tuple[int, ...], ...]:
         top = prev[-1]
         rows.append(tuple(s - top * c for s, c in zip((0,) + prev[:-1], phi_poly)))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _powers_array(L: int) -> np.ndarray:
+    """``_powers(L)`` as a read-only int64 matrix, L × φ(L): a matrix whose
+    rows are exponent histograms at level L, times this one, is the matrix
+    of their power-basis coordinates."""
+    out = np.array(_powers(L), dtype=np.int64).reshape(L, -1)
+    out.setflags(write=False)
+    return out
 
 
 def _fold(hist: list[int], L: int) -> tuple[int, ...]:

@@ -59,7 +59,7 @@ class FiniteGroup:
             return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return self.order == other.order and np.array_equal(self.table, other.table)
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
         return self._hash

@@ -2,13 +2,19 @@
 
 import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
 from twochar import characters
 from twochar.characters import (
     MonomialMatrix,
+    _fixed_point_column,
+    _gk_mark,
+    _transversal_column,
+    _transversal_hits,
     char_table,
     char_table_to_csv,
     char_table_to_json,
@@ -19,16 +25,17 @@ from twochar.characters import (
     oracle_twisted_regular,
     twisted_regular,
 )
-from twochar.burnside import basis, basis_element, from_rep2, mark_matrix
+from twochar.burnside import _character_table, _pair_mark, basis, basis_element, from_rep2, mark_matrix
 from twochar.cochains import schur_classes
-from twochar.cyclo import CycloInt, RootOfUnity, root_to_cyclo
+from twochar.cyclo import CycloInt, RootOfUnity, raise_cyclo_level, root_to_cyclo
 from twochar.errors import (
     FormulasDisagree,
+    InternalFault,
     NotCommuting,
     NotNormalized,
     NotScalarMultiple,
 )
-from twochar.groups import commuting_pair_classes, load_group, trivial_subgroup
+from twochar.groups import commuting_pair_classes, from_permutation_generators, load_group, trivial_subgroup
 from twochar.reps import Orbit, Rep2, direct_sum, random_rep2, tensor, to_perm_cocycle, trivial_rep2
 
 GROUPS = [klein_four(), cyclic(4), dihedral_4(), quaternion_8()]
@@ -204,14 +211,73 @@ def test_char_table_symmetric(s3):
     assert all(v == CycloInt.zero() for v in column[1:])
 
 
-def test_char_table_disagreement_carries_witness(v4, monkeypatch):
-    monkeypatch.setattr(characters, "gk_rep", lambda *args: gk_rep(*args) + CycloInt.one())
+def _plant_one_at_first_cell(monkeypatch, route: str):
+    """Add 1 to row 0 of the first column in the array route ``route``:
+    the cell (0, 0) of the table."""
+    original = getattr(characters, route)
+
+    def planted(*args):
+        out = original(*args)
+        pair = next(x for x in args if isinstance(x, Orbit))
+        out[0, 0] += pair is basis(pair.subgroup.parent)[0]
+        return out
+
+    monkeypatch.setattr(characters, route, planted)
+
+
+def _planted_disagreement(G, monkeypatch, route: str, scalar: str):
+    """The witness of the table check with the same +1 at cell (0, 0) in
+    the array route and in its scalar formula, which replays that cell."""
+    _plant_one_at_first_cell(monkeypatch, route)
+    formula = getattr(characters, scalar)
+    monkeypatch.setattr(characters, scalar, lambda *args: formula(*args) + CycloInt.one())
     with pytest.raises(FormulasDisagree) as exc:
-        char_table(v4, verify=True)
+        char_table(G, verify=True)
     assert str(exc.value) == "character formulas disagree at pair (0,0), column 0"
     a, b, column, v, v1, v2 = exc.value.witness
     assert (a, b, column) == (0, 0, 0)
+    return v, v1, v2
+
+
+def test_char_table_disagreement_carries_witness(v4, monkeypatch):
+    v, v1, v2 = _planted_disagreement(v4, monkeypatch, "_transversal_column", "gk_rep")
     assert v == v2 and v1 == v + CycloInt.one()
+
+
+def test_char_table_fixed_point_disagreement_carries_witness(v4, monkeypatch):
+    v, v1, v2 = _planted_disagreement(v4, monkeypatch, "_fixed_point_column", "gk_osorno")
+    assert v == v1 and v2 == v + CycloInt.one()
+
+
+@pytest.mark.parametrize("route", ["_transversal_column", "_fixed_point_column"])
+def test_char_table_array_fault_alone_is_an_internal_fault(v4, monkeypatch, route):
+    # the scalar formulas agree at the replayed cell, so the arrays are at fault
+    _plant_one_at_first_cell(monkeypatch, route)
+    with pytest.raises(InternalFault) as exc:
+        char_table(v4, verify=True)
+    assert not isinstance(exc.value, FormulasDisagree)
+    assert str(exc.value) == "the array routes disagree at pair (0,0), column 0, where the scalar formulas agree"
+    assert exc.value.witness == (0, 0, 0)
+
+
+def test_first_disagreement_is_taken_in_row_major_order(monkeypatch):
+    # faults at (row 1, column 5) and (row 2, column 0): row 1 comes first,
+    # although its column is checked later
+    G = quaternion_8()
+    original = characters._transversal_column
+    cols = basis(G)
+
+    def planted(hits, pair, count, n):
+        out = original(hits, pair, count, n)
+        out[1, 0] += pair is cols[5]
+        out[2, 0] += pair is cols[0]
+        return out
+
+    monkeypatch.setattr(characters, "_transversal_column", planted)
+    table = char_table(G, verify=False)
+    with pytest.raises(InternalFault) as exc:
+        characters.verify_char_table(table)
+    assert exc.value.witness == (*table.pairs[1], 5)
 
 
 def test_char_table_csv_deterministic(s3):
@@ -227,3 +293,42 @@ def test_char_table_json(v4):
     doc = char_table_to_json(char_table(v4, verify=False))
     text = json.dumps(doc)
     assert "V4" in text
+
+
+# ---------------------------------------------------------------------------
+# the array routes against the scalar formulas, cell by cell
+
+A4 = from_permutation_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
+Z3SQ_C2 = load_group(str(Path(__file__).resolve().parent / "data" / "z3sq_c2.json"))
+# abelian, with values that are not real (powers of ζ3) and no normalizer
+# pairing a value with its conjugate, so a sign slip in an exponent shows
+Z3SQ = from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)], name="Z3^2")
+
+
+@pytest.mark.parametrize(
+    "G", [symmetric_3(), dihedral_4(), quaternion_8(), A4, Z3SQ_C2, Z3SQ], ids=lambda G: G.name
+)
+def test_array_routes_match_the_scalar_formulas_at_every_cell(G):
+    table = char_table(G, verify=False)
+    n = G.order
+    A = np.array([a for a, _ in table.pairs])
+    B = np.array([b for _, b in table.pairs])
+
+    def coords(v):
+        return list(raise_cyclo_level(v, n).coeffs)
+
+    marks = [_gk_mark(G, a, b) for a, b in table.pairs]
+    for j, pair in enumerate(table.columns):
+        r = Rep2(G, (pair,))
+        p = to_perm_cocycle(r)
+        transversal = _transversal_column(_transversal_hits(G, A, B, pair.subgroup), pair, len(A), n)
+        fixed = _fixed_point_column(G, A, B, pair, n)
+        for i, (a, b) in enumerate(table.pairs):
+            # the entry keeps the level sum_roots gives it, not only its value
+            assert repr(table.entries[i][j]) == repr(_pair_mark(*marks[i], pair))
+            assert transversal[i].tolist() == coords(gk_rep(r, a, b))
+            assert fixed[i].tolist() == coords(gk_osorno(p, a, b))
+    labels, _, rows = mark_matrix(G)
+    for (P, ci), row in zip(labels, rows):
+        alpha = _character_table(P)[ci]
+        assert [repr(v) for v in row] == [repr(_pair_mark(P, alpha, pair)) for pair in table.columns]

@@ -127,8 +127,13 @@ def test_char_table_disagreement_fails_under_optimize_flag(flags):
         "import twochar.characters as characters\n"
         "from twochar.cli import main\n"
         "from twochar.cyclo import CycloInt\n"
-        "gk_rep = characters.gk_rep\n"
+        "gk_rep, column = characters.gk_rep, characters._transversal_column\n"
         "characters.gk_rep = lambda *args: gk_rep(*args) + CycloInt.one()\n"
+        "def planted(hits, pair, count, n):\n"
+        "    out = column(hits, pair, count, n)\n"
+        "    out[0, 0] += pair is characters.basis(pair.subgroup.parent)[0]\n"
+        "    return out\n"
+        "characters._transversal_column = planted\n"
         "raise SystemExit(main(['char-table', 'v4', '--verify']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

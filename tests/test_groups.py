@@ -175,3 +175,18 @@ def test_subgroup_rejects_unclosed_elements(s3):
     with pytest.raises(ValueError):
         Subgroup(s3, (1, 0))
 
+
+
+def test_equality_compares_tables_not_names_or_objects():
+    # built twice, under different names: equal tables compare and hash equal
+    first, second = cyclic(4), from_cayley_table([[(i + j) % 4 for j in range(4)] for i in range(4)], name="C4")
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first == first
+    # the same order with another table, and a different order, are unequal
+    assert cyclic(4) != klein_four()
+    assert cyclic(4) != cyclic(2)
+    assert symmetric_3() != cyclic(6)
+    # a relabeled subgroup equals the standalone group with the same table
+    assert subgroup_group(full_subgroup(quaternion_8()))[0] == quaternion_8()
+    assert cyclic(4) != "Z4"

@@ -223,13 +223,13 @@ def _mark_rows(cols: tuple[Orbit, ...], rows) -> list[tuple[CycloInt, ...]]:
     """The marks at each (P, α) of ``rows`` on every basis pair of ``cols``,
     with no check on α (callers check each row's α once).
 
-    The roots of α share one level L.  The count matrix C of P
-    (:func:`_mark_counts`, built once per subgroup) times the one-hot matrix
-    of α's exponents at L is the exponent histogram of every mark in the
-    row, folded at L by one product with ``_powers_array(L)``.  A column
-    where P fixes no coset is the empty sum, 0 at level 1, as
-    :func:`~twochar.cyclo.sum_roots` gives it.  A repeated (P, α) shares its
-    row, and equal values share one object."""
+    The count matrix C of P (:func:`_mark_counts`, built once per subgroup)
+    times the one-hot matrix of α's exponents at the lcm L of their levels
+    is the exponent histogram of every mark in the row, folded at L by one
+    product with ``_powers_array(L)``.  The roots of every caller's α share
+    one level, so a mark has the level :func:`~twochar.cyclo.sum_roots`
+    gives it: L, or 1 for the empty sum, 0, where P fixes no coset.  A
+    repeated (P, α) shares its row, and equal values share one object."""
     zero = CycloInt.zero()
     counts: dict = {}
     made: dict = {}

@@ -338,12 +338,13 @@ def _mark_column(values: list[CycloInt], n: int) -> np.ndarray:
     level l is Σ c_k·ζ_l^k = Σ c_k·ζ_n^(k·n/l); :class:`NotAMultiple`
     unless l divides n."""
     W = _powers_array(n)
-    levels = [v.level for v in values]
+    at_level: dict = {}
+    for i, v in enumerate(values):
+        at_level.setdefault(v.level, []).append(i)
     out = np.zeros((len(values), W.shape[1]), dtype=np.int64)
-    for level in set(levels):
+    for level, at in at_level.items():
         if n % level:
             raise NotAMultiple(f"{n} is not a multiple of level {level}")
-        at = [i for i, m in enumerate(levels) if m == level]
         coeffs = np.array([values[i].coeffs for i in at], dtype=np.int64).reshape(len(at), -1)
         out[at] = coeffs @ W[np.arange(coeffs.shape[1]) * (n // level)]
     return out

@@ -112,7 +112,7 @@ def _powers_array(L: int) -> np.ndarray:
     """``_powers(L)`` as a read-only int64 matrix, L × φ(L): a matrix whose
     rows are exponent histograms at level L, times this one, is the matrix
     of their power-basis coordinates."""
-    out = np.array(_powers(L), dtype=np.int64).reshape(L, -1)
+    out = np.array(_powers(L), dtype=np.int64)
     out.setflags(write=False)
     return out
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
 from twochar import characters
 from twochar.characters import (
+    CharTable,
     MonomialMatrix,
     _fixed_point_column,
     _gk_mark,
@@ -31,6 +32,7 @@ from twochar.cyclo import CycloInt, RootOfUnity, raise_cyclo_level, root_to_cycl
 from twochar.errors import (
     FormulasDisagree,
     InternalFault,
+    NotAMultiple,
     NotCommuting,
     NotNormalized,
     NotScalarMultiple,
@@ -278,6 +280,20 @@ def test_first_disagreement_is_taken_in_row_major_order(monkeypatch):
     with pytest.raises(InternalFault) as exc:
         characters.verify_char_table(table)
     assert exc.value.witness == (*table.pairs[1], 5)
+
+
+def test_table_check_refuses_non_commuting_pairs_and_foreign_levels(s3, v4):
+    table = char_table(s3, verify=False)
+    a = next(g for g in s3.elements if s3.order_of(g) == 2)
+    b = next(g for g in s3.elements if s3.order_of(g) == 3)
+    bad_pair = CharTable(s3, ((a, b),) + table.pairs[1:], table.columns, table.entries)
+    with pytest.raises(NotCommuting):
+        characters.verify_char_table(bad_pair)
+    # an entry at level 3, which does not divide |V4| = 4, the comparison level
+    table = char_table(v4, verify=False)
+    row = (CycloInt.one(3),) + table.entries[0][1:]
+    with pytest.raises(NotAMultiple):
+        characters.verify_char_table(CharTable(v4, table.pairs, table.columns, (row,) + table.entries[1:]))
 
 
 def test_char_table_csv_deterministic(s3):

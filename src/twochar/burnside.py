@@ -13,7 +13,10 @@ Mark homomorphisms evaluate an element against (P, α), α a tuple of roots of
 unity (a character of the linear classes of P): a basis pair ⟨Θ, Q⟩ maps to
 the sum of α over the cosets Q·g fixed by P, at Θ pulled back along g — a
 ring homomorphism to ℤ[ζ].  The pulled-back classes are read from
-:func:`~twochar.reps.pullback_map`, so no cochain is built per coset.  The
+:func:`~twochar.reps.pullback_map`, so no cochain is built per coset: the
+maps of the cosets that P fixes are found once per subgroup pair (P, Q)
+(``_fixed_coset_maps``), and each decoration over Q indexes them at its own
+class.  The
 table of marks and the character table share one mark engine
 (``_mark_rows``): for each row subgroup P, one count matrix C[column, class
 of P] of the pulled-back classes, times the one-hot matrix of each row's α
@@ -169,13 +172,6 @@ def _fixed_coset_maps(P: Subgroup, Q: Subgroup) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _mark_pullback_classes(P: Subgroup, pair: Orbit) -> tuple[int, ...]:
-    """For each coset Q·g with g·P·g⁻¹ ⊆ Q = pair.subgroup: the linear class
-    over P of the decoration pulled back along conjugation by g."""
-    return tuple(m[pair.schur_index] for m in _fixed_coset_maps(P, pair.subgroup))
-
-
-@lru_cache(maxsize=None)
 def _check_alpha(P: Subgroup, alpha: tuple[RootOfUnity, ...]) -> None:
     """Raise :class:`AlphaNotHomomorphism` unless α respects the class group
     law.  Cached on success only: it returns nothing a caller could reuse.
@@ -205,17 +201,18 @@ def mark(P: Subgroup, alpha, u: BurnsideElement) -> CycloInt:
 
 def _pair_mark(P: Subgroup, alpha, pair: Orbit) -> CycloInt:
     """The mark at (P, α) of one basis pair, with no check on α: α summed
-    over the pulled-back classes.  The tables take their marks from
+    over the classes the pair's decoration pulls back to, one per fixed
+    coset (:func:`_fixed_coset_maps`).  The tables take their marks from
     :func:`_mark_rows`, a row at a time."""
-    return sum_roots(alpha[idx] for idx in _mark_pullback_classes(P, pair))
+    return sum_roots(alpha[m[pair.schur_index]] for m in _fixed_coset_maps(P, pair.subgroup))
 
 
 def _mark_counts(P: Subgroup, cols: tuple[Orbit, ...]) -> np.ndarray:
     """C[j, c]: the number of cosets of ``cols[j].subgroup`` fixed by P at
     which the decoration of ``cols[j]`` pulls back to class c of P, read
-    from :func:`_mark_pullback_classes`."""
+    from :func:`_fixed_coset_maps` at the decoration's class."""
     k = len(linear_classes(P))
-    hits = [j * k + c for j, pair in enumerate(cols) for c in _mark_pullback_classes(P, pair)]
+    hits = [j * k + m[pair.schur_index] for j, pair in enumerate(cols) for m in _fixed_coset_maps(P, pair.subgroup)]
     return np.bincount(hits, minlength=len(cols) * k).reshape(len(cols), k)
 
 

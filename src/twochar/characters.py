@@ -20,10 +20,12 @@ queries and replay the one cell where the columns disagree, so a
 disagreement is reported with the scalar values as its witness.
 
 One matrix oracle grounds the conventions: the twisted regular
-representation (monomial matrices over the cocycle-twisted group algebra)
-recovers ``gk_linear`` by explicit conjugation.  Its measured projective
-factor ν is checked equal to the twist μ entry by entry, apart from the
-cohomology engine it checks.
+representation over the cocycle-twisted group algebra recovers
+``gk_linear`` by explicit conjugation.  Its matrices are monomial, each kept
+as a (permutation, exponents) pair of int tuples at μ's level, so a product,
+an inverse or a scalar ratio is exponent arithmetic mod that level.  Its
+measured projective factor ν is checked equal to the twist μ entry by
+entry, apart from the cohomology engine it checks.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .burnside import BurnsideElement, _check_alpha, _mark_rows, basis, mark, pair_json, pair_label
 from .cochains import Cochain, differential, is_cocycle
-from .cyclo import CycloInt, RootOfUnity, _powers_array, raise_root_level, sum_roots
+from .cyclo import CycloInt, RootOfUnity, _powers_array, sum_roots
 from .errors import (
     AlphaIllDefined,
     FormulasDisagree,
@@ -56,64 +58,6 @@ from .groups import (
     subgroup_group,
 )
 from .reps import Orbit, PermCocycleRep, Rep2, linear_classes, to_perm_cocycle
-
-
-class MonomialMatrix:
-    """Square matrix with exactly one root-of-unity entry per row and column:
-    entry (perm[j], j) is weights[j]."""
-
-    __slots__ = ("perm", "weights")
-
-    def __init__(self, perm, weights):
-        perm = tuple(int(p) for p in perm)
-        weights = tuple(weights)
-        if sorted(perm) != list(range(len(perm))) or len(weights) != len(perm):
-            raise ValueError("permutation and weights must have matching valid shape")
-        self.perm = perm
-        self.weights = weights
-
-    @property
-    def dimension(self) -> int:
-        return len(self.perm)
-
-    def __mul__(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        if not isinstance(other, MonomialMatrix):
-            return NotImplemented
-        perm = tuple(self.perm[p] for p in other.perm)
-        weights = tuple(
-            self.weights[p] * w for p, w in zip(other.perm, other.weights)
-        )
-        return MonomialMatrix(perm, weights)
-
-    def inverse(self) -> "MonomialMatrix":
-        d = self.dimension
-        perm = [0] * d
-        weights: list = [None] * d
-        for j, p in enumerate(self.perm):
-            perm[p] = j
-            weights[p] = self.weights[j].inverse()
-        return MonomialMatrix(perm, weights)
-
-    def scalar_ratio(self, other: "MonomialMatrix") -> RootOfUnity:
-        """The constant λ with self = λ·other; :class:`NotScalarMultiple` if
-        the supports differ or the ratio is not constant."""
-        if self.perm != other.perm:
-            raise NotScalarMultiple("matrices have different supports")
-        ratio = self.weights[0] * other.weights[0].inverse()
-        for j in range(1, self.dimension):
-            if self.weights[j] * other.weights[j].inverse() != ratio:
-                raise NotScalarMultiple(
-                    f"ratio is not constant at column {j}", witness=j
-                )
-        return ratio
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialMatrix):
-            return NotImplemented
-        return self.perm == other.perm and self.weights == other.weights
-
-    def __repr__(self) -> str:
-        return f"MonomialMatrix(dim={self.dimension})"
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +89,47 @@ def _gk_linear(mu: Cochain, a: int, b: int) -> RootOfUnity:
 
 # ---------------------------------------------------------------------------
 # Twisted regular representation oracle
+#
+# A monomial matrix at level L is a pair (perm, exponents) of int tuples:
+# entry (perm[j], j) is ζ_L^exponents[j], every other entry is 0.
+
+
+def _monomial_product(x, y, L: int):
+    """The product x·y of two monomial matrices at level L."""
+    (p, e), (q, f) = x, y
+    return tuple(p[i] for i in q), tuple((e[i] + k) % L for i, k in zip(q, f))
+
+
+def _monomial_inverse(x, L: int):
+    """The inverse of a monomial matrix at level L."""
+    p, e = x
+    perm, exponents = [0] * len(p), [0] * len(p)
+    for j, i in enumerate(p):
+        perm[i], exponents[i] = j, -e[j] % L
+    return tuple(perm), tuple(exponents)
+
+
+def _monomial_ratio(x, y, L: int) -> int:
+    """The exponent k with x = ζ_L^k·y; :class:`NotScalarMultiple` if the
+    supports differ or the ratio is not constant."""
+    if x[0] != y[0]:
+        raise NotScalarMultiple("matrices have different supports")
+    (_, e), (_, f) = x, y
+    k = (e[0] - f[0]) % L
+    for j in range(1, len(e)):
+        if (e[j] - f[j]) % L != k:
+            raise NotScalarMultiple(f"ratio is not constant at column {j}", witness=j)
+    return k
 
 
 @lru_cache(maxsize=None)
 def twisted_regular(mu: Cochain):
     """Left multiplication ρ in the μ-twisted group algebra, as monomial
-    matrices on the group basis.  Its measured projective factor ν, with
-    ρ(gh) = ζ^ν(g,h)·ρ(g)·ρ(h), equals μ by the cocycle identity; it is
-    checked entry by entry, and the first (g, h) where they differ raises
-    :class:`TwistMismatch` with witness (g, h)."""
+    matrices on the group basis at μ's level.  Its measured projective
+    factor ν, with ρ(gh) = ζ^ν(g,h)·ρ(g)·ρ(h), equals μ by the cocycle
+    identity; it is checked entry by entry, and the first (g, h) in
+    row-major order where they differ raises :class:`TwistMismatch` with
+    witness (g, h)."""
     _require_normalized(mu)
     if not mu.module.is_trivial:
         raise ValueError("the twisting cocycle must take scalar values")
@@ -161,23 +137,14 @@ def twisted_regular(mu: Cochain):
         raise NotACocycle("the twisting cochain is not a 2-cocycle")
     G = mu.group
     L = mu.level
-    rho = []
-    for g in G.elements:
-        perm = tuple(G.mul(g, h) for h in G.elements)
-        weights = tuple(
-            RootOfUnity(L, (-mu.val(g, h)) % L) for h in G.elements
-        )
-        rho.append(MonomialMatrix(perm, weights))
-    rho = tuple(rho)
-    nu_values = np.zeros((G.order, G.order, 1), dtype=np.int64)
+    rho = tuple(
+        (tuple(G.mul(g, h) for h in G.elements), tuple(-mu.val(g, h) % L for h in G.elements))
+        for g in G.elements
+    )
     for g in G.elements:
         for h in G.elements:
-            lam = rho[G.mul(g, h)].scalar_ratio(rho[g] * rho[h])
-            nu_values[g, h, 0] = raise_root_level(lam, L).exponent
-    bad = np.argwhere(nu_values != mu.values)
-    if len(bad):
-        g, h = (int(v) for v in bad[0][:2])
-        raise TwistMismatch(f"measured projective factor differs from the twist at ({g}, {h})", witness=(g, h))
+            if _monomial_ratio(rho[G.mul(g, h)], _monomial_product(rho[g], rho[h], L), L) != mu.val(g, h):
+                raise TwistMismatch(f"measured projective factor differs from the twist at ({g}, {h})", witness=(g, h))
     return rho
 
 
@@ -188,9 +155,10 @@ def oracle_twisted_regular(mu: Cochain, a: int, b: int) -> RootOfUnity:
     if not G.commutes(a, b):
         raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
     rho = twisted_regular(mu)
+    L = mu.level
     ainv = G.inv(a)
-    M = rho[ainv] * rho[b] * rho[ainv].inverse()
-    return M.scalar_ratio(rho[b])
+    M = _monomial_product(_monomial_product(rho[ainv], rho[b], L), _monomial_inverse(rho[ainv], L), L)
+    return RootOfUnity(L, _monomial_ratio(M, rho[b], L))
 
 
 # ---------------------------------------------------------------------------

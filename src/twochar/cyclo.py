@@ -169,21 +169,10 @@ class RootOfUnity:
         L = self.level * other.level // gcd(self.level, other.level)
         return RootOfUnity(L, self.exponent * (L // self.level) + other.exponent * (L // other.level))
 
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.level, -self.exponent)
-
     def to_complex(self) -> complex:
         from cmath import exp, pi
 
         return exp(2j * pi * self.exponent / self.level)
-
-
-def raise_root_level(r: RootOfUnity, L: int) -> RootOfUnity:
-    """Rewrite at a coarser level; raises :class:`NotAMultiple` unless
-    ``r.level`` divides ``L``."""
-    if L % r.level:
-        raise NotAMultiple(f"{L} is not a multiple of level {r.level}")
-    return RootOfUnity(L, r.exponent * (L // r.level))
 
 
 class CycloInt:

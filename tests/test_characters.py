@@ -11,9 +11,11 @@ from conftest import cyclic, dihedral_4, klein_four, quaternion_8, symmetric_3
 from twochar import characters
 from twochar.characters import (
     CharTable,
-    MonomialMatrix,
     _fixed_point_column,
     _gk_mark,
+    _monomial_inverse,
+    _monomial_product,
+    _monomial_ratio,
     _transversal_column,
     _transversal_hits,
     char_table,
@@ -41,6 +43,9 @@ from twochar.groups import commuting_pair_classes, from_permutation_generators, 
 from twochar.reps import Orbit, Rep2, direct_sum, random_rep2, tensor, to_perm_cocycle, trivial_rep2
 
 GROUPS = [klein_four(), cyclic(4), dihedral_4(), quaternion_8()]
+# abelian, with values that are not real (powers of ζ3) and no normalizer
+# pairing a value with its conjugate, so a sign slip in an exponent shows
+Z3SQ = from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)], name="Z3^2")
 
 
 # ---------------------------------------------------------------------------
@@ -48,25 +53,28 @@ GROUPS = [klein_four(), cyclic(4), dihedral_4(), quaternion_8()]
 
 
 def test_monomial_matrix_algebra():
-    a = MonomialMatrix((1, 2, 0), (RootOfUnity(4, 1), RootOfUnity(4, 0), RootOfUnity(4, 3)))
-    b = MonomialMatrix((2, 0, 1), (RootOfUnity(4, 2), RootOfUnity(4, 1), RootOfUnity(4, 0)))
-    e = MonomialMatrix(range(3), (RootOfUnity(1, 0),) * 3)
-    assert a * e == a == e * a
-    assert a * a.inverse() == e
-    assert (a * b) * a == a * (b * a)
-    assert a.dimension == 3
+    # (perm, exponents) at level 4: entry (perm[j], j) is ζ_4^exponents[j]
+    a = ((1, 2, 0), (1, 0, 3))
+    b = ((2, 0, 1), (2, 1, 0))
+    e = ((0, 1, 2), (0, 0, 0))
+    assert _monomial_product(a, e, 4) == a == _monomial_product(e, a, 4)
+    assert _monomial_product(a, _monomial_inverse(a, 4), 4) == e
+    assert _monomial_product(_monomial_inverse(a, 4), a, 4) == e
+    assert _monomial_product(_monomial_product(a, b, 4), a, 4) == _monomial_product(a, _monomial_product(b, a, 4), 4)
 
 
 def test_scalar_ratio():
-    a = MonomialMatrix((1, 0), (RootOfUnity(4, 1), RootOfUnity(4, 2)))
-    scaled = MonomialMatrix(a.perm, tuple(RootOfUnity(4, 3) * w for w in a.weights))
-    assert scaled.scalar_ratio(a) == RootOfUnity(4, 3)
-    b = MonomialMatrix((0, 1), (RootOfUnity(4, 0), RootOfUnity(4, 0)))
+    a = ((1, 0), (1, 2))
+    scaled = (a[0], tuple((3 + k) % 4 for k in a[1]))
+    assert _monomial_ratio(scaled, a, 4) == 3
+    assert _monomial_ratio(a, scaled, 4) == 1
+    b = ((0, 1), (0, 0))
     with pytest.raises(NotScalarMultiple):
-        a.scalar_ratio(b)
-    c = MonomialMatrix((1, 0), (RootOfUnity(4, 0), RootOfUnity(4, 2)))
-    with pytest.raises(NotScalarMultiple):
-        a.scalar_ratio(c)  # column ratios are ζ and 1, not constant
+        _monomial_ratio(a, b, 4)
+    c = ((1, 0), (0, 2))
+    with pytest.raises(NotScalarMultiple) as err:
+        _monomial_ratio(a, c, 4)  # column ratios are ζ and 1, not constant
+    assert err.value.witness == 1
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +105,18 @@ def test_gk_linear_trivial_class_is_one():
 
 
 def test_oracle_agreement_all_small_groups():
+    # Z3² has Schur multiplier ℤ/3: its values are not real, so a sign slip
+    # (λ for λ⁻¹) in the oracle fails here, where every value of the
+    # order-4 and order-8 groups is ±1
     checked = 0
-    for G in GROUPS:
+    for G in GROUPS + [Z3SQ]:
         for mu in schur_classes(G).representatives:
             for a in G.elements:
                 for b in G.elements:
                     if G.commutes(a, b):
                         assert gk_linear(mu, a, b) == oracle_twisted_regular(mu, a, b)
                         checked += 1
-    assert checked == 168
+    assert checked == 411
 
 
 def test_klein_pinned_value():
@@ -316,9 +327,6 @@ def test_char_table_json(v4):
 
 A4 = from_permutation_generators(4, [(1, 2, 0, 3), (1, 0, 3, 2)], name="A4")
 Z3SQ_C2 = load_group(str(Path(__file__).resolve().parent / "data" / "z3sq_c2.json"))
-# abelian, with values that are not real (powers of ζ3) and no normalizer
-# pairing a value with its conjugate, so a sign slip in an exponent shows
-Z3SQ = from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)], name="Z3^2")
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ _TRIP = r"""
 import json, sys, types
 import numpy as np
 from twochar import burnside, characters, crossed, cyclo
-from twochar.cyclo import RootOfUnity
 from twochar.groups import from_cayley_table, from_permutation_generators, full_subgroup
 from twochar.reps import linear_classes
 
@@ -37,18 +36,18 @@ MU = linear_classes(full_subgroup(V4)).representatives[1]
 
 def _shift_measured_factor(nth):
     # shift the nth λ that twisted_regular measures, in row-major (g, h) order
-    original, calls = characters.raise_root_level, []
+    original, calls = characters._monomial_ratio, []
 
-    def shifted(lam, level):
-        calls.append(lam)
-        root = original(lam, level)
-        return RootOfUnity(level, root.exponent + 1) if len(calls) == nth else root
+    def shifted(x, y, level):
+        calls.append(x)
+        k = original(x, y, level)
+        return (k + 1) % level if len(calls) == nth else k
 
-    characters.raise_root_level = shifted
+    characters._monomial_ratio = shifted
     try:
         characters.twisted_regular(MU)
     finally:
-        characters.raise_root_level = original
+        characters._monomial_ratio = original
 
 
 def measured_factor_not_a_cocycle():
@@ -142,56 +141,106 @@ def test_package_has_no_assert_statement():
     assert found == []
 
 
-# Definitions that nothing in the package or the benchmark reaches, each kept
-# for a stated reason.
+# Definitions that nothing in the package or the benchmark reaches, by module
+# and name, each kept for a stated reason.
 UNREACHED = {
-    "trivial_rep2": "the unit of the representation ring, which the tests build from",
-    "from_perm_cocycle": "the inverse of to_perm_cocycle, whose round trip is an acceptance criterion",
+    "reps.trivial_rep2": "the unit of the representation ring, which the tests build from",
+    "reps.from_perm_cocycle": "the inverse of to_perm_cocycle, whose round trip is an acceptance criterion",
+    "burnside.add": "the sum of the Burnside ring, which acceptance criterion 5 checks against reps.direct_sum",
+    "reps.direct_sum": "the sum of 2-representations, which acceptance criterion 5 maps to the Burnside sum",
+    "reps.degree": "the size of a 2-representation, which acceptance criterion 8 checks against its permutation form",
 }
 
 
-def _references(tree):
-    """(kind, name, line) for every name the code refers to: a name read or
-    written, an attribute, or an imported name.  Docstrings and comments
-    hold none."""
+def _module_of(node, in_package):
+    """The package module that an import names, without the package prefix
+    ('' for the package itself), or None for any other import."""
+    if node.level:
+        return (node.module or "") if in_package and node.level == 1 else None
+    if node.module == "twochar" or node.module.startswith("twochar."):
+        return node.module[len("twochar.") :]
+    return None
+
+
+def _module_references(tree, in_package):
+    """(module, name) for every definition the file refers to through its
+    module: a name imported from that module, or an attribute of a name
+    bound to the module itself (``from twochar import burnside``,
+    ``import twochar.burnside as b``)."""
+    modules, found = {}, []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield "name", node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield "attribute", node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield "name", node.name.rpartition(".")[2], node.lineno
+        if isinstance(node, ast.ImportFrom) and (module := _module_of(node, in_package)) is not None:
+            for alias in node.names:
+                if module:
+                    found.append((module, alias.name))
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("twochar."):
+                    modules[alias.asname] = alias.name[len("twochar.") :]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            found.append((modules[node.value.id], node.attr))
+    return found
 
 
 def test_every_definition_is_reached_outside_the_tests():
-    """A definition is reached if the package's code refers to it outside
-    the definition itself, or its name occurs as a whole word in the
-    benchmark's Python files.  A module-level function or class counts any
-    name, attribute or import; a method counts attribute access alone.  Every
-    name pinned in ``UNREACHED`` must still be defined and still unreached,
-    so a stale pin fails too."""
+    """A module-level function or class is reached if its own module names
+    it outside the definition, if the package or the benchmark imports it
+    from its module or reads it as an attribute of that module, or if the
+    benchmark quotes it as a span name, ``"<module>.<name>"``.  Code of the
+    same name in another module does not reach it.  A method is reached if
+    the package reads an attribute of its name outside the method, or its
+    name occurs as a whole word in the benchmark's Python files.  Every name
+    pinned in ``UNREACHED`` must still be defined and still unreached, so a
+    stale pin fails too."""
     root = Path(__file__).resolve().parents[1]
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted((root / "src" / "twochar").rglob("*.py"))}
-    refs = {path: list(_references(tree)) for path, tree in trees.items()}
-    bench = [path.read_text() for path in sorted((root / "benchmark").rglob("*.py"))]
+    package = root / "src" / "twochar"
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(package.rglob("*.py"))}
+    bench_paths = sorted((root / "benchmark").rglob("*.py"))
+    bench = [path.read_text() for path in bench_paths]
+    bench_trees = [ast.parse(text, str(path)) for path, text in zip(bench_paths, bench)]
+    through_module = {ref for tree in trees.values() for ref in _module_references(tree, True)}
+    through_module |= {ref for tree in bench_trees for ref in _module_references(tree, False)}
+    quoted = {
+        node.value
+        for tree in bench_trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    attributes = [
+        (path, node.attr, node.lineno)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    ]
     unreached = set()
     for path, tree in trees.items():
-        defs = [(node, False) for node in tree.body]
-        defs += [(n, True) for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
-        for node, method in defs:
+        module = path.relative_to(package).with_suffix("").as_posix().replace("/", ".")
+        names = [(node.id, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            reached = (
+                any(name == node.name and line not in inside for name, line in names)
+                or (module, node.name) in through_module
+                or f"{module}.{node.name}" in quoted
+            )
+            if not reached:
+                unreached.add(f"{module}.{node.name}")
+        methods = [(c.name, n) for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        for owner, node in methods:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or re.fullmatch(r"__\w+__", node.name):
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
             reached = any(
-                name == node.name
-                and (kind == "attribute" or not method)
-                and (other != path or line not in inside)
-                for other, found in refs.items()
-                for kind, name, line in found
+                name == node.name and (other != path or line not in inside) for other, name, line in attributes
             )
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             if not reached and not any(word.search(t) for t in bench):
-                unreached.add(node.name)
+                unreached.add(f"{module}.{owner}.{node.name}")
     orphans = sorted(unreached - UNREACHED.keys())
     assert orphans == [], f"reached only by the tests: {orphans}"
     stale = sorted(UNREACHED.keys() - unreached)

@@ -44,6 +44,12 @@ classes), so no SNF choice moves them, and classes are sorted by them.  Two
 bounds are checked before any work: the reduced d₂ at most D2_MAX_ROWS rows
 and D2_MAX_COLS columns (per group and action), and L²·m₂ < 2^62 for int64
 products at level L.
+
+Cochain arrays of 512 entries or more are reduced mod L as a − (a // L)·L,
+not with ``%``: numpy divides an int64 array by a scalar with a multiply and
+a shift per entry, but ``%`` costs a hardware division per entry, several
+times slower on the stacks of up to 16,384 cells that ``differential`` and
+the Shapiro homotopy reduce.
 """
 
 from __future__ import annotations
@@ -57,6 +63,22 @@ import numpy as np
 from .errors import NotACocycle, NotAMultiple, NotContained, TooLarge, WrongWitness
 from .groups import FiniteGroup, Subgroup, check_left_action, full_subgroup, generated_subgroup, subgroup_group
 from .snf import hermite_mod, hermite_reduce, recent_level, smith_normal_form, solve_mod
+
+
+# Below this many entries one ``%`` in place is cheaper than the three calls
+# of the floor-division route; the two cost the same near 512.
+_DIRECT_REMAINDER = 512
+
+
+def reduce_mod(a: np.ndarray, L: int) -> np.ndarray:
+    """Reduce a fresh int64 array mod L in place and return it: the same
+    values as ``a % L``, in [0, L), exact while a − L does not overflow."""
+    if a.size < _DIRECT_REMAINDER:
+        return np.remainder(a, L, out=a)
+    q = a // L
+    q *= L
+    a -= q
+    return a
 
 
 class GModule:
@@ -136,7 +158,7 @@ class Cochain:
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         m, X, L = module.group.order, module.size, module.level
-        arr = np.ascontiguousarray(values, dtype=np.int64) % L
+        arr = reduce_mod(np.array(values, dtype=np.int64, order="C"), L)
         if arr.shape != (m,) * degree + (X,):
             raise ValueError(f"values must have shape {(m,) * degree + (X,)}, got {arr.shape}")
         arr.setflags(write=False)
@@ -186,11 +208,11 @@ class Cochain:
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return Cochain(self.module, self.degree, self.values + other.values)
+        return Cochain._make(self.module, self.degree, reduce_mod(self.values + other.values, self.level))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
-        return Cochain(self.module, self.degree, self.values - other.values)
+        return Cochain._make(self.module, self.degree, reduce_mod(self.values - other.values, self.level))
 
     def _check_compatible(self, other: "Cochain"):
         if self.module != other.module or self.degree != other.degree:
@@ -202,10 +224,11 @@ class Cochain:
 
 def raise_level(c: Cochain, level: int) -> Cochain:
     """Rewrite at a coarser level: ζ_L^v = ζ_{L'}^{v·L'/L}.  Raises
-    :class:`NotAMultiple` unless the old level divides the new one."""
+    :class:`NotAMultiple` unless the old level divides the new one.  The
+    values need no reduction: v < L gives v·L'/L < L'."""
     if level % c.level:
         raise NotAMultiple(f"{level} is not a multiple of level {c.level}")
-    return Cochain(c.module.at_level(level), c.degree, c.values * (level // c.level))
+    return Cochain._make(c.module.at_level(level), c.degree, c.values * (level // c.level))
 
 
 def differential(c: Cochain) -> Cochain:
@@ -225,8 +248,7 @@ def differential(c: Cochain) -> Cochain:
         out = out + sign * v[(slice(None),) * (k - 1) + (G.table,)]
         sign = -sign
     out = out + sign * v.reshape(v.shape[:n] + (1,) + v.shape[n:])
-    out %= module.level         # a fresh array: reduce it in place
-    return Cochain._make(module, n + 1, out)
+    return Cochain._make(module, n + 1, reduce_mod(out, module.level))
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -246,7 +268,7 @@ def _normalize(c: Cochain) -> Cochain:
     if c.degree != 2:
         raise ValueError("expected a degree-2 cocycle")
     k = c.values[0, 0]
-    out = (c.values - k[c.module.inverse_action][:, None, :]) % c.level
+    out = reduce_mod(c.values - k[c.module.inverse_action][:, None, :], c.level)
     if out[0].any() or out[:, 0].any():
         out[1:, 1:] = 0
         g, h, x = (int(v) for v in np.argwhere(out)[0])
@@ -269,7 +291,8 @@ def conjugate_pullback(c: Cochain, x: int, P: Subgroup) -> Cochain:
     ``c`` lives over a group Q (possibly a relabeled subgroup of some parent);
     ``P`` is a subgroup of the same parent, ``x`` a parent element with
     x·P·x⁻¹ ⊆ Q (otherwise :class:`NotContained` with the violating element).
-    The result lives over P relabeled as a standalone group.
+    The result lives over P relabeled as a standalone group; its values are
+    gathered from reduced ones, so they are not reduced again.
     """
     Q = _ambient(c)
     parent = Q.parent
@@ -288,7 +311,7 @@ def conjugate_pullback(c: Cochain, x: int, P: Subgroup) -> Cochain:
     n = c.degree
     vals = c.values[np.ix_(*([mapped] * n))] if n else c.values
     new_mod = GModule(p_grp, c.level, c.module.action[mapped])
-    return Cochain(new_mod, n, vals)
+    return Cochain._make(new_mod, n, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +560,9 @@ class CohomologyClassSet:
         return self._index[tuple(int(c) % o for c, o in zip(coords, self.orders))]
 
     def add(self, i: int, j: int) -> int:
-        return self.index_of_coords(x + y for x, y in zip(self.coordinates[i], self.coordinates[j]))
+        """Index of the sum of classes i and j."""
+        ci, cj = self.coordinates[i], self.coordinates[j]
+        return self._index[tuple((x + y) % o for x, y, o in zip(ci, cj, self.orders))]
 
     def __repr__(self) -> str:
         shape = " ⊕ ".join(f"Z/{d}" for d in self.invariant_factors) or "trivial"

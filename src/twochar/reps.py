@@ -105,14 +105,19 @@ def pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
     The map depends on the coset A·g alone: conjugation by a ∈ A is inner on
     A, so it fixes every class of H²(A), and a·g·b·g⁻¹·a⁻¹ lies in A exactly
     when g·b·g⁻¹ does.  So g is replaced by the least element of A·g before
-    the cached lookup, and the witness is the same b."""
+    the cached lookup, and the witness is the same b.  When g centralizes B
+    the map is the restriction, as for the identity coset A itself, whose
+    least element is 0; the witness is again the same b."""
     G = A.parent
+    if all(G.commutes(g, b) for b in B.elements):
+        return _pullback_map(A, 0, B)
     return _pullback_map(A, min(G.mul(a, g) for a in A.elements), B)
 
 
 @lru_cache(maxsize=None)
 def _pullback_map(A: Subgroup, g: int, B: Subgroup) -> tuple[int, ...]:
-    """``pullback_map`` for the least element g of its coset A·g."""
+    """``pullback_map`` for the least element g of its coset A·g, or for
+    g = 0 where the conjugator centralizes B."""
     G, members = A.parent, frozenset(A.elements)
     outside = [b for b in B.elements if G.conj(g, b) not in members]
     if outside:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cochains import Cochain, GModule
+from .cochains import Cochain, GModule, reduce_mod
 from .errors import DegreeZero
 from .groups import (
     FiniteGroup,
@@ -170,5 +170,4 @@ def homotopy_varpi(ctx: ShapiroContext, theta: Cochain) -> Cochain:
         raise DegreeZero("the homotopy lowers degree; degree 0 has no target")
     terms = theta.values.reshape(-1)[ctx.gather_index("varpi", n)]
     out = terms[1::2].sum(axis=0) - terms[0::2].sum(axis=0)
-    out %= theta.level
-    return Cochain._make(ctx.coinduced, n - 1, out)
+    return Cochain._make(ctx.coinduced, n - 1, reduce_mod(out, theta.level))

@@ -28,17 +28,20 @@ from twochar.cochains import (
     raise_level,
     random_cochain,
     random_cocycle,
+    reduce_mod,
     schur_classes,
 )
 from twochar.errors import NotACocycle, NotAnAction, TooLarge, WrongWitness
 from twochar.groups import (
     all_subgroups,
+    conjugate_subgroup,
     from_cayley_table,
     from_permutation_generators,
     generated_subgroup,
     load_group,
     subgroup_group,
 )
+from twochar.reps import linear_classes
 from twochar.shapiro import shapiro_context
 from twochar.snf import MOD_LEVELS, hermite_mod, hermite_reduce, smith_normal_form
 
@@ -83,6 +86,66 @@ def test_differential_squares_to_zero(gi, degree, seed):
     c = random_cochain(module, degree, random.Random(seed))
     dd = differential(differential(c))
     assert not dd.values.any()
+
+
+_INT64_EDGES = (0, 1, -1, 2**31 - 1, -(2**31) + 1, 2**62, -(2**62), 2**62 - 1, -(2**62) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.integers(-(2**62), 2**62), st.sampled_from(_INT64_EDGES)), max_size=40),
+    L=st.sampled_from((1, 2, 6, 2**31 - 1)),
+)
+def test_reduce_mod_equals_the_remainder(values, L):
+    drawn = np.array(values, dtype=np.int64)
+    # the drawn values, and a tiling of them long enough for the floor-division route
+    tiled = np.resize(drawn, 2 * cochains._DIRECT_REMAINDER if len(drawn) else 0)
+    for a in (drawn, tiled):
+        expect = a % L
+        got = reduce_mod(a.copy(), L)
+        assert got.dtype == np.int64 and got.tobytes() == expect.tobytes()
+
+
+def _reduced_like_the_constructor(c: Cochain):
+    """``c`` holds values in [0, L), byte-equal to the cochain that the
+    reducing constructor builds from the same values."""
+    assert c.values.dtype == np.int64 and c.values.flags.c_contiguous and not c.values.flags.writeable
+    assert c.values.min(initial=0) >= 0 and c.values.max(initial=0) < c.level
+    ref = Cochain(c.module, c.degree, c.values)
+    assert ref == c and ref.values.tobytes() == c.values.tobytes()
+
+
+@pytest.mark.parametrize("G", [symmetric_3(), dihedral_4()], ids=lambda G: G.name)
+def test_unreduced_constructors_return_reduced_values(G):
+    rng = random.Random(7)
+    for module in (GModule.trivial(G, 6), GModule.permutation(G, G.table, 4)):
+        for degree in (0, 1, 2):
+            a, b = random_cochain(module, degree, rng), random_cochain(module, degree, rng)
+            L = module.level
+            for got, raw in ((a + b, a.values + b.values), (a - b, a.values - b.values)):
+                _reduced_like_the_constructor(got)
+                assert got.values.tobytes() == (raw % L).tobytes()
+            up = raise_level(a, 3 * L)
+            _reduced_like_the_constructor(up)
+            assert up.values.tobytes() == (a.values * 3).tobytes()
+            for P in all_subgroups(G):
+                for g in G.elements:
+                    pulled = conjugate_pullback(a, g, conjugate_subgroup(G, G.inv(g), P))
+                    _reduced_like_the_constructor(pulled)
+
+
+@pytest.mark.parametrize("name", ("D8", "Z2^3"))
+def test_add_matches_index_of_coords_on_every_pair(name):
+    G = _numbering_free_groups()[name]
+    sets = [schur_classes(G)] + [h2(G, GModule.trivial(G, L)) for L in (2, 4, 6, G.order)]
+    sets += [linear_classes(P) for P in all_subgroups(G)]
+    pairs = 0
+    for cs in sets:
+        for i, ci in enumerate(cs.coordinates):
+            for j, cj in enumerate(cs.coordinates):
+                assert cs.add(i, j) == cs.index_of_coords(x + y for x, y in zip(ci, cj)), (cs, i, j)
+                pairs += 1
+    assert pairs == {"D8": 300, "Z2^3": 16548}[name]
 
 
 def test_module_action_shapes(s3):

@@ -130,6 +130,10 @@ _MISSES = (
     "from twochar.groups import group_from_json\n"
     "if sys.argv[1] == 'keyed-on-g':\n"
     "    reps.pullback_map = burnside.pullback_map = reps._pullback_map\n"
+    "if sys.argv[1] == 'keyed-on-coset':\n"
+    "    def by_coset(A, g, B):\n"
+    "        return reps._pullback_map(A, min(A.parent.mul(a, g) for a in A.elements), B)\n"
+    "    reps.pullback_map = burnside.pullback_map = by_coset\n"
     "G = group_from_json({'name': 'Z2^3', 'cayley': [[i ^ j for j in range(8)] for i in range(8)]})\n"
     "table = char_table_to_json(char_table(G, verify=True))\n"
     "print(json.dumps([reps._pullback_map.cache_info().misses, table]))\n"
@@ -138,16 +142,18 @@ _MISSES = (
 
 def test_pullback_map_is_cached_per_coset_with_the_same_char_table():
     """Keyed on the least element of A·g, a cold char_table(Z2³) computes
-    fewer maps than keyed on g itself, and prints the same table."""
+    fewer maps than keyed on g itself, and keyed on the identity coset where
+    g centralizes B (every g, as Z2³ is abelian) fewer still; all three
+    print the same table."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     runs = {}
-    for key in ("coset", "keyed-on-g"):
+    for key in ("library", "keyed-on-coset", "keyed-on-g"):
         out = subprocess.run(
             [sys.executable, "-c", _MISSES, key], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
         runs[key] = json.loads(out.stdout)
-    (coset_misses, coset_table), (g_misses, g_table) = runs["coset"], runs["keyed-on-g"]
-    assert coset_table == g_table
-    assert coset_misses < g_misses
-    assert coset_misses == 150
+    (misses, table), (coset_misses, coset_table), (g_misses, g_table) = runs.values()
+    assert table == coset_table == g_table
+    assert misses < coset_misses < g_misses
+    assert (misses, coset_misses) == (66, 150)

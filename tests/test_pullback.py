@@ -128,16 +128,42 @@ _MISSES = (
     "from twochar import burnside, reps\n"
     "from twochar.characters import char_table, char_table_to_json\n"
     "from twochar.groups import group_from_json\n"
+    "def centralizes(G, g, B):\n"
+    "    return all(G.commutes(g, b) for b in B.elements)\n"
     "if sys.argv[1] == 'keyed-on-g':\n"
     "    reps.pullback_map = burnside.pullback_map = reps._pullback_map\n"
     "if sys.argv[1] == 'keyed-on-coset':\n"
     "    def by_coset(A, g, B):\n"
     "        return reps._pullback_map(A, min(A.parent.mul(a, g) for a in A.elements), B)\n"
     "    reps.pullback_map = burnside.pullback_map = by_coset\n"
-    "G = group_from_json({'name': 'Z2^3', 'cayley': [[i ^ j for j in range(8)] for i in range(8)]})\n"
+    "if sys.argv[1] == 'centralizer-else-g':\n"
+    "    def by_g(A, g, B):\n"
+    "        return reps._pullback_map(A, 0 if centralizes(A.parent, g, B) else g, B)\n"
+    "    reps.pullback_map = burnside.pullback_map = by_g\n"
+    "G = group_from_json(json.loads(sys.argv[2]))\n"
     "table = char_table_to_json(char_table(G, verify=True))\n"
     "print(json.dumps([reps._pullback_map.cache_info().misses, table]))\n"
 )
+
+
+def _cold_misses(doc: dict, keys) -> dict:
+    """Per cache key: the misses of ``_pullback_map`` over a cold
+    char_table(verify=True) of the group ``doc`` in a fresh process, and the
+    table it prints.  ``library`` runs ``pullback_map`` as it is; the others
+    replace it with a wrapper keyed as named."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = {}
+    for key in keys:
+        out = subprocess.run(
+            [sys.executable, "-c", _MISSES, key, json.dumps(doc)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        runs[key] = json.loads(out.stdout)
+    return runs
 
 
 def test_pullback_map_is_cached_per_coset_with_the_same_char_table():
@@ -145,15 +171,28 @@ def test_pullback_map_is_cached_per_coset_with_the_same_char_table():
     fewer maps than keyed on g itself, and keyed on the identity coset where
     g centralizes B (every g, as Z2³ is abelian) fewer still; all three
     print the same table."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    runs = {}
-    for key in ("library", "keyed-on-coset", "keyed-on-g"):
-        out = subprocess.run(
-            [sys.executable, "-c", _MISSES, key], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert out.returncode == 0, out.stderr
-        runs[key] = json.loads(out.stdout)
+    doc = {"name": "Z2^3", "cayley": [[i ^ j for j in range(8)] for i in range(8)]}
+    runs = _cold_misses(doc, ("library", "keyed-on-coset", "keyed-on-g"))
     (misses, table), (coset_misses, coset_table), (g_misses, g_table) = runs.values()
     assert table == coset_table == g_table
     assert misses < coset_misses < g_misses
     assert (misses, coset_misses) == (66, 150)
+
+
+@pytest.mark.parametrize(
+    "doc, pinned",
+    [
+        pytest.param({"name": "D4", "degree": 4, "generators": [[1, 2, 3, 0], [0, 3, 2, 1]]}, (31, 46, 58), id="D4"),
+        pytest.param({"name": "S4", "degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]}, (67, 146, 147), id="S4"),
+    ],
+)
+def test_pullback_map_reduces_the_coset_and_the_centralizer_on_a_nonabelian_group(doc, pinned):
+    """Where some conjugators do not centralize B, the library computes fewer
+    maps than either reduction alone: the identity coset for centralizing g
+    with g itself otherwise, or the least element of A·g without the
+    centralizer check; all three print the same table."""
+    runs = _cold_misses(doc, ("library", "centralizer-else-g", "keyed-on-coset"))
+    (misses, table), (g_misses, g_table), (coset_misses, coset_table) = runs.values()
+    assert table == g_table == coset_table
+    assert misses < min(g_misses, coset_misses)
+    assert (misses, g_misses, coset_misses) == pinned

@@ -45,10 +45,12 @@ bounds are checked before any work: the reduced d₂ at most D2_MAX_ROWS rows
 and D2_MAX_COLS columns (per group and action), and L²·m₂ < 2^62 for int64
 products at level L.
 
-Cochain arrays are reduced mod L as a − (a // L)·L, not with ``%``: numpy
-divides an int64 array by a scalar with a multiply and a shift per entry, but
-``%`` costs a hardware division per entry, several times slower on the stacks
-of up to 16,384 cells that ``differential`` and the Shapiro homotopy reduce.
+Cochain arrays of 512 entries or more are reduced mod L as a − (a // L)·L,
+not with ``%``: numpy divides an int64 array by a scalar with a multiply and
+a shift per entry, but ``%`` costs a hardware division per entry, several
+times slower on the stacks of up to 16,384 cells that ``differential`` and
+the Shapiro homotopy reduce.  Smaller arrays, most of the reductions of a
+character table or a cohomology query, take one ``%`` in place.
 """
 
 from __future__ import annotations
@@ -64,9 +66,17 @@ from .groups import FiniteGroup, Subgroup, check_left_action, full_subgroup, gen
 from .snf import hermite_mod, hermite_reduce, recent_level, smith_normal_form, solve_mod
 
 
+# Below this many entries one ``%`` in place (one ufunc call) is cheaper than
+# the three calls of the floor-division route; the two cost the same between
+# 384 and 1024 entries.
+_DIRECT_REMAINDER = 512
+
+
 def reduce_mod(a: np.ndarray, L: int) -> np.ndarray:
     """Reduce a fresh int64 array mod L in place and return it: the same
     values as ``a % L``, in [0, L), exact while a − L does not overflow."""
+    if a.size < _DIRECT_REMAINDER:
+        return np.remainder(a, L, out=a)
     q = a // L
     q *= L
     a -= q

@@ -97,10 +97,13 @@ _INT64_EDGES = (0, 1, -1, 2**31 - 1, -(2**31) + 1, 2**62, -(2**62), 2**62 - 1, -
     L=st.sampled_from((1, 2, 6, 2**31 - 1)),
 )
 def test_reduce_mod_equals_the_remainder(values, L):
-    a = np.array(values, dtype=np.int64)
-    expect = a % L
-    got = reduce_mod(a.copy(), L)
-    assert got.dtype == np.int64 and got.tobytes() == expect.tobytes()
+    drawn = np.array(values, dtype=np.int64)
+    # the drawn values, and a tiling of them long enough for the floor-division route
+    tiled = np.resize(drawn, 2 * cochains._DIRECT_REMAINDER if len(drawn) else 0)
+    for a in (drawn, tiled):
+        expect = a % L
+        got = reduce_mod(a.copy(), L)
+        assert got.dtype == np.int64 and got.tobytes() == expect.tobytes()
 
 
 def _reduced_like_the_constructor(c: Cochain):

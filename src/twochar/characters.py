@@ -7,7 +7,8 @@ Three independent routes compute the same value:
 * ``gk_rep`` / ``gk_osorno`` — transversal and fixed-point sums over a
   decorated set, respectively its permutation-cocycle form;
 * ``gk_as_mark`` — evaluation of a mark homomorphism against the subgroup
-  generated by the pair.
+  generated by the pair, whose weight α is the closed formula read at each
+  class representative (it is constant on classes, so nothing is probed).
 
 The character table takes the mark, transversal and fixed-point routes a
 whole column of rows at a time, as integer exponent histograms.  Its
@@ -36,10 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .burnside import BurnsideElement, _check_alpha, _mark_rows, basis, mark, pair_json, pair_label
-from .cochains import Cochain, differential, is_cocycle
+from .cochains import Cochain, is_cocycle
 from .cyclo import CycloInt, RootOfUnity, _powers_array, sum_roots
 from .errors import (
-    AlphaIllDefined,
     FormulasDisagree,
     InternalFault,
     NotACocycle,
@@ -209,22 +209,17 @@ def gk_osorno(p: PermCocycleRep, a: int, b: int) -> CycloInt:
 
 def _gk_mark(G: FiniteGroup, a: int, b: int):
     """The mark pair (P, α) of the pair (a, b): P = ⟨a, b⟩, α the character
-    sending each decoration class over P to its gk_linear value at (a, b)."""
+    sending each decoration class over P to its gk_linear value at (a, b).
+
+    The value is one per class: for commuting a, b a coboundary dπ adds
+    dπ(b, a⁻¹) − dπ(a⁻¹, b) = π(a⁻¹b) − π(ba⁻¹) = 0, so α reads the
+    formula at each class representative."""
     if not G.commutes(a, b):
         raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
     P = generated_subgroup(G, (a, b))
     _, to_sub, _ = subgroup_group(P)
     a_s, b_s = int(to_sub[a]), int(to_sub[b])
-    alpha = []
-    for i, rep in enumerate(linear_classes(P).representatives):
-        root = gk_linear(rep, a_s, b_s)
-        # well-definedness on the class: a coboundary shift must not move it
-        probe = Cochain(rep.module, 1, (np.arange(rep.group.order) % rep.level)[:, None])
-        shifted = rep + differential(probe)
-        if gk_linear(shifted, a_s, b_s) != root:
-            raise AlphaIllDefined(f"class {i} gives inconsistent values", witness=i)
-        alpha.append(root)
-    return P, tuple(alpha)
+    return P, tuple(gk_linear(rep, a_s, b_s) for rep in linear_classes(P).representatives)
 
 
 def gk_as_mark(a: int, b: int, u: BurnsideElement) -> CycloInt:

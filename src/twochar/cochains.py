@@ -559,7 +559,11 @@ class CohomologyClassSet:
         return self._index[self._coords_fn(c)]
 
     def index_of_coords(self, coords) -> int:
-        """Index of the class with the given coordinates, taken mod the orders."""
+        """Index of the class with the given coordinates, taken mod the orders;
+        ValueError unless there is one coordinate per order."""
+        coords = tuple(coords)
+        if len(coords) != len(self.orders):
+            raise ValueError(f"{len(coords)} coordinates given for {len(self.orders)} orders")
         return self._index[tuple(int(c) % o for c, o in zip(coords, self.orders))]
 
     def add(self, i: int, j: int) -> int:

@@ -104,10 +104,6 @@ class AlphaNotHomomorphism(TwoCharError):
     """Mark weight is not multiplicative on cohomology classes."""
 
 
-class AlphaIllDefined(TwoCharError):
-    """Mark weight took different values on cohomologous cocycles."""
-
-
 class NotCommuting(TwoCharError):
     """2-character arguments must commute (up to the boundary twist)."""
 

@@ -291,25 +291,29 @@ def tensor(r: Rep2, s: Rep2) -> Rep2:
 
 class PermCocycleRep:
     """A finite G-set together with a degree-2 cocycle valued in the
-    permutation module on the set."""
+    permutation module on the set: the cocycle θ alone, whose module carries
+    the group, the point action and the set."""
 
-    __slots__ = ("group", "point_action", "theta")
+    __slots__ = ("theta",)
 
-    def __init__(self, group: FiniteGroup, point_action, theta: Cochain):
-        point_action = np.ascontiguousarray(point_action, dtype=np.int64)
-        module = GModule.permutation(group, point_action, theta.level)
-        if theta.degree != 2 or theta.module != module:
-            raise ValueError("theta must be a degree-2 cochain over the permutation module")
+    def __init__(self, theta: Cochain):
+        if theta.degree != 2:
+            raise ValueError("theta must be a degree-2 cochain over a permutation module")
         if not is_cocycle(theta):
             raise NotACocycle("theta is not a 2-cocycle for the permutation action")
-        point_action.setflags(write=False)
-        self.group = group
-        self.point_action = point_action
         self.theta = theta
 
     @property
+    def group(self) -> FiniteGroup:
+        return self.theta.group
+
+    @property
+    def point_action(self) -> np.ndarray:
+        return self.theta.module.action
+
+    @property
     def size(self) -> int:
-        return self.point_action.shape[1]
+        return self.theta.module.size
 
     def __repr__(self) -> str:
         return f"PermCocycleRep({self.group.name}, |X|={self.size}, Z/{self.theta.level})"
@@ -338,8 +342,8 @@ def to_perm_cocycle(r: Rep2) -> PermCocycleRep:
     else:
         action = np.zeros((m, 0), dtype=np.int64)
         values = np.zeros((m, m, 0), dtype=np.int64)
-    theta = Cochain(GModule.permutation(G, action, level), 2, values)
-    return PermCocycleRep(G, action, theta)
+    # ψ values are already reduced mod the level
+    return PermCocycleRep(Cochain._make(GModule.permutation(G, action, level), 2, values))
 
 
 def from_perm_cocycle(p: PermCocycleRep) -> Rep2:

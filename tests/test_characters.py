@@ -29,7 +29,7 @@ from twochar.characters import (
     twisted_regular,
 )
 from twochar.burnside import _character_table, _pair_mark, basis, basis_element, from_rep2, mark_matrix
-from twochar.cochains import schur_classes
+from twochar.cochains import Cochain, differential, schur_classes
 from twochar.cyclo import CycloInt, RootOfUnity, raise_cyclo_level, root_to_cyclo
 from twochar.errors import (
     FormulasDisagree,
@@ -39,13 +39,20 @@ from twochar.errors import (
     NotNormalized,
     NotScalarMultiple,
 )
-from twochar.groups import commuting_pair_classes, from_permutation_generators, load_group, trivial_subgroup
+from twochar.groups import (
+    commuting_pair_classes,
+    from_cayley_table,
+    from_permutation_generators,
+    load_group,
+    trivial_subgroup,
+)
 from twochar.reps import Orbit, Rep2, direct_sum, random_rep2, tensor, to_perm_cocycle, trivial_rep2
 
 GROUPS = [klein_four(), cyclic(4), dihedral_4(), quaternion_8()]
 # abelian, with values that are not real (powers of ζ3) and no normalizer
 # pairing a value with its conjugate, so a sign slip in an exponent shows
 Z3SQ = from_permutation_generators(6, [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)], name="Z3^2")
+Z2CUBE = from_cayley_table([[i ^ j for j in range(8)] for i in range(8)], name="Z2^3")
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +109,28 @@ def test_gk_linear_trivial_class_is_one():
             for b in G.elements:
                 if G.commutes(a, b):
                     assert gk_linear(mu, a, b) == RootOfUnity(1, 0)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [symmetric_3(), dihedral_4(), quaternion_8(), Z2CUBE, Z3SQ],
+    ids=lambda G: G.name,
+)
+def test_gk_linear_is_constant_on_each_class(G):
+    # for commuting a, b a coboundary adds dπ(b, a⁻¹) − dπ(a⁻¹, b) =
+    # π(a⁻¹b) − π(ba⁻¹) = 0: the mark route reads α at one representative
+    rng = np.random.default_rng(30)
+    pairs = [(a, b) for a in G.elements for b in G.elements if G.commutes(a, b)]
+    moved = 0
+    for mu in schur_classes(G).representatives:
+        for _ in range(4):
+            pi = rng.integers(0, mu.level, size=(G.order, 1))
+            pi[0] = 0  # normalized, so μ + dπ still vanishes on the identity
+            shifted = mu + differential(Cochain(mu.module, 1, pi))
+            moved += shifted != mu
+            for a, b in pairs:
+                assert gk_linear(shifted, a, b) == gk_linear(mu, a, b), (mu, pi.ravel().tolist(), a, b)
+    assert moved == 4 * len(schur_classes(G))
 
 
 def test_oracle_agreement_all_small_groups():

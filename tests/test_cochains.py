@@ -148,6 +148,17 @@ def test_add_matches_index_of_coords_on_every_pair(name):
     assert pairs == {"D8": 300, "Z2^3": 16548}[name]
 
 
+def test_index_of_coords_refuses_a_wrong_number_of_coordinates():
+    cs = schur_classes(_numbering_free_groups()["Z2^3"])
+    assert cs.orders == (2, 2, 2)
+    assert cs.index_of_coords(iter((1, 0, 3))) == cs.index_of_coords((1, 0, 1))
+    for coords in ((1, 0, 1, 1), (1, 0)):
+        with pytest.raises(ValueError, match=f"{len(coords)} coordinates given for 3 orders"):
+            cs.index_of_coords(coords)
+        with pytest.raises(ValueError):
+            cs.index_of_coords(c for c in coords)
+
+
 def test_module_action_shapes(s3):
     perm = s3.table  # left translation
     module = GModule.permutation(s3, perm, 4)

@@ -9,7 +9,8 @@ no check goes missing under ``-O``.
 
 Every definition in the package is reached from the package itself or from
 the benchmark, apart from a pinned few, each with its reason: code that only
-its own tests run is deleted, not kept.
+its own tests run is deleted, not kept.  Likewise every error type is raised
+by the package, or is the base of one that is.
 """
 
 import ast
@@ -245,3 +246,30 @@ def test_every_definition_is_reached_outside_the_tests():
     assert orphans == [], f"reached only by the tests: {orphans}"
     stale = sorted(UNREACHED.keys() - unreached)
     assert stale == [], f"pinned in UNREACHED but reached or not defined: {stale}"
+
+
+def test_every_error_type_is_raised_by_the_package():
+    """Each exception class in ``errors.py`` is raised somewhere in the
+    package, or is a base of one that is, so a deleted ``raise`` cannot leave
+    a dead error type behind."""
+    package = Path(__file__).resolve().parents[1] / "src" / "twochar"
+    tree = ast.parse((package / "errors.py").read_text())
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set()
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    live, todo = set(), [name for name in bases if name in raised]
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo.extend(b for b in bases[name] if b in bases)
+    assert sorted(bases.keys() - live) == []
+    assert "TwoCharError" in bases

@@ -127,14 +127,39 @@ def test_perm_cocycle_rejects_non_cocycle(s3):
     bad = p.theta.values.copy()
     bad[1, 2, 0] = (bad[1, 2, 0] + 1) % p.theta.level
     with pytest.raises(NotACocycle):
-        PermCocycleRep(s3, p.point_action, Cochain(p.theta.module, 2, bad))
+        PermCocycleRep(Cochain(p.theta.module, 2, bad))
+
+
+def test_perm_cocycle_form_is_its_cocycle_alone(d4):
+    rng = random.Random(30)
+    for _ in range(6):
+        r = random_rep2(d4, rng)
+        p = to_perm_cocycle(r)
+        module = p.theta.module
+        assert p.group is module.group is d4
+        assert p.point_action is module.action
+        assert p.size == module.size == degree(r)
+        assert PermCocycleRep(p.theta).point_action is p.point_action
+
+
+def test_perm_cocycle_form_refuses_a_wrong_degree_and_a_non_cocycle(d4):
+    P = next(P for P in all_subgroups(d4) if P.order == 2)
+    p = to_perm_cocycle(rep2(d4, [(P, trivial_decoration(P))]))
+    module = p.theta.module
+    assert (p.size, p.theta.level) == (4, 2)
+    with pytest.raises(ValueError, match="degree-2"):
+        PermCocycleRep(Cochain(module, 1, [[0] * p.size] * d4.order))
+    bad = p.theta.values.copy()
+    bad[2, 3, 1] = (bad[2, 3, 1] + 1) % p.theta.level
+    with pytest.raises(NotACocycle):
+        PermCocycleRep(Cochain(module, 2, bad))
 
 
 def test_roundtrip_ignores_cohomologous_twist(s3):
     r = Rep2(s3, (Orbit(trivial_subgroup(s3), 0),))
     p = to_perm_cocycle(r)
     shift = differential(random_cochain(p.theta.module, 1, random.Random(6)))
-    twisted = PermCocycleRep(s3, p.point_action, p.theta + shift)
+    twisted = PermCocycleRep(p.theta + shift)
     assert from_perm_cocycle(twisted) == r
 
 

@@ -216,10 +216,17 @@ def _gk_mark(G: FiniteGroup, a: int, b: int):
     formula at each class representative."""
     if not G.commutes(a, b):
         raise NotCommuting(f"{a} and {b} do not commute", witness=(a, b))
+    P, a_s, b_s = _pair_subgroup(G, a, b)
+    # class representatives are normalized, and a_s, b_s commute
+    return P, tuple(_gk_linear(rep, a_s, b_s) for rep in linear_classes(P).representatives)
+
+
+@lru_cache(maxsize=None)
+def _pair_subgroup(G: FiniteGroup, a: int, b: int) -> tuple[Subgroup, int, int]:
+    """P = ⟨a, b⟩ and the labels of a and b in P relabeled as a group."""
     P = generated_subgroup(G, (a, b))
     _, to_sub, _ = subgroup_group(P)
-    a_s, b_s = int(to_sub[a]), int(to_sub[b])
-    return P, tuple(gk_linear(rep, a_s, b_s) for rep in linear_classes(P).representatives)
+    return P, int(to_sub[a]), int(to_sub[b])
 
 
 def gk_as_mark(a: int, b: int, u: BurnsideElement) -> CycloInt:

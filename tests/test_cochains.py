@@ -560,6 +560,77 @@ def test_invariant_factors_match_the_per_level_presentation():
             assert len(classes) == prod(factors)
 
 
+def _primes(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _chain(cyclic_orders) -> tuple[int, ...]:
+    """Invariant factors f > 1 (ascending divisibility) of ⊕ ℤ/n over the
+    given orders, from their elementary divisors."""
+    powers = {}
+    for n in cyclic_orders:
+        for p in _primes(n):
+            k = 0
+            while n % p == 0:
+                n, k = n // p, k + 1
+            powers.setdefault(p, []).append(p**k)
+    width = max(map(len, powers.values()), default=0)
+    columns = [sorted(v, reverse=True) + [1] * (width - len(v)) for v in powers.values()]
+    return tuple(sorted(prod(col[i] for col in columns) for i in range(width)))
+
+
+def _abelianization(G) -> tuple[int, ...]:
+    """Invariant factors of A = G/[G, G] from the group table alone.  A has
+    r_k = log_p |A[p^k]|/|A[p^(k−1)]| cyclic p-factors of order at least
+    p^k, and |A[d]| is the number of g with g^d in [G, G] over |[G, G]|."""
+    commutators = {G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b))) for a in G.elements for b in G.elements}
+    N = set(generated_subgroup(G, sorted(commutators)).elements)
+
+    def torsion(d: int) -> int:
+        powers = list(G.elements)
+        for _ in range(d - 1):
+            powers = [G.mul(x, g) for x, g in zip(powers, G.elements)]
+        return sum(x in N for x in powers) // len(N)
+
+    elementary = []
+    for p in _primes(G.order // len(N)):
+        ranks, below = [], 1                       # ranks[k − 1] = r_k
+        while (size := torsion(p ** (len(ranks) + 1))) > below:
+            ratio, r = size // below, 0
+            while ratio > 1:
+                ratio, r = ratio // p, r + 1
+            ranks.append(r)
+            below = size
+        ranks.append(0)
+        elementary += [p**k for k in range(1, len(ranks)) for _ in range(ranks[k - 1] - ranks[k])]
+    return _chain(elementary)
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 6, 12, None])
+def test_h2_at_a_level_is_the_universal_coefficient_sum(L):
+    """H²(G; ℤ/L) ≅ Hom(M(G), ℤ/L) ⊕ Ext(G^ab, ℤ/L) (Brown, III.1); None
+    stands for the least prime that does not divide |G|."""
+    for name, G in _numbering_free_groups().items():
+        level = L or next(p for p in range(2, G.order + 2) if G.order % p and _primes(p) == [p])
+        schur = schur_classes(G).invariant_factors
+        expect = _chain([gcd(m, level) for m in schur] + [gcd(a, level) for a in _abelianization(G)])
+        assert h2(G, GModule.trivial(G, level)).invariant_factors == expect, (name, level)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "A4"])
+def test_h2_with_coset_coefficients_is_h2_of_the_stabilizer(name):
+    """Shapiro's lemma: H²(G; ℤ/L[G/Q]) ≅ H²(Q; ℤ/L)."""
+    G = {"S3": symmetric_3, "D4": dihedral_4, "A4": _a4}[name]()
+    for Q in all_subgroups(G):
+        if (G.order - 1) ** 2 * (G.order // Q.order) > 500:
+            continue                               # keep d₂ small: A4 mod C2 and 1 are skipped
+        qgrp = subgroup_group(Q)[0]
+        for L in (2, 4, 6):
+            cosets = shapiro_context(G, Q, GModule.trivial(qgrp, L)).coinduced
+            expect = h2(qgrp, GModule.trivial(qgrp, L)).invariant_factors
+            assert h2(G, cosets).invariant_factors == expect, (Q.elements, L)
+
+
 # Representative 1 of ``h2 v4`` and ``h2 d4`` as the per-level presentation
 # printed it, before representatives were reduced
 OLD_REPRESENTATIVE_1 = {
@@ -693,6 +764,51 @@ def test_generator_rows_span_the_rows_of_d2(name):
     Y = full @ V
     assert not Y[:, r:].any()
     assert not (Y[:, :r] % np.array(diag, dtype=np.int64)).any()
+
+
+# ---------------------------------------------------------------------------
+# The cocycle guard on the rows whose first argument is 1 or a generator
+
+
+def _guard_modules():
+    G = symmetric_3()
+    return [GModule.trivial(G, 6)] + [make() for make in COSET_MODULES.values()]
+
+
+@pytest.mark.parametrize("module", _guard_modules(), ids=["S3"] + list(COSET_MODULES))
+def test_restricted_faces_are_the_rows_of_the_differential(module):
+    G, rng = module.group, random.Random(module.size)
+    for degree in (0, 1, 2):
+        c = random_cochain(module, degree, rng)
+        full = differential(c).values
+        for k in range(1, G.order + 1):
+            rows = rng.sample(G.elements, k)
+            part = cochains._face_sum(c, rows)
+            assert part.tobytes() == np.ascontiguousarray(full[rows]).tobytes(), (degree, rows)
+
+
+@pytest.mark.parametrize("module", [GModule.trivial(symmetric_3(), 6), COSET_MODULES["D4/C2"]()], ids=["S3", "D4/C2"])
+def test_guard_refuses_every_single_entry_fault_the_differential_sees(module):
+    c = random_cocycle(module, random.Random(7))
+    assert is_cocycle(c)
+    refused = 0
+    for pos in np.ndindex(c.values.shape):
+        values = c.values.copy()
+        values[pos] += 1
+        bad = Cochain(module, 2, values)
+        assert is_cocycle(bad) == differential(bad).is_zero(), pos
+        refused += not is_cocycle(bad)
+    assert refused == c.values.size
+
+
+def test_guard_passes_a_cocycle_that_is_not_normalized(d4):
+    module = GModule.trivial(d4, 8)
+    mu = h2(d4, module).representatives[-1]
+    pi = random_cochain(module, 1, random.Random(2)).values.copy()
+    pi[0] = 3
+    c = mu + differential(Cochain(module, 1, pi))
+    assert c.values[0].any() and c.values[:, 0].any()
+    assert is_cocycle(c)
 
 
 def test_dihedral_group_of_order_32_is_in_bounds():

@@ -1,14 +1,17 @@
 """The cochain, transfer and group kernels against reference copies of the
 numpy-call formulations they replaced: ``np.take``/``np.moveaxis`` for the
-differential, per-call index arithmetic for ψ, φ and ϖ, the per-point loop
-for the coinduced action, and numpy scalar lookups for the group
-operations.  Values must agree byte for byte.  On a direct sum M^⊕B every
-kernel must give the stack of its per-copy results."""
+differential, the per-row loop for the normalized boundary matrices,
+per-call index arithmetic for ψ, φ and ϖ, the per-point loop for the
+coinduced action, and numpy scalar lookups for the group operations.
+Values must agree byte for byte.  On a direct sum M^⊕B every kernel must
+give the stack of its per-copy results."""
+
+from itertools import product
 
 import numpy as np
 import pytest
 
-from twochar.cochains import Cochain, GModule, differential, direct_sum
+from twochar.cochains import Cochain, GModule, _generating_set, _normalized_boundary, differential, direct_sum
 from twochar.crossed import TwoMorphism, load_crossed
 from twochar.groups import all_subgroups, load_group, subgroup_group
 from twochar.shapiro import ShapiroContext, homotopy_varpi, phi, psi, shapiro_context
@@ -48,6 +51,37 @@ def _ref_differential(c):
         sign = -sign
     out = out + sign * np.expand_dims(v, axis=n)
     return Cochain(module, n + 1, out)
+
+
+def _ref_normalized_boundary(module, degree, first=None):
+    G = module.group
+    m, X = G.order, module.size
+    nz = range(1, m)
+    first = nz if first is None else first
+    rows = len(first) * (m - 1) ** degree * X
+    cols = (m - 1) ** degree * X
+    D = np.zeros((rows, cols), dtype=np.int64)
+    inv_act = module.inverse_action
+
+    def col_index(gs: tuple[int, ...], x: int) -> int:
+        idx = 0
+        for g in gs:
+            idx = idx * (m - 1) + (g - 1)
+        return idx * X + x
+
+    r = 0
+    for gs in product(first, *[nz] * degree):
+        for x in range(X):
+            D[r, col_index(gs[1:], int(inv_act[gs[0], x]))] += 1
+            sign = -1
+            for k in range(1, degree + 1):
+                merged = G.mul(gs[k - 1], gs[k])
+                if merged != 0:
+                    D[r, col_index(gs[:k - 1] + (merged,) + gs[k + 1:], x)] += sign
+                sign = -sign
+            D[r, col_index(gs[:-1], x)] += sign
+            r += 1
+    return D
 
 
 def _ref_coinduced_action(ctx):
@@ -158,6 +192,16 @@ def test_differential_matches_the_reference_on_the_coinduced_modules(ctx):
     for degree in (0, 1, 2):
         c = Cochain(ctx.coinduced, degree, _random_values(ctx.coinduced, degree, degree))
         _same(differential(c), _ref_differential(c))
+
+
+@pytest.mark.parametrize("G", GROUPS, ids=BUNDLED)
+def test_normalized_boundary_matches_the_per_row_loop(G):
+    for module in _modules(G):
+        for degree in (1, 2):
+            for first in (None, _generating_set(G)):
+                new, ref = _normalized_boundary(module, degree, first), _ref_normalized_boundary(module, degree, first)
+                assert new.dtype == ref.dtype and new.shape == ref.shape, (module, degree, first)
+                assert new.tobytes() == ref.tobytes(), (module, degree, first)
 
 
 @pytest.mark.parametrize("G", GROUPS, ids=BUNDLED)

@@ -37,6 +37,15 @@ and V₂[:, r:]·U_B⁻¹e_j.  The Bockstein of 0 → ℤ → ℂ → ℂ^× →
 H²(G; ℂ^×[X]) ≅ H³(G; ℤ[X]) = ⊕ ℤ/d_i over the d_i > 1, where x has the
 coordinates (d_i·w_i/L mod d_i), at any level.
 
+A read tests d₂x ≡ 0 (mod L) on the sparse generator rows of d₂ (at most
+four faces each), and then takes only the rows of V₂⁻¹ that its coordinates
+use (the d_i > 1, or the kept i < r) and the kept rows of U_B·V₂⁻¹[r:],
+reduced mod L once per level; no dense copy of V₂⁻¹ is made.  The test is
+exact: with U′ the SNF row transform, the generator-row d₂ equals
+U′⁻¹·S·V₂⁻¹, and U′ is unimodular over ℤ, so invertible mod L; hence
+d₂x ≡ 0 (mod L) exactly when L | d_i·w_i for every i < r, which is the
+condition under which the coordinates above are defined.
+
 Representatives are canonical: reduced by the Hermite normal form of
 K_L = im d₁ + Lℤ^{m₂} (level-L classes) or of K = ker_ℤ d₂ + Lℤ^{m₂} (ℂ^×
 classes), so no SNF choice moves them, and classes are sorted by them.  Two
@@ -309,9 +318,22 @@ def conjugate_pullback(c: Cochain, x: int, P: Subgroup) -> Cochain:
     gathered from reduced ones, so they are not reduced again.
     """
     Q = _ambient(c)
-    parent = Q.parent
-    if P.parent != parent:
+    if P.parent != Q.parent:
         raise NotContained("subgroup belongs to a different parent group")
+    p_grp, mapped = _pullback_index(Q, x, P)
+    vals = c.values
+    for axis in range(c.degree):
+        vals = vals.take(mapped, axis=axis)
+    new_mod = GModule(p_grp, c.level, c.module.action.take(mapped, axis=0))
+    return Cochain._make(new_mod, c.degree, vals)
+
+
+@lru_cache(maxsize=None)
+def _pullback_index(Q: Subgroup, x: int, P: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
+    """P relabeled as a group, and the label in Q of x·p·x⁻¹ for each of its
+    elements p (read-only).  Raises :class:`NotContained` with the first p
+    whose conjugate is outside Q; a refusal is not cached."""
+    parent = Q.parent
     _, q_to_sub, _ = subgroup_group(Q)
     p_grp, _, p_els = subgroup_group(P)
     mapped = []
@@ -322,10 +344,8 @@ def conjugate_pullback(c: Cochain, x: int, P: Subgroup) -> Cochain:
             raise NotContained(f"x·{p}·x⁻¹ = {q} is outside the target subgroup", witness=p)
         mapped.append(qi)
     mapped = np.array(mapped, dtype=np.int64)
-    n = c.degree
-    vals = c.values[np.ix_(*([mapped] * n))] if n else c.values
-    new_mod = GModule(p_grp, c.level, c.module.action[mapped])
-    return Cochain._make(new_mod, n, vals)
+    mapped.setflags(write=False)
+    return p_grp, mapped
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +361,6 @@ def _norm_index(m: int, degree: int, X: int) -> np.ndarray:
     return idx
 
 
-def _norm_flat(c: Cochain) -> np.ndarray:
-    """Flatten the non-identity block of a normalized cochain (C order)."""
-    return c.values.reshape(-1).take(_norm_index(c.group.order, c.degree, c.module.size))
-
-
 def _embed_norm(module: GModule, degree: int, flat) -> Cochain:
     """The normalized cochain with the non-identity block ``flat`` (C order),
     whose values are already reduced mod the level."""
@@ -355,23 +370,36 @@ def _embed_norm(module: GModule, degree: int, flat) -> Cochain:
     return Cochain._make(module, degree, out.reshape((m,) * degree + (X,)))
 
 
-def _normalized_boundary(module: GModule, degree: int, first=None) -> np.ndarray:
-    """Integer matrix of d: C^degree → C^(degree+1) on the normalized
-    subcomplex (independent of the level), on the rows whose first argument
-    lies in ``first`` (default: every non-identity element): the faces of the
-    column indices, −1 where an argument is the identity.  Within one face
-    each row meets one column, so each face's scatter is exact."""
+def _boundary_faces(module: GModule, degree: int, first=None) -> np.ndarray:
+    """The n + 2 faces (see :func:`_faces`) of d: C^degree → C^(degree+1) on
+    the normalized subcomplex, as an array of column indices of shape
+    (n + 2, rows): entry (i, row) is the column that face i reads in that
+    row, or ``cols`` = (m−1)^degree·X, one past the last column, where an
+    argument is the identity.  The rows are those whose first argument lies
+    in ``first`` (default: every non-identity element) and whose other
+    arguments are not the identity, in C order."""
     G, X = module.group, module.size
     m, cols = G.order, (G.order - 1) ** degree * X
-    index = np.full((m,) * degree + (X,), -1, dtype=np.int64)
+    index = np.full((m,) * degree + (X,), cols, dtype=np.int64)
     index[(slice(1, None),) * degree] = np.arange(cols).reshape((m - 1,) * degree + (X,))
     rows = list(range(1, m) if first is None else first)
-    shape = (len(rows),) + index.shape
-    D = np.zeros((shape[0] * cols, cols), dtype=np.int64)
+    shape, block = (len(rows),) + index.shape, (slice(None),) + (slice(1, None),) * degree
+    faces = _faces(index, G, module.inverse_action, rows)
+    return np.stack([np.broadcast_to(face, shape)[block].reshape(-1) for face in faces])
+
+
+def _normalized_boundary(module: GModule, degree: int, first=None) -> np.ndarray:
+    """Integer matrix of d: C^degree → C^(degree+1) on the normalized
+    subcomplex (independent of the level), on the rows of
+    :func:`_boundary_faces`: the signed faces scattered, skipping identity
+    arguments.  Within one face each row meets one column, so each face's
+    scatter is exact."""
+    faces = _boundary_faces(module, degree, first)
+    cols = (module.group.order - 1) ** degree * module.size
+    D = np.zeros((faces.shape[1], cols), dtype=np.int64)
     row = np.arange(len(D))
-    for i, face in enumerate(_faces(index, G, module.inverse_action, rows)):
-        col = np.broadcast_to(face, shape)[(slice(None),) + (slice(1, None),) * degree].reshape(-1)
-        hit = col >= 0
+    for i, col in enumerate(faces):
+        hit = col < cols
         D[row[hit], col[hit]] += -1 if i % 2 else 1
     return D
 
@@ -403,6 +431,8 @@ class _H2Machine:
         self.D1 = _normalized_boundary(module, 1)
         self.snf1 = smith_normal_form(self.D1, want_u=True, want_v=True)
         self._classes: dict = {}      # level → level_classes(level), see there
+        self._cx_readers: dict = {}   # level → the rows that ``cx_coords`` reads, see ``_read``
+        self._level_readers: dict = {}    # level → the rows that ``level_coords`` reads
         self._schur: dict = {}        # (origin, name) → schur_classes of a group with this table
 
     @cached_property
@@ -434,23 +464,81 @@ class _H2Machine:
         if L * L * max(self.m2, 1) >= 2**62:
             raise TooLarge(f"level {L} with {self.m2} cochain coordinates exceeds the int64 bound L²·m₂ < 2^62")
 
-    def _w(self, flat, L: int) -> np.ndarray:
-        """w = V₂⁻¹x mod L for a normalized level-L cocycle x; raises
-        :class:`NotACocycle` unless d₂x ≡ 0 (mod L), i.e. L | d_i·w_i."""
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, int]:
+        """Flat positions (p, q), shape (2, n), with v[p] − v[q] the values of
+        ``_normalize`` at p before reduction (q the position of (1, 1, g⁻¹x)):
+        first the identity slices, then the non-identity block, each in C
+        order; and the number of identity-slice positions."""
+        m, X = self.module.group.order, self.module.size
+        pos = np.arange(m * m * X).reshape(m, m, X)
+        ref = np.broadcast_to(self.module.inverse_action[:, None, :], pos.shape)
+        ident = np.zeros(pos.shape, dtype=bool)
+        ident[0] = ident[:, 0] = True
+        pq = np.stack([np.concatenate([a[ident], a[1:, 1:].reshape(-1)]) for a in (pos, ref)])
+        return pq, int(ident.sum())
+
+    def normalized_flat(self, c: Cochain) -> np.ndarray:
+        """The non-identity block of ``_normalize(c)`` in C order, unreduced
+        (entries in (−L, L)), for a degree-2 cochain over this machine's
+        module.  Only a cochain whose identity slices survive the shift goes
+        through ``_normalize``, which raises :class:`NotACocycle` with its
+        (g, h, x) witness."""
+        if c.degree != 2:
+            raise ValueError("expected a degree-2 cocycle")
+        pq, n = self._gather
+        v = c.values.reshape(-1).take(pq)
+        y = v[0] - v[1]
+        if y[:n].any():
+            _normalize(c)
+        return y[n:]
+
+    @cached_property
+    def _d2_faces(self) -> np.ndarray:
+        """The faces of the generator-row d₂ as column indices (see
+        :func:`_boundary_faces`), the positive ones at [0] and the negative
+        ones at [1]."""
+        return _boundary_faces(self.module, 2, self.gens)[[0, 2, 1, 3]].reshape(2, 2, -1)
+
+    def _read(self, flat, L: int, readers: dict, build) -> tuple[int, ...]:
+        """Coordinates (R·x mod L)·a // b mod o of the normalized level-L
+        cocycle x = ``flat`` mod L, for the reader (R, a, b, o) kept for L in
+        ``readers`` (made by ``build()`` on first use).  Raises
+        :class:`NotACocycle` unless d₂x ≡ 0 (mod L) on the generator rows,
+        with the first failing row (s, h, k, x) in C order as witness."""
         self._check_level(L)
-        w = (self.snf2._mod("Vinv", L) @ (np.asarray(flat, dtype=np.int64) % L)) % L
-        bad = np.flatnonzero(self._diag2 * w[: len(self._diag2)] % L)
-        if len(bad):
-            raise NotACocycle(
-                f"level {L} does not divide d·w in SNF coordinate {bad[0]}", witness=int(bad[0])
-            )
-        return w
+        x = np.empty(self.m2 + 1, dtype=np.int64)
+        np.remainder(flat, L, out=x[: self.m2])
+        x[self.m2] = 0                  # the column that identity arguments read
+        signed = x.take(self._d2_faces).sum(axis=1)
+        dx = (signed[0] - signed[1]) % L
+        if dx.any():
+            m, X = self.module.group.order, self.module.size
+            i, h, k, p = np.unravel_index(np.flatnonzero(dx)[0], (len(self.gens), m - 1, m - 1, X))
+            witness = (self.gens[i], int(h) + 1, int(k) + 1, int(p))
+            raise NotACocycle(f"d₂ of the normalized cochain is nonzero mod {L} at {witness}", witness=witness)
+        R, a, b, o = recent_level(readers, L, build)
+        return tuple(((R @ x[: self.m2]) % L * a // b % o).tolist())
+
+    def _rows_mod(self, rows: list[dict[int, int]], L: int) -> np.ndarray:
+        """Sparse integer rows (column → value) as a dense int64 array mod L."""
+        R = np.zeros((len(rows), self.m2), dtype=np.int64)
+        for i, row in enumerate(rows):
+            R[i, list(row)] = [v % L for v in row.values()]
+        return R
 
     def cx_coords(self, flat, L: int) -> tuple[int, ...]:
         """Coordinates in ``cx_factors`` of the ℂ^× class of a normalized
-        level-L cocycle: (d_i·w_i/L mod d_i) over the d_i > 1."""
-        w, d = self._w(flat, L), self._diag2
-        return tuple(int(v) for v in (d * w[: len(d)])[d > 1] // L % d[d > 1])
+        level-L cocycle: (d_i·w_i/L mod d_i) over the d_i > 1, w = V₂⁻¹x."""
+        return self._read(flat, L, self._cx_readers, lambda: self._cx_reader(L))
+
+    def _cx_reader(self, L: int):
+        """The reader of ``cx_coords`` at level L: the rows i of V₂⁻¹ with
+        d_i > 1, then (·d_i) // L mod d_i."""
+        d = self._diag2
+        keep = np.flatnonzero(d > 1)
+        rows = self._rows_mod([self.snf2.sparse["Vinv"][i] for i in keep], L)
+        return rows, d[keep], L, d[keep]
 
     def level_classes(self, L: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
         """The indices k, orders and generators (rows, read-only) of the
@@ -474,10 +562,31 @@ class _H2Machine:
         gens.setflags(write=False)
         return ks, tuple(orders[k] for k in ks), gens
 
-    def level_coords(self, flat, L: int) -> np.ndarray:
-        """The m₂ coordinates of a normalized cocycle's level-L class."""
-        w, r = self._w(flat, L), len(self._diag2)
-        return np.concatenate([w[:r] * np.gcd(self._diag2, L) // L, self.snfB._mod("U", L) @ w[r:] % L])
+    def level_coords(self, flat, L: int) -> tuple[int, ...]:
+        """Coordinates in the ``level_classes(L)`` factors of a normalized
+        level-L cocycle's class: w_k·gcd(d_k, L)/L for k < r and
+        (U_B·w[r:])_{k−r} past r, w = V₂⁻¹x, each mod its order."""
+        return self._read(flat, L, self._level_readers, lambda: self._level_reader(L))
+
+    def _level_reader(self, L: int):
+        """The reader of ``level_coords`` at level L: the rows k < r of V₂⁻¹
+        kept by ``level_classes``, each then divided by L/gcd(d_k, L), and
+        the kept rows k − r of U_B·V₂⁻¹[r:]; all mod their orders."""
+        ks, orders, _ = self.level_classes(L)
+        r, Vinv, U = len(self._diag2), self.snf2.sparse["Vinv"], self.snfB.sparse["U"]
+        rows = []
+        for k in ks:
+            if k < r:
+                rows.append(Vinv[k])
+                continue
+            row: dict[int, int] = {}          # (U_B·V₂⁻¹[r:])_{k−r}, exact
+            for t, u in U[k - r].items():
+                for j, v in Vinv[r + t].items():
+                    row[j] = row.get(j, 0) + u * v
+            rows.append(row)
+        o = np.array(orders, dtype=np.int64)
+        b = np.array([L // q if k < r else 1 for k, q in zip(ks, orders)], dtype=np.int64)
+        return self._rows_mod(rows, L), 1, b, o
 
 
 @lru_cache(maxsize=None)
@@ -493,7 +602,7 @@ def _machine(module: GModule) -> _H2Machine:
 
 # Bounds on the generator-row d₂ (|S|·m₂ rows, m₂ = (m−1)²·X columns),
 # checked before any matrix is built; the columns are bounded too because the
-# int64 copies of V₂ and V₂⁻¹ that each level reads are dense m₂×m₂.  Every
+# int64 copy of V₂ that each level's generators read is dense m₂×m₂.  Every
 # group of order 64 has m₂ = 3969 and is refused.  The worst case within them
 # is Z2⁵ (5 generators, 4805×961): a cold ``schur_classes`` takes 4.3 s at
 # 113 MB peak RSS, against 0.67 s at 63 MB for D16 (order 32, 1922×961) and
@@ -513,7 +622,7 @@ def is_coboundary(c: Cochain):
     if not is_cocycle(c):
         raise NotACocycle("not a 2-cocycle; differential is nonzero")
     machine = _machine(c.module)
-    sol = solve_mod(machine.snf1, _norm_flat(_normalize(c)), c.level)
+    sol = solve_mod(machine.snf1, machine.normalized_flat(c), c.level)
     if sol is None:
         return None
     pi = _embed_norm(c.module, 1, sol)
@@ -592,22 +701,22 @@ def h2(G: FiniteGroup, module: GModule) -> CohomologyClassSet:
         raise ValueError("module is not over the given group")
     machine = _machine(module)
     L = module.level
-    ks, orders, gens = machine.level_classes(L)
+    _, orders, gens = machine.level_classes(L)
     if prod(orders) > 4096:
         raise TooLarge(f"{prod(orders)} cohomology classes exceed the enumeration cap")
 
     def coords_fn(c: Cochain) -> tuple[int, ...]:
         if c.module != module:
             raise ValueError("cochain is not over this module")
-        y = machine.level_coords(_norm_flat(_normalize(c)), L)[list(ks)]
-        return tuple(int(v) for v in y % orders)
+        return machine.level_coords(machine.normalized_flat(c), L)
 
     return CohomologyClassSet(module, machine.D1.T, gens, orders, _invariant_factors(tuple(orders)), coords_fn)
 
 
 def _cx_coords(c: Cochain) -> tuple[int, ...]:
     """Coordinates of the ℂ^× class of a 2-cocycle, at any level."""
-    return _machine(c.module).cx_coords(_norm_flat(_normalize(c)), c.level)
+    machine = _machine(c.module)
+    return machine.cx_coords(machine.normalized_flat(c), c.level)
 
 
 def cohomologous_over_Cx(c1: Cochain, c2: Cochain) -> bool:

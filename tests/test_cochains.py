@@ -687,14 +687,14 @@ def test_representatives_are_canonical(name, request):
     rng = random.Random(L)
     for classes, lattice in ((h2(G, GModule.trivial(G, L)), K_L), (schur_classes(G), K)):
         H = hermite_mod(lattice, L)
-        flats = [cochains._norm_flat(rep).tolist() for rep in classes.representatives]
+        flats = [_ix_norm_flat(rep).tolist() for rep in classes.representatives]
         assert not any(flats[0])
         assert flats == sorted(flats) and len({tuple(f) for f in flats}) == len(flats)
         for i, rep in enumerate(classes.representatives):
             pi = random_cochain(rep.module, 1, rng).values.copy()
             pi[0] = 0                                  # dπ is normalized
             moved = rep + differential(Cochain(rep.module, 1, pi))
-            lifted = cochains._norm_flat(moved).copy()
+            lifted = _ix_norm_flat(moved).copy()
             lifted[rng.randrange(len(lifted))] += L
             assert hermite_reduce(H, lifted, L).tolist() == flats[i]
             assert classes.index_of(moved) == i
@@ -722,9 +722,15 @@ def test_query_path_rejects_non_cocycles(v4):
         sc.index_of(Cochain(GModule.trivial(v4, 4), 2, values))
     assert info.value.witness == (0, 1, 0)
     values[0, 1, 0], values[1, 2, 0] = 0, 1    # normalized, but dc ≠ 0
-    for index_of in (classes.index_of, sc.index_of):
-        with pytest.raises(NotACocycle):
-            index_of(Cochain(GModule.trivial(v4, 4), 2, values))
+    c = Cochain(GModule.trivial(v4, 4), 2, values)
+    # the witness is the first nonzero row of dc with g₁ in S, in C order
+    S = cochains._generating_set(v4)
+    s, h, k, x = (int(v) for v in np.argwhere(differential(c).values[list(S)])[0])
+    assert (S[s], h, k, x) == (1, 1, 2, 0)
+    for index_of in (classes.index_of, sc.index_of, lambda c: cohomologous_over_Cx(c, c)):
+        with pytest.raises(NotACocycle) as info:
+            index_of(c)
+        assert info.value.witness == (S[s], h, k, x)
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +815,136 @@ def test_guard_passes_a_cocycle_that_is_not_normalized(d4):
     c = mu + differential(Cochain(module, 1, pi))
     assert c.values[0].any() and c.values[:, 0].any()
     assert is_cocycle(c)
+
+
+# ---------------------------------------------------------------------------
+# The class read against the dense route it replaced: w = V₂⁻¹x mod L from a
+# dense copy of V₂⁻¹, the cocycle test read as L | d_i·w_i for i < r
+
+
+class _DenseRead:
+    """The dense route at level L: every row of V₂⁻¹ and U_B, mod L."""
+
+    def __init__(self, machine, L: int):
+        self.machine, self.L = machine, L
+        self.Vinv = (np.array(machine.snf2.Vinv, dtype=object).reshape(machine.m2, machine.m2) % L).astype(np.int64)
+        rows = machine.m2 - len(machine._diag2)
+        self.U = (np.array(machine.snfB.U, dtype=object).reshape(rows, rows) % L).astype(np.int64)
+
+    def w(self, flat):
+        """V₂⁻¹x mod L, or None if L ∤ d_i·w_i for some i < r."""
+        L, d = self.L, self.machine._diag2
+        w = self.Vinv @ (np.asarray(flat, dtype=np.int64) % L) % L
+        return None if (d * w[: len(d)] % L).any() else w
+
+    def cx(self, flat):
+        w, d = self.w(flat), self.machine._diag2
+        return None if w is None else tuple(int(v) for v in (d * w[: len(d)])[d > 1] // self.L % d[d > 1])
+
+    def level(self, flat):
+        w, d, L = self.w(flat), self.machine._diag2, self.L
+        if w is None:
+            return None
+        ks, orders, _ = self.machine.level_classes(L)
+        y = np.concatenate([w[: len(d)] * np.gcd(d, L) // L, self.U @ w[len(d):] % L])[list(ks)]
+        return tuple(int(v) for v in y % orders)
+
+
+def _sparse_read(read, flat, L):
+    """The coordinates ``read`` gives, or None if it refuses with NotACocycle."""
+    try:
+        return read(flat, L)
+    except NotACocycle:
+        return None
+
+
+READ_MODULES = BUNDLED + ["A4", "D6", "D8"] + list(COSET_MODULES)
+
+
+def _read_module(name: str) -> GModule:
+    if name in COSET_MODULES:
+        return COSET_MODULES[name]()
+    G = _numbering_free_groups()[name]
+    return GModule.trivial(G, G.order)
+
+
+@pytest.mark.parametrize("name", READ_MODULES)
+def test_class_read_matches_the_dense_route(name):
+    base = _read_module(name)
+    G, rng = base.group, random.Random(name)
+    for L in (G.order, 2, 6, 12):
+        module = base.at_level(L)
+        machine, dense = cochains._machine(module), None
+        classes = h2(G, module)
+        dense = _DenseRead(machine, L)
+        for _ in range(3):
+            c = random_cocycle(module, rng)
+            flat = _ix_norm_flat(cochains._normalize(c))
+            cx, level = machine.cx_coords(flat, L), machine.level_coords(flat, L)
+            assert (cx, level) == (dense.cx(flat), dense.level(flat)), L
+            assert classes.coordinates[classes.index_of(c)] == level
+            assert cochains._cx_coords(c) == cx
+            noise = np.array([rng.randrange(L) for _ in range(machine.m2)], dtype=np.int64)
+            assert _sparse_read(machine.cx_coords, noise, L) == dense.cx(noise)
+            assert _sparse_read(machine.level_coords, noise, L) == dense.level(noise)
+
+
+@pytest.mark.parametrize("name", READ_MODULES)
+def test_class_read_refuses_exactly_the_faults_the_dense_route_refuses(name):
+    module = _read_module(name)
+    L = module.level
+    machine, S = cochains._machine(module), cochains._generating_set(module.group)
+    dense = _DenseRead(machine, L)
+    flat = _ix_norm_flat(cochains._normalize(random_cocycle(module, random.Random(name))))
+    refused = 0
+    for i in range(machine.m2):
+        bad = flat.copy()
+        bad[i] = (bad[i] + 1) % L
+        for read, ref in ((machine.cx_coords, dense.cx), (machine.level_coords, dense.level)):
+            assert _sparse_read(read, bad, L) == ref(bad), i
+        if dense.w(bad) is None:
+            refused += 1
+            with pytest.raises(NotACocycle) as info:
+                machine.cx_coords(bad, L)
+            d = differential(cochains._embed_norm(module, 2, bad)).values[list(S)]
+            s, h, k, x = (int(v) for v in np.argwhere(d)[0])
+            assert info.value.witness == (S[s], h, k, x)
+    # a fault at x_i is refused exactly when column i of d₂ is nonzero mod L
+    D = cochains._normalized_boundary(module, 2, S)
+    assert refused == int((D % L).any(axis=0).sum())
+
+
+@pytest.mark.parametrize("module", _guard_modules(), ids=["S3"] + list(COSET_MODULES))
+def test_gathered_normalization_matches_normalize(module):
+    machine, rng, L = cochains._machine(module), random.Random(9), module.level
+    for c in [random_cocycle(module, rng) for _ in range(3)] + [random_cochain(module, 2, rng) for _ in range(3)]:
+        try:
+            expect = _ix_norm_flat(cochains._normalize(c))
+        except NotACocycle as exc:
+            with pytest.raises(NotACocycle) as info:
+                machine.normalized_flat(c)
+            assert info.value.witness == exc.witness
+            continue
+        got = machine.normalized_flat(c)
+        assert got.min() > -L and got.max() < L
+        assert np.array_equal(got % L, expect)
+
+
+def test_class_readers_are_built_on_the_first_read_and_kept_for_a_few_levels(d4):
+    module = GModule.trivial(d4, 8)
+    machine = cochains._machine(module)
+    machine._level_readers.clear()               # the machine is shared with other tests
+    machine._cx_readers.clear()
+    classes, sc = h2(d4, module), schur_classes(d4)
+    assert machine._level_readers == machine._cx_readers == {}
+    c = classes.representatives[-1]
+    classes.index_of(c)
+    assert 8 in machine._level_readers and 8 not in machine._cx_readers
+    sc.index_of(c)
+    assert 8 in machine._cx_readers
+    for L in range(2, 3 * MOD_LEVELS):
+        cochains._cx_coords(raise_level(c, 8 * L))
+    assert len(machine._cx_readers) == MOD_LEVELS
 
 
 def test_dihedral_group_of_order_32_is_in_bounds():
@@ -900,7 +1036,7 @@ def test_transform_copies_are_kept_for_a_few_levels(d4):
     assert answers == [list(range(len(sc)))] * 20
     cache = cochains._machine(sc.module).snf2._mod_cache
     assert len(cache) <= MOD_LEVELS
-    assert sum(len(copies) for copies in cache.values()) <= 2 * MOD_LEVELS    # V and V⁻¹
+    assert all(list(copies) == ["V"] for copies in cache.values())    # no dense V⁻¹
     assert [sc.index_of(raise_level(rep, 8)) for rep in sc.representatives] == answers[0]
 
 
@@ -1000,11 +1136,10 @@ def test_normalized_coordinates_match_the_index_grid(degree, d4):
     rng = random.Random(degree)
     for module in (GModule.trivial(d4, 8), GModule.permutation(d4, d4.table, 6), COSET_MODULES["D4/C2"]()):
         c = random_cochain(module, degree, rng)
-        assert np.array_equal(cochains._norm_flat(c), _ix_norm_flat(c))
         flat = [rng.randrange(module.level) for _ in range((d4.order - 1) ** degree * module.size)]
         embedded = cochains._embed_norm(module, degree, flat)
         assert embedded == _ix_embed_norm(module, degree, flat)
-        assert cochains._norm_flat(embedded).tolist() == flat
+        assert _ix_norm_flat(embedded).tolist() == flat
 
 
 def _reference_random_cocycle(module: GModule, rng) -> Cochain:

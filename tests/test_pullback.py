@@ -9,16 +9,18 @@ coordinates, with its own normalizer minimum over cochains.
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import dihedral_4, quaternion_8, symmetric_3
 from twochar import cochains, reps
 from twochar.burnside import basis
-from twochar.cochains import conjugate_pullback, raise_level
+from twochar.cochains import Cochain, GModule, conjugate_pullback, raise_level, random_cochain
 from twochar.errors import NotContained
 from twochar.groups import (
     Subgroup,
@@ -27,6 +29,7 @@ from twochar.groups import (
     from_permutation_generators,
     group_from_json,
     normalizer,
+    subgroup_group,
 )
 from twochar.reps import Orbit, Rep2, _class_reps, _orbit_key, linear_classes, pullback_map, tensor
 
@@ -67,6 +70,46 @@ def test_pullback_map_refuses_a_conjugator_that_leaves_the_target():
     with pytest.raises(NotContained) as info:
         pullback_map(A, 0, B)
     assert info.value.witness == B.elements[1]
+
+
+def _ix_pullback(c, x, P):
+    """``conjugate_pullback`` as it was: the index rebuilt by a loop, one
+    ``np.ix_`` gather."""
+    Q = cochains._ambient(c)
+    _, q_to_sub, _ = subgroup_group(Q)
+    p_grp, _, p_els = subgroup_group(P)
+    mapped = np.array([int(q_to_sub[Q.parent.conj(x, p)]) for p in p_els], dtype=np.int64)
+    vals = c.values[np.ix_(*([mapped] * c.degree))] if c.degree else c.values
+    return Cochain(GModule(p_grp, c.level, c.module.action[mapped]), c.degree, vals)
+
+
+@pytest.mark.parametrize("G", GROUPS[:3], ids=lambda G: G.name)
+def test_conjugate_pullback_matches_the_ix_gather(G):
+    rng = random.Random(G.order)
+    for Q in all_subgroups(G):
+        grp = subgroup_group(Q)[0]
+        for degree in (0, 1, 2):
+            c = random_cochain(GModule.trivial(grp, 6), degree, rng)
+            for x in G.elements:
+                for P in all_subgroups(G):
+                    if all(G.conj(x, p) in Q.elements for p in P.elements):
+                        got = conjugate_pullback(c, x, P)
+                        assert got == _ix_pullback(c, x, P) and not got.values.flags.writeable
+
+
+def test_conjugate_pullback_caches_its_index_but_not_a_refusal():
+    G = symmetric_3()
+    A, B = [P for P in all_subgroups(G) if P.order == 2][:2]
+    mu = linear_classes(A).representatives[0]
+    conjugate_pullback(mu, 0, A)
+    before = cochains._pullback_index.cache_info()
+    conjugate_pullback(mu, 0, A)
+    assert cochains._pullback_index.cache_info().hits == before.hits + 1
+    for _ in range(2):
+        with pytest.raises(NotContained) as info:
+            conjugate_pullback(mu, 0, B)
+        assert info.value.witness == B.elements[1]
+    assert cochains._pullback_index.cache_info().currsize == before.currsize
 
 
 def _reference_normalizer_min(P0):

@@ -874,8 +874,7 @@ def test_class_read_matches_the_dense_route(name):
     G, rng = base.group, random.Random(name)
     for L in (G.order, 2, 6, 12):
         module = base.at_level(L)
-        machine, dense = cochains._machine(module), None
-        classes = h2(G, module)
+        machine, classes = cochains._machine(module), h2(G, module)
         dense = _DenseRead(machine, L)
         for _ in range(3):
             c = random_cocycle(module, rng)

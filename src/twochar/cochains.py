@@ -44,7 +44,11 @@ reduced mod L once per level; no dense copy of V₂⁻¹ is made.  The test is
 exact: with U′ the SNF row transform, the generator-row d₂ equals
 U′⁻¹·S·V₂⁻¹, and U′ is unimodular over ℤ, so invertible mod L; hence
 d₂x ≡ 0 (mod L) exactly when L | d_i·w_i for every i < r, which is the
-condition under which the coordinates above are defined.
+condition under which the coordinates above are defined.  ``is_coboundary``
+reads through the same test, then solves d₁π ≡ x (mod L); the faces need
+no SNF.  The test is the whole cocycle test: a cochain whose identity
+slices survive normalizing is refused there, and on a normalized x the
+generator rows decide every row of dx, by the induction above.
 
 Representatives are canonical: reduced by the Hermite normal form of
 K_L = im d₁ + Lℤ^{m₂} (level-L classes) or of K = ker_ℤ d₂ + Lℤ^{m₂} (ℂ^×
@@ -500,12 +504,12 @@ class _H2Machine:
         ones at [1]."""
         return _boundary_faces(self.module, 2, self.gens)[[0, 2, 1, 3]].reshape(2, 2, -1)
 
-    def _read(self, flat, L: int, readers: dict, build) -> tuple[int, ...]:
-        """Coordinates (R·x mod L)·a // b mod o of the normalized level-L
-        cocycle x = ``flat`` mod L, for the reader (R, a, b, o) kept for L in
-        ``readers`` (made by ``build()`` on first use).  Raises
-        :class:`NotACocycle` unless d₂x ≡ 0 (mod L) on the generator rows,
-        with the first failing row (s, h, k, x) in C order as witness."""
+    def cocycle_mod(self, flat, L: int) -> np.ndarray:
+        """The normalized level-L cocycle x = ``flat`` mod L, for ``flat``
+        from ``normalized_flat``.  Raises :class:`NotACocycle` unless
+        d₂x ≡ 0 (mod L) on the generator rows, with the first failing row
+        (s, h, k, x) in C order as witness; this decides whether the cochain
+        is a cocycle (module docstring)."""
         self._check_level(L)
         x = np.empty(self.m2 + 1, dtype=np.int64)
         np.remainder(flat, L, out=x[: self.m2])
@@ -517,8 +521,15 @@ class _H2Machine:
             i, h, k, p = np.unravel_index(np.flatnonzero(dx)[0], (len(self.gens), m - 1, m - 1, X))
             witness = (self.gens[i], int(h) + 1, int(k) + 1, int(p))
             raise NotACocycle(f"d₂ of the normalized cochain is nonzero mod {L} at {witness}", witness=witness)
+        return x[: self.m2]
+
+    def _read(self, flat, L: int, readers: dict, build) -> tuple[int, ...]:
+        """Coordinates (R·x mod L)·a // b mod o of x = ``cocycle_mod(flat,
+        L)``, for the reader (R, a, b, o) kept for L in ``readers`` (made by
+        ``build()`` on first use)."""
+        x = self.cocycle_mod(flat, L)
         R, a, b, o = recent_level(readers, L, build)
-        return tuple(((R @ x[: self.m2]) % L * a // b % o).tolist())
+        return tuple(((R @ x) % L * a // b % o).tolist())
 
     def _rows_mod(self, rows: list[dict[int, int]], L: int) -> np.ndarray:
         """Sparse integer rows (column → value) as a dense int64 array mod L."""
@@ -614,15 +625,15 @@ D2_MAX_COLS = 1024
 
 def is_coboundary(c: Cochain):
     """A 1-cochain π with dπ = c, or None if no witness exists mod the level.
-    Raises :class:`NotACocycle` when c is not a 2-cocycle, and
-    :class:`WrongWitness` with the first (g, h, x) where dπ ≠ c if the solver
-    returned a wrong π."""
+    Raises :class:`NotACocycle` when c is not a 2-cocycle, with the witness
+    of the class reads: the first (g, h, x) where an identity slice survives
+    normalizing, else the first nonzero generator row (s, h, k, x) of dc.
+    Raises :class:`WrongWitness` with the first (g, h, x) where dπ ≠ c if
+    the solver returned a wrong π."""
     if c.degree != 2:
         raise ValueError("is_coboundary expects a degree-2 cochain")
-    if not is_cocycle(c):
-        raise NotACocycle("not a 2-cocycle; differential is nonzero")
     machine = _machine(c.module)
-    sol = solve_mod(machine.snf1, machine.normalized_flat(c), c.level)
+    sol = solve_mod(machine.snf1, machine.cocycle_mod(machine.normalized_flat(c), c.level), c.level)
     if sol is None:
         return None
     pi = _embed_norm(c.module, 1, sol)

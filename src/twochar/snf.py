@@ -32,11 +32,20 @@ only touch rows that are nonzero in the pivot column, and column operations
 add zeros to it; a row swap moves the mark with the row.  None of these
 shortcuts changes which operations run or in what order, so the diagonal
 and the transforms are the same as those of the plain dense elimination.
+
+``solve_mod`` solves A·x ≡ b (mod L) as x = V·y with t = U·b: t_i must be
+divisible by g_i = gcd(d_i, L) (by L, so zero, past the rank r), and then
+y_i = (t_i/g_i)·(d_i/g_i)⁻¹ mod L/g_i for i < r and y_i = 0 past r.  It reads
+U from its sparse rows, as column indices, values mod L and row starts, so
+t is one gather, one product and one ``np.add.reduceat``; only the r rank
+rows are divided, and only the first r columns of V are kept.  This reader
+is built once per level and kept with the transform copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
 
@@ -94,15 +103,42 @@ class SNFResult:
     def _mod(self, which: str, L: int) -> np.ndarray:
         """Transform ``which`` reduced mod L as int64, built from its
         nonzeros.  Products with it stay exact because its callers refuse
-        levels with L² times the transform size ≥ 2^62.  Copies are kept for
-        the ``MOD_LEVELS`` most recently used levels only."""
-        copies = recent_level(self._mod_cache, L, dict)    # {which: copy}
-        if which not in copies:
+        levels with L² times the transform size ≥ 2^62."""
+        def build():
             i, j, v = self._entries(which)
             arr = np.zeros((self._size(which),) * 2, dtype=np.int64)
             arr[i, j] = [x % L for x in v]
-            copies[which] = arr
-        return copies[which]
+            return arr
+        return self._at_level(which, L, build)
+
+    def _at_level(self, key: str, L: int, build):
+        """The level-L copy ``key``, made by ``build()`` on a miss.  Copies
+        are kept for the ``MOD_LEVELS`` most recently used levels only."""
+        copies = recent_level(self._mod_cache, L, dict)    # {key: copy}
+        if key not in copies:
+            copies[key] = build()
+        return copies[key]
+
+    def _solver(self, L: int):
+        """What ``solve_mod`` reads at level L (module docstring): U's
+        nonzeros mod L as column indices, values and row starts; g_i =
+        gcd(d_i, L) for every row (L past the rank r); for i < r the moduli
+        L/g_i and the inverses of d_i/g_i mod them; and the first r columns
+        of V mod L, as rows."""
+        U, VT = self.sparse["U"], self.sparse["V"]
+        # U is invertible, so no row is empty, as np.add.reduceat needs
+        cols = np.array([c for row in U for c in row], dtype=np.int64)
+        vals = np.array([v % L for row in U for v in row.values()], dtype=np.int64)
+        starts = np.cumsum([0] + [len(row) for row in U[:-1]], dtype=np.int64)
+        d = [v for v in self.diag if v]
+        gd = [gcd(v, L) for v in d]
+        red = [L // q for q in gd]
+        inv = [pow(v // q, -1, p) for v, q, p in zip(d, gd, red)]
+        g = np.array(gd + [L] * (self.rows - len(d)), dtype=np.int64)
+        Vr = np.zeros((len(d), self.cols), dtype=np.int64)
+        for i, col in enumerate(VT[: len(d)]):
+            Vr[i, list(col)] = [v % L for v in col.values()]
+        return cols, vals, starts, g, np.array(red, dtype=np.int64), np.array(inv, dtype=np.int64), Vr
 
 
 # levels whose int64 transform copies an SNFResult keeps
@@ -279,31 +315,27 @@ def smith_normal_form(
 
 
 def solve_mod(snf: SNFResult, b, L: int):
-    """One solution of ``A·x ≡ b (mod L)`` from a precomputed SNF of A,
-    or None when the congruence has no solution."""
-    from math import gcd
-
+    """One solution of ``A·x ≡ b (mod L)`` from a precomputed SNF of A (with
+    U and V), or None when the congruence has no solution.  ``b`` must have
+    one entry per row of A."""
     m, n = snf.rows, snf.cols
     if L * L * max(m, n, 1) >= 2**62:
         raise TooLarge(f"level {L} with a {m}×{n} matrix exceeds the int64 bound L²·max(m, n) < 2^62")
+    bv = np.asarray(b, dtype=np.int64)
+    if bv.shape != (m,):
+        raise ValueError(f"b has {bv.size} entries for a matrix with {m} rows")
+    bv = bv % L
     if n == 0:
-        return [] if not (np.asarray(b, dtype=np.int64) % L).any() else None
+        return [] if not bv.any() else None
     if m == 0:
         return [0] * n
-    bv = np.asarray(b, dtype=np.int64) % L
-    t = (snf._mod("U", L) @ bv) % L
-    y = np.zeros(n, dtype=np.int64)
-    for i in range(m):
-        d = snf.diag[i] if i < len(snf.diag) else 0
-        ti = int(t[i])
-        g = gcd(d, L)
-        if ti % g:
-            return None
-        if d:
-            red = L // g
-            y[i] = (ti // g) * pow(d // g, -1, red) % red if red > 1 else 0
-    x = (snf._mod("V", L) @ y) % L
-    return [int(v) for v in x]
+    cols, vals, starts, g, red, inv, Vr = snf._at_level("solve", L, lambda: snf._solver(L))
+    t = np.add.reduceat(vals * bv[cols], starts) % L      # U·b mod L
+    if (t % g).any():
+        return None
+    r = len(red)
+    y = t[:r] // g[:r] * inv % red
+    return (y @ Vr % L).tolist()
 
 
 def hermite_mod(gens, L: int) -> np.ndarray:

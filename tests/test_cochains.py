@@ -709,9 +709,8 @@ def test_query_path_skips_the_degree_3_cocycle_test(monkeypatch, v4):
     classes.index_of(c)
     sc.index_of(c)
     cohomologous_over_Cx(c, c)
-    assert calls == []
     is_coboundary(c)
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_query_path_rejects_non_cocycles(v4):
@@ -805,6 +804,53 @@ def test_guard_refuses_every_single_entry_fault_the_differential_sees(module):
         assert is_cocycle(bad) == differential(bad).is_zero(), pos
         refused += not is_cocycle(bad)
     assert refused == c.values.size
+
+
+@pytest.mark.parametrize("module", [GModule.trivial(symmetric_3(), 6), COSET_MODULES["D4/C2"]()], ids=["S3", "D4/C2"])
+def test_is_coboundary_refuses_exactly_the_faults_is_cocycle_refuses(module):
+    c = random_cocycle(module, random.Random(7))
+    S = list(cochains._generating_set(module.group))
+    for pos in np.ndindex(c.values.shape):
+        values = c.values.copy()
+        values[pos] += 1
+        bad = Cochain(module, 2, values)
+        try:
+            witness = is_coboundary(bad)
+        except NotACocycle as exc:
+            assert not is_cocycle(bad), pos
+            if 0 in pos[:2]:            # an identity slice survives normalizing
+                with pytest.raises(NotACocycle) as info:
+                    cochains._normalize(bad)
+                assert exc.witness == info.value.witness, pos
+            else:                       # the first nonzero generator row of dc
+                s, h, k, x = (int(v) for v in np.argwhere(differential(bad).values[S])[0])
+                assert exc.witness == (S[s], h, k, x), pos
+            continue
+        assert is_cocycle(bad), pos
+        assert witness is None or differential(witness) == bad
+
+
+def test_is_coboundary_refusal_survives_optimize_flag():
+    code = (
+        "import numpy as np\n"
+        "from twochar.cochains import Cochain, GModule, is_coboundary\n"
+        "from twochar.errors import NotACocycle\n"
+        "from twochar.groups import load_group\n"
+        "module = GModule.trivial(load_group('v4'), 4)\n"
+        "for pos in ((0, 1, 0), (1, 2, 0)):\n"
+        "    values = np.zeros((4, 4, 1), dtype=np.int64)\n"
+        "    values[pos] = 1\n"
+        "    try:\n"
+        "        is_coboundary(Cochain(module, 2, values))\n"
+        "    except NotACocycle as exc:\n"
+        "        print(type(exc).__name__, *exc.witness)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["NotACocycle 0 1 0", "NotACocycle 1 1 2 0"]
 
 
 def test_guard_passes_a_cocycle_that_is_not_normalized(d4):
@@ -1037,6 +1083,16 @@ def test_transform_copies_are_kept_for_a_few_levels(d4):
     assert len(cache) <= MOD_LEVELS
     assert all(list(copies) == ["V"] for copies in cache.values())    # no dense V⁻¹
     assert [sc.index_of(raise_level(rep, 8)) for rep in sc.representatives] == answers[0]
+
+
+def test_solve_readers_are_kept_for_a_few_levels(d4):
+    c = differential(random_cochain(GModule.trivial(d4, 8), 1, random.Random(3)))
+    for k in range(1, 21):
+        moved = raise_level(c, 8 * k)
+        assert differential(is_coboundary(moved)) == moved
+    cache = cochains._machine(c.module).snf1._mod_cache
+    assert len(cache) <= MOD_LEVELS
+    assert all(list(copies) == ["solve"] for copies in cache.values())    # no dense U
 
 
 # ---------------------------------------------------------------------------

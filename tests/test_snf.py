@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from math import gcd
@@ -16,10 +17,11 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from conftest import symmetric_3
+from twochar import cochains
 from twochar.cochains import GModule, _normalized_boundary
 from twochar.errors import TooLarge
-from twochar.groups import from_permutation_generators, generated_subgroup
-from twochar.snf import smith_normal_form, solve_mod
+from twochar.groups import from_permutation_generators, generated_subgroup, load_group
+from twochar.snf import SNFResult, smith_normal_form, solve_mod
 
 
 def _as_np(rows):
@@ -107,6 +109,118 @@ def test_solve_mod_detects_inconsistency():
     res = smith_normal_form(A)
     assert solve_mod(res, [1, 0], 4) is None
     assert solve_mod(res, [2, 2], 4) is not None
+
+
+def test_solve_mod_refuses_a_right_side_of_the_wrong_length():
+    res = smith_normal_form([[2, 0], [0, 2], [0, 0]])
+    for b in ([0, 0], [0, 0, 0, 0]):
+        with pytest.raises(ValueError, match=f"b has {len(b)} entries for a matrix with 3 rows"):
+            solve_mod(res, b, 4)
+    no_cols = smith_normal_form([[], []])                     # the n = 0 branch
+    assert solve_mod(no_cols, [0, 4], 4) == []
+    with pytest.raises(ValueError, match="b has 3 entries for a matrix with 2 rows"):
+        solve_mod(no_cols, [0, 0, 0], 4)
+    no_rows = SNFResult(0, 2, [], {"U": [], "V": [{0: 1}, {1: 1}], "Uinv": None, "Vinv": None})
+    assert solve_mod(no_rows, [], 4) == [0, 0]                # the m = 0 branch
+    with pytest.raises(ValueError, match="b has 1 entries for a matrix with 0 rows"):
+        solve_mod(no_rows, [0], 4)
+
+
+# ---------------------------------------------------------------------------
+# The solve against the dense route it replaced: every row of U and V mod L,
+# and a loop over all the rows of U
+
+
+def _dense_solve_mod(snf, b, L):
+    m, n = snf.rows, snf.cols
+    if n == 0:
+        return [] if not (np.asarray(b, dtype=np.int64) % L).any() else None
+    if m == 0:
+        return [0] * n
+    U = (np.array(snf.U, dtype=object).reshape(m, m) % L).astype(np.int64)
+    V = (np.array(snf.V, dtype=object).reshape(n, n) % L).astype(np.int64)
+    t = (U @ (np.asarray(b, dtype=np.int64) % L)) % L
+    y = np.zeros(n, dtype=np.int64)
+    for i in range(m):
+        d = snf.diag[i] if i < len(snf.diag) else 0
+        ti = int(t[i])
+        g = gcd(d, L)
+        if ti % g:
+            return None
+        if d:
+            red = L // g
+            y[i] = (ti // g) * pow(d // g, -1, red) % red if red > 1 else 0
+    return [int(v) for v in (V @ y) % L]
+
+
+def _right_sides(A, res, levels, rng):
+    """(L, b) for right sides of A·x ≡ b (mod L), from an SNF of A with U⁻¹:
+    at each level a random b, A·x, and U⁻¹·t with t zero past the rank,
+    which only the division on the rank rows can refuse."""
+    A = np.array(A, dtype=np.int64).reshape(res.rows, res.cols)
+    r = sum(1 for d in res.diag if d)
+    Uinv = np.array(res.Uinv, dtype=object).reshape(res.rows, res.rows)
+    for L in levels:
+        t = [rng.randrange(L) if i < r else 0 for i in range(res.rows)]
+        yield L, [rng.randrange(L) for _ in range(res.rows)]
+        yield L, list(A @ [rng.randrange(L) for _ in range(res.cols)] % L)
+        yield L, [int(v) % L for v in Uinv @ t]
+
+
+def _check_against_dense(snf, sides):
+    for L, b in sides:
+        got = solve_mod(snf, b, L)
+        assert got == _dense_solve_mod(snf, b, L), (L, b)
+        assert got is None or all(type(v) is int for v in got)
+
+
+@st.composite
+def _matrices_with_zero_lines(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    entries = st.sampled_from((0, 0, 1, -1, 2, -2, 3, 4, 6, -6, 12))
+    A = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        A[i] = [0] * n
+    if n:
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in A:
+                row[j] = 0
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=_matrices_with_zero_lines(), seed=st.integers(0, 2**16))
+def test_solve_mod_matches_the_dense_route(A, seed):
+    res = smith_normal_form(A, want_u=True, want_v=True, want_uinv=True)
+    _check_against_dense(res, _right_sides(A, res, (1, 2, 3, 4, 6, 8, 12, 36), random.Random(seed)))
+
+
+def test_solve_mod_matches_the_dense_route_on_levels_sharing_factors_with_the_diagonal():
+    A = [[2, 0, 0, 0], [0, 6, 0, 0], [0, 0, 6, 0], [0, 0, 0, 0], [1, 1, 0, 0]]
+    res = smith_normal_form(A, want_u=True, want_v=True, want_uinv=True)
+    assert set(res.diag) >= {2, 6}
+    for seed in range(20):
+        _check_against_dense(res, _right_sides(A, res, (2, 3, 4, 6, 8, 12, 24), random.Random(seed)))
+
+
+def _solve_group(name: str):
+    if name == "A4":
+        return from_permutation_generators(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
+    if name in ("D6", "D8"):
+        n = int(name[1:])
+        return from_permutation_generators(n, [tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n))])
+    return load_group(name)
+
+
+@pytest.mark.parametrize("name", "z1 z2 z3 z4 z5 z6 z7 z8 v4 s3 d4 q8 A4 D6 D8".split())
+def test_solve_mod_matches_the_dense_route_on_d1(name):
+    G = _solve_group(name)
+    machine = cochains._machine(GModule.trivial(G, G.order))
+    # the same elementary operations, with U⁻¹ tracked alongside for the right sides
+    full = smith_normal_form(machine.D1, want_u=True, want_v=True, want_uinv=True)
+    snf1 = machine.snf1
+    assert (full.diag, full.sparse["U"], full.sparse["V"]) == (snf1.diag, snf1.sparse["U"], snf1.sparse["V"])
+    _check_against_dense(snf1, _right_sides(machine.D1, full, (G.order, 2, 6, 12), random.Random(name)))
 
 
 # ---------------------------------------------------------------------------
